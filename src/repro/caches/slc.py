@@ -44,17 +44,6 @@ class SecondLevelCache:
         a.lru_a[w] = a.tick
         return a.refs[w]
 
-    @hotpath
-    def probe(self, line: int) -> bool:
-        """Hot-path read probe: hit test plus LRU refresh, no ref."""
-        w = self.index.get(line)
-        if w is None:
-            return False
-        a = self.array
-        a.tick += 1
-        a.lru_a[w] = a.tick
-        return True
-
     def __contains__(self, line: int) -> bool:
         return line in self.index
 

@@ -11,6 +11,10 @@ three entry points:
 * :meth:`ComaMachine.write` — one write drained from a write buffer;
 * :meth:`ComaMachine.rmw`   — atomic read-modify-write (lock/barrier ops).
 
+:meth:`ComaMachine.hit_path` hands the kernel the arrays it needs to
+retire L1 read hits and writes to owned SLC-resident lines itself,
+without calling :meth:`read`/:meth:`write`.
+
 All times are integer nanoseconds.  The machine never looks at data
 values — workloads keep real data on the Python side — so coherence here
 is about *where copies live*, which is all the paper's metrics need.
@@ -28,7 +32,7 @@ lint rules (no interpreted dispatch, no per-access allocation).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.bus.sharedbus import SharedBus
 from repro.bus.transaction import TxKind
@@ -61,6 +65,25 @@ LEVEL_L1 = "l1"
 LEVEL_SLC = "slc"
 LEVEL_AM = "am"
 LEVEL_REMOTE = "remote"
+
+
+class HitPath(NamedTuple):
+    """What the simulation kernel's fused hit path needs, pre-bound.
+
+    ``procs[p]`` is processor ``p``'s tuple ``(l1, l1_line, l1_state,
+    l1_lru, slc, slc_index, slc_dirty, slc_lru, slc_port, am, am_index,
+    am_state, am_lru, shadow)``: the L1, SLC and node-AM line arrays with
+    their raw buffers, the SLC's :class:`Resource` and the node's shadow
+    tags (or None).  See :meth:`ComaMachine.hit_path`.
+    """
+
+    procs: list
+    l1_sets: int
+    l1_ns: int
+    slc_ns: int
+    slc_occ_ns: int
+    #: The one AM state in which a write completes with no protocol action.
+    exclusive: int
 
 
 class ComaMachine:
@@ -174,6 +197,37 @@ class ComaMachine:
 
         self.metrics = MachineInstruments(registry, len(self.nodes))
         self.bus.metrics = BusInstruments(registry, self.bus.name)
+
+    def hit_path(self) -> Optional[HitPath]:
+        """Bindings for the kernel's fused hit path, or None when it must
+        not run.
+
+        With them the kernel retires two events without calling
+        :meth:`read` or :meth:`write`: a read that hits the direct-mapped
+        L1, and a posted write to a line that is EXCLUSIVE in the node's
+        AM and present in the writer's SLC.  Both have exactly the effects
+        the full methods would have (``tests/test_fastpath.py`` runs them
+        in lockstep).  None when the L1 is associative, or when a trace
+        sink, metrics registry or span builder is attached — every access
+        must then reach its observers.  Call it after the last observer
+        is attached.
+        """
+        if (not self._l1_direct or self.trace is not None
+                or self.metrics is not None or self.spans is not None):
+            return None
+        procs = []
+        for p in range(self.config.n_processors):
+            l1 = self._l1_arrays[p]
+            slc = self.slcs[p].array
+            node = self.nodes[self._node_of[p]]
+            am = node.am
+            procs.append((
+                l1, l1.line_a, l1.state_a, l1.lru_a,
+                slc, slc.index, slc.dirty_a, slc.lru_a, self.slc_res[p],
+                am, am.index, am.state_a, am.lru_a, node.shadow,
+            ))
+        return HitPath(procs, self._l1_nsets, self._t_l1,
+                       self._t_slc, self._t_slc_occ, EXCLUSIVE)
 
     # ------------------------------------------------------------------
     # processor-facing operations
@@ -817,15 +871,10 @@ class ComaMachine:
         node.dram.acquire(self.now, self._t_dram_busy, self._bg)
         self.counters.slc_owner_reinserts += 1
 
-    def _ensure_page(self, addr: int, node: ComaNode, now: int) -> None:
+    def _materialize_page(self, addr: int, node: ComaNode, now: int) -> None:
         """Materialize the page on first touch: its lines appear in the
         toucher's AM in Exclusive state, instantly and with no processor
         delay (paper section 3)."""
-        if (addr // self._page_size) in self._page_home:
-            return
-        self._materialize_page(addr, node, now)
-
-    def _materialize_page(self, addr: int, node: ComaNode, now: int) -> None:
         page = self.space.page_of(addr)
         self.space.ensure_page(addr, node.id)
         self.counters.pages_allocated += 1

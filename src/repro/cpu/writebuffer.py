@@ -28,17 +28,20 @@ class WriteBuffer:
             raise ValueError("write buffer capacity must be >= 1")
         self.capacity = capacity
         self.coalescing = coalescing
-        self._pending: list[tuple[int, int]] = []  # (completion, line)
-        #: line -> newest completion time, for coalescing
+        #: Min-heap of outstanding ``(completion, line)`` entries.  The
+        #: simulation kernel reads it directly to retire its common case
+        #: (nothing completed, buffer not full) without a call.
+        self.pending: list[tuple[int, int]] = []
+        #: line -> newest completion time; kept only when coalescing
         self._lines: dict[int, int] = {}
         self.coalesced = 0
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self.pending)
 
     def prune(self, now: int) -> None:
         """Retire writes that completed at or before ``now``."""
-        p = self._pending
+        p = self.pending
         while p and p[0][0] <= now:
             completion, line = heapq.heappop(p)
             if self._lines.get(line) == completion:
@@ -62,16 +65,16 @@ class WriteBuffer:
         """Ensure a free entry exists; returns ``(new_now, stall_ns)``."""
         self.prune(now)
         stall = 0
-        if len(self._pending) >= self.capacity:
-            target = self._pending[0][0]
+        if len(self.pending) >= self.capacity:
+            target = self.pending[0][0]
             stall = target - now
             now = target
             self.prune(now)
         return now, stall
 
     def push(self, completion_time: int, line: int = -1) -> None:
-        heapq.heappush(self._pending, (completion_time, line))
-        if line >= 0:
+        heapq.heappush(self.pending, (completion_time, line))
+        if self.coalescing and line >= 0:
             prev = self._lines.get(line)
             if prev is None or completion_time > prev:
                 self._lines[line] = completion_time
@@ -81,15 +84,16 @@ class WriteBuffer:
 
         Returns ``(new_now, stall_ns)``; the buffer is empty afterwards.
         """
-        if not self._pending:
+        if not self.pending:
             return now, 0
-        last = max(c for c, _ in self._pending)
-        self._pending.clear()
+        last = max(c for c, _ in self.pending)
+        self.pending.clear()
         self._lines.clear()
         if last > now:
             return last, last - now
         return now, 0
 
     def outstanding_line(self, line: int) -> Optional[int]:
-        """Completion time of the newest outstanding write to ``line``."""
+        """Completion time of the newest outstanding write to ``line``
+        (tracked only when coalescing)."""
         return self._lines.get(line)

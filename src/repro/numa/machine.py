@@ -84,6 +84,11 @@ class NumaMachine:
         else:
             self.spans = None
 
+    def hit_path(self) -> None:
+        """No fused kernel hit path: every access goes through
+        :meth:`read`/:meth:`write` (see ``ComaMachine.hit_path``)."""
+        return None
+
     # ------------------------------------------------------------------
     def _home_node(self, addr: int) -> int:
         page = self.space.page_of(addr)

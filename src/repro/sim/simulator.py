@@ -14,6 +14,7 @@ import heapq
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.common.errors import ReproError, SimulationError
+from repro.common.hotpath import hotpath
 from repro.cpu.processor import Processor
 from repro.sim.events import (
     EV_BARRIER,
@@ -28,7 +29,14 @@ from repro.obs.timeline import CompositeProfiler
 from repro.sync.primitives import SimBarrier, SimLock, SyncSpace
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.coma.machine import ComaMachine
+    from repro.coma.machine import ComaMachine, HitPath
+
+#: Stall-accounting levels the machines report (``ComaMachine.read``).
+LEVEL_L1 = "l1"
+LEVEL_SLC = "slc"
+LEVEL_AM = "am"
+#: Slice limit while no other processor is ready: later than any clock.
+NEVER = 1 << 62
 
 
 class Simulation:
@@ -122,15 +130,7 @@ class Simulation:
         (if any) is attached to the exception as ``flight_dump``.
         """
         try:
-            heap = self._heap
-            for p in self.procs:
-                heapq.heappush(heap, (p.clock, p.pid))
-            while heap:
-                clock, pid = heapq.heappop(heap)
-                p = self.procs[pid]
-                if p.done or p.blocked or p.clock != clock:
-                    continue  # stale entry
-                self._advance(p)
+            self._loop(self.machine.hit_path())
             self._check_finished()
         except (AssertionError, ReproError) as exc:
             trace = getattr(self.machine, "trace", None)
@@ -144,75 +144,229 @@ class Simulation:
             raise
         return self._collect()
 
-    def _advance(self, p: Processor) -> None:
-        """Run ``p`` until it blocks, finishes, or passes the next clock."""
-        heap = self._heap
-        program = p.program
-        assert program is not None
-        while True:
-            try:
-                ev = next(program)
-            except StopIteration:
-                p.done = True
-                now, stall = p.wb.drain(p.clock)
-                p.acct.write += stall
-                p.clock = now
-                return
-            self.events_processed += 1
-            if self.events_processed > self.max_events:
-                raise SimulationError(
-                    f"event budget exceeded ({self.max_events}); runaway workload?"
-                )
-            if self.check_every and self.events_processed % self.check_every == 0:
-                self.machine.check_consistency()
-            if (
-                self.profiler is not None
-                and self.events_processed % self.profile_every == 0
-            ):
-                self.profiler.sample(self.machine)
-            self._dispatch(p, ev)
-            if p.blocked:
-                return
-            if heap and p.clock > heap[0][0]:
-                heapq.heappush(heap, (p.clock, p.pid))
-                return
+    @hotpath
+    def _loop(self, hp: Optional["HitPath"]) -> None:
+        """The event loop: pop the processor with the minimum clock and run
+        it until it blocks, finishes, or passes the next clock.
 
-    # ------------------------------------------------------------------
-    def _dispatch(self, p: Processor, ev: tuple) -> None:
-        op = ev[0]
+        With ``hp`` (see :meth:`ComaMachine.hit_path`) the common cases
+        retire here without a call into the machine: L1 read hits, and
+        posted writes to a line EXCLUSIVE in the node's AM and present in
+        the writer's SLC.  Those events batch the ``reads``,
+        ``l1_read_hits`` and ``writes`` counters in locals, credited
+        before every checkpoint (budget, consistency check, profiler
+        sample) and when the loop exits.  Under release consistency
+        without coalescing, the write buffer's common case (retire the
+        completed head, push) is inline too.  Every other event takes the
+        machine's full ``read``/``write``/``write_stalling`` paths and the
+        synchronization helpers.
+        """
         m = self.machine
-        if op == EV_READ:
-            done, level = m.read(p.pid, ev[1], p.clock)
-            self._charge(p, level, done - p.clock)
-            p.clock = done
-        elif op == EV_WRITE:
+        heap = self._heap
+        push = heapq.heappush
+        pop = heapq.heappop
+        m_read = m.read
+        m_write = m.write
+        instr_ns = m.timing.instructions_ns
+        shift = self._shift
+        wb_inline = not self._sc and not m.config.write_buffer_coalescing
+        fused = hp is not None
+        if hp is None:
+            l1_sets = 1
+        else:
+            l1_sets = hp.l1_sets
+            t_l1 = hp.l1_ns
+            t_slc = hp.slc_ns
+            slc_occ = hp.slc_occ_ns
+            excl = hp.exclusive
+        slots = self._slots(hp)
+        for p in self.procs:
+            push(heap, (p.clock, p.pid))
+        n_ev = self.events_processed
+        stop = self._next_stop(n_ev)
+        n_l1 = n_w = 0
+        try:
+            while heap:
+                clock, pid = pop(heap)
+                p, program, acct, wb, pending, fast = slots[pid]
+                if p.done or p.blocked or p.clock != clock:
+                    continue  # stale entry
+                if fused:
+                    (l1, l1_line, l1_state, l1_lru, slc, slc_index, slc_dirty,
+                     slc_lru, slc_port, am, am_index, am_state, am_lru,
+                     shadow) = fast
+                limit = heap[0][0] if heap else NEVER
+                while True:
+                    try:
+                        ev = next(program)
+                    except StopIteration:
+                        p.done = True
+                        now, stall = wb.drain(clock)
+                        acct.write += stall
+                        p.clock = now
+                        break
+                    n_ev += 1
+                    if n_ev >= stop:
+                        self._credit(n_l1, n_w)
+                        n_l1 = n_w = 0
+                        self.events_processed = n_ev
+                        self._checkpoint(n_ev)
+                        stop = self._next_stop(n_ev)
+                    op, arg = ev
+                    if op == EV_READ:
+                        line = arg >> shift
+                        w = line % l1_sets
+                        if fused and l1_line[w] == line and l1_state[w]:
+                            tick = l1.tick + 1
+                            l1.tick = tick
+                            l1_lru[w] = tick
+                            n_l1 += 1
+                            m.now = clock
+                            if not t_l1:
+                                continue
+                            acct.busy += t_l1
+                            clock += t_l1
+                        else:
+                            done, level = m_read(pid, arg, clock)
+                            dt = done - clock
+                            if dt > 0:  # _charge, in line
+                                if level == LEVEL_L1:
+                                    acct.busy += dt
+                                elif level == LEVEL_SLC:
+                                    acct.slc += dt
+                                elif level == LEVEL_AM:
+                                    acct.am += dt
+                                else:
+                                    acct.remote += dt
+                            clock = done
+                    elif op == EV_WRITE and wb_inline:
+                        line = arg >> shift
+                        # WriteBuffer.prune: without coalescing the buffer
+                        # keeps no line map, so retiring is a heap pop.
+                        while pending and pending[0][0] <= clock:
+                            pop(pending)
+                        now = clock
+                        if len(pending) >= wb.capacity:
+                            now, stall = wb.wait_for_slot(clock)
+                            acct.write += stall
+                        way = -1
+                        if fused and line in slc_index:
+                            way = am_index.get(line, -1)
+                        if way >= 0 and am_state[way] == excl:
+                            # Exactly ComaMachine.write's local-hit path.
+                            m.now = now
+                            w = line % l1_sets
+                            if l1_line[w] == line and l1_state[w]:
+                                tick = l1.tick + 1
+                                l1.tick = tick
+                                l1_lru[w] = tick
+                            if shadow is not None:
+                                shadow.access(line)
+                            tick = am.tick + 1
+                            am.tick = tick
+                            am_lru[way] = tick
+                            s = slc_port.bg_next_free
+                            if s < now:
+                                s = now
+                            slc_port.bg_next_free = s + slc_occ
+                            slc_port.busy_ns += slc_occ
+                            slc_port.uses += 1
+                            sw = slc_index[line]
+                            slc_dirty[sw] = 1
+                            tick = slc.tick + 1
+                            slc.tick = tick
+                            slc_lru[sw] = tick
+                            n_w += 1
+                            push(pending, (s + t_slc, line))
+                        else:
+                            push(pending, (m_write(pid, arg, now), line))
+                        if now == clock:
+                            continue
+                        clock = now
+                    elif op == EV_COMPUTE:
+                        ns = instr_ns(arg)
+                        acct.busy += ns
+                        clock += ns
+                    else:
+                        p.clock = clock
+                        self._dispatch_slow(p, op, arg)
+                        clock = p.clock
+                        if p.blocked:
+                            break
+                        limit = heap[0][0] if heap else NEVER
+                    if clock > limit:
+                        p.clock = clock
+                        push(heap, (clock, pid))
+                        break
+        finally:
+            self._credit(n_l1, n_w)
+            self.events_processed = n_ev
+
+    def _slots(self, hp: Optional["HitPath"]) -> list[tuple]:
+        """Per processor, what a slice of :meth:`_loop` binds:
+        ``(proc, program, acct, write buffer, its pending heap, hit-path
+        tuple or None)``."""
+        return [
+            (p, p.program, p.acct, p.wb, p.wb.pending,
+             None if hp is None else hp.procs[p.pid])
+            for p in self.procs
+        ]
+
+    def _credit(self, l1_hits: int, writes: int) -> None:
+        """Add the fused hit path's batched events to the counters."""
+        c = self.machine.counters
+        c.reads += l1_hits
+        c.l1_read_hits += l1_hits
+        c.writes += writes
+
+    def _next_stop(self, n: int) -> int:
+        """The first event index after ``n`` at which :meth:`_checkpoint`
+        has something to do."""
+        stop = self.max_events + 1
+        if self.check_every:
+            stop = min(stop, n - n % self.check_every + self.check_every)
+        if self.profiler is not None:
+            stop = min(stop, n - n % self.profile_every + self.profile_every)
+        return stop
+
+    def _checkpoint(self, n: int) -> None:
+        """Event ``n`` is about to run: enforce the budget, run the
+        periodic consistency check and take the periodic profile."""
+        if n > self.max_events:
+            raise SimulationError(
+                f"event budget exceeded ({self.max_events}); runaway workload?"
+            )
+        if self.check_every and n % self.check_every == 0:
+            self.machine.check_consistency()
+        if self.profiler is not None and n % self.profile_every == 0:
+            self.profiler.sample(self.machine)
+
+    def _dispatch_slow(self, p: Processor, op: str, arg: int) -> None:
+        """Every event the loop does not retire itself: SC and coalescing
+        writes, and synchronization."""
+        if op == EV_WRITE:
+            m = self.machine
             if self._sc:
                 # Sequential consistency: the store must complete before
                 # the processor proceeds (the ablation's whole cost).
-                done, level = m.write_stalling(p.pid, ev[1], p.clock)
+                done, level = m.write_stalling(p.pid, arg, p.clock)
                 self._charge(p, level, done - p.clock)
                 p.clock = done
                 return
-            line = ev[1] >> self._shift
+            line = arg >> self._shift
             if p.wb.try_coalesce(line, p.clock):
                 m.counters.wb_coalesced += 1
                 return
             now, stall = p.wb.wait_for_slot(p.clock)
-            if stall:
-                p.acct.write += stall
-            completion = m.write(p.pid, ev[1], now)
-            p.wb.push(completion, line)
+            p.acct.write += stall
+            p.wb.push(m.write(p.pid, arg, now), line)
             p.clock = now
-        elif op == EV_COMPUTE:
-            ns = m.timing.instructions_ns(ev[1])
-            p.acct.busy += ns
-            p.clock += ns
         elif op == EV_LOCK:
-            self._acquire(p, self._lock(ev[1]))
+            self._acquire(p, self._lock(arg))
         elif op == EV_UNLOCK:
-            self._release(p, self._lock(ev[1]))
+            self._release(p, self._lock(arg))
         elif op == EV_BARRIER:
-            self._barrier(p, self._barrier_obj(ev[1]))
+            self._barrier(p, self._barrier_obj(arg))
         else:
             raise SimulationError(f"unknown event opcode {op!r}")
 
@@ -220,10 +374,15 @@ class Simulation:
     def _charge(p: Processor, level: str, dt: int) -> None:
         if dt <= 0:
             return
-        if level == "l1":
-            p.acct.busy += dt
+        acct = p.acct
+        if level == LEVEL_L1:
+            acct.busy += dt
+        elif level == LEVEL_SLC:
+            acct.slc += dt
+        elif level == LEVEL_AM:
+            acct.am += dt
         else:
-            p.acct.add(level, dt)
+            acct.remote += dt
 
     def _lock(self, lock_id: int) -> SimLock:
         if self.sync is None:

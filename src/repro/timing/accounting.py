@@ -32,9 +32,6 @@ class StallAccounting:
     sync: int = 0
     write: int = 0
 
-    def add(self, category: str, ns: int) -> None:
-        setattr(self, category, getattr(self, category) + ns)
-
     @property
     def total(self) -> int:
         return self.busy + self.slc + self.am + self.remote + self.sync + self.write

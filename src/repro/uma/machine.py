@@ -54,6 +54,11 @@ class UmaMachine:
         self.now = 0
         self._bg = False  # posted-write background port selector
 
+    def hit_path(self) -> None:
+        """No fused kernel hit path: every access goes through
+        :meth:`read`/:meth:`write` (see ``ComaMachine.hit_path``)."""
+        return None
+
     # ------------------------------------------------------------------
     def _ensure_page(self, addr: int, node_id: int) -> None:
         if self.space.page_of(addr) not in self.space.page_home:

@@ -80,12 +80,10 @@ class TestResource:
 
 
 class TestStallAccounting:
-    def test_add_and_total(self):
-        a = StallAccounting()
-        a.add("busy", 10)
-        a.add("remote", 5)
-        assert a.busy == 10 and a.remote == 5
-        assert a.total == 15
+    def test_total_sums_categories(self):
+        a = StallAccounting(busy=10, remote=5)
+        a.sync += 2
+        assert a.total == 17
 
     def test_as_dict_covers_categories(self):
         a = StallAccounting()
