@@ -541,9 +541,8 @@ def envelope_for(
 class BoundsCertifier(TraceSink):
     """Check every observed span tree against its static envelope.
 
-    Attach to a simulation (``sim.attach``) or a machine
-    (``machine.set_trace``); call :meth:`finalize` after the run, then
-    read :attr:`findings` / :meth:`counts` / :meth:`ok`.
+    Attach to a simulation (``sim.attach``); call :meth:`finalize`
+    after the run, then read :attr:`findings` / :meth:`counts` / :meth:`ok`.
     """
 
     wants_spans = True

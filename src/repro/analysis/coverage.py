@@ -212,16 +212,13 @@ class CoverageMap(TraceSink):
 
     # -- wiring ---------------------------------------------------------
 
-    def bind(self, config: object) -> None:
+    def bind(self, machine: object) -> None:
         """Learn the processor->node mapping (needed to read the mirror
         at access events, which carry a processor id, not a node id)."""
+        config = getattr(machine, "config")
         n = int(getattr(config, "n_processors"))
         node_of: Callable[[int], int] = getattr(config, "node_of_proc")
         self._node_of = [node_of(p) for p in range(n)]
-
-    def attach_to(self, sim, every: Optional[int] = None) -> None:  # type: ignore[no-untyped-def]
-        self.bind(sim.machine.config)
-        super().attach_to(sim, every)
 
     # -- event handlers -------------------------------------------------
 
@@ -495,10 +492,11 @@ def run_micro(
     steps: Sequence[MicroStep], machine=None  # type: ignore[no-untyped-def]
 ) -> CoverageMap:
     """Execute a scripted sequence and return the exercised-cell map."""
+    from repro.sim.simulator import Simulation
+
     m = machine if machine is not None else micro_machine()
     cov = CoverageMap()
-    cov.bind(m.config)
-    m.set_trace(cov)
+    Simulation(m, []).attach(cov)
     t = 0
     for op, proc, line_ix in steps:
         addr = line_ix * m.config.line_size

@@ -1,8 +1,8 @@
 """Coherence sanitizer: dynamic race, value and liveness checking (R/V/L rules).
 
 A :class:`CoherenceSanitizer` is a :class:`repro.obs.sink.TraceSink` —
-attach it to any simulation (``machine.set_trace(...)``, or tee it next
-to other sinks) and it checks the live event stream against three
+attach it to any simulation (``sim.attach(...)``, alone or next to
+other observers) and it checks the live event stream against three
 property families, reporting findings in the shared
 :class:`repro.analysis.report.Finding` vocabulary:
 
@@ -462,9 +462,9 @@ def sanitizer_for(sim, spec=None, **kwargs) -> CoherenceSanitizer:
 
     Pulls the processor-to-node mapping and segment map off the machine
     and the sharing declarations off the workload (when the runner
-    attached one).  Attach the result with ``sim.machine.set_trace(...)``
-    (or tee it) *before* ``sim.run()`` — copy tracking must see the
-    stream from the first materialization.
+    attached one).  Attach the result with ``sim.attach(...)`` *before*
+    ``sim.run()`` — copy tracking must see the stream from the first
+    materialization.
     """
     machine = sim.machine
     config = machine.config

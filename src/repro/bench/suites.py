@@ -144,9 +144,9 @@ def _span_overhead(quick: bool, jobs: int) -> dict:
     """The event-loop suite with a span-emitting attribution sink
     attached — its wall time against ``event_loop``'s bounds the cost of
     building a span tree per memory access.  ``event_loop`` itself (no
-    sink) is the zero-overhead-when-off reference: spans stay ``None``
-    there, so a regression in *that* suite after a spans change means
-    the off path grew."""
+    sink) is the zero-overhead-when-off reference: the ``obs`` slot
+    stays ``None`` there, so a regression in *that* suite after a spans
+    change means the off path grew."""
     from repro.obs.spans import StallAttribution
 
     spec = _event_loop_spec(quick)

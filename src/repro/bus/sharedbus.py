@@ -29,12 +29,9 @@ class SharedBus:
         self._phase_ns = timing.bus_phase_ns
         self.tx_count: dict[TxClass, int] = {c: 0 for c in TxClass}
         self.tx_bytes: dict[TxClass, int] = {c: 0 for c in TxClass}
-        #: Optional :class:`repro.obs.sink.TraceSink`; None keeps
-        #: :meth:`record` allocation-free (a single ``if`` per call).
-        self.trace = None
-        #: Optional :class:`repro.obs.metrics.BusInstruments`; same
-        #: ``None``-by-default discipline (one ``if`` per call site).
-        self.metrics = None
+        #: The machine's observation slot (see ``ComaMachine.obs``);
+        #: None keeps :meth:`phase` and :meth:`record` allocation-free.
+        self.obs = None
 
     def phase(self, now: int, bg: bool = False) -> int:
         """Occupy the bus for one phase starting at or after ``now``.
@@ -58,8 +55,8 @@ class SharedBus:
             r.next_free = start + busy
         r.busy_ns += busy
         r.uses += 1
-        if self.metrics is not None:
-            self.metrics.phase(start - now, busy)
+        if self.obs is not None:
+            self.obs.bus_phase(self.name, start - now, busy)
         return start + self._phase_ns
 
     def arb_start(self, completion: int) -> int:
@@ -76,18 +73,16 @@ class SharedBus:
     ) -> None:
         """Meter one logical transaction of ``kind``.
 
-        ``now``/``origin``/``line`` annotate the trace event when a sink
-        is attached; metering itself needs none of them.
+        ``now``/``origin``/``line`` annotate the ``bus`` event when an
+        observer is attached; metering itself needs none of them.
         """
         cls = kind.tx_class
         nbytes = message_bytes(kind, self.line_size)
         self.tx_count[cls] += 1
         self.tx_bytes[cls] += nbytes
-        if self.trace is not None:
-            self.trace.bus(now, self.name, kind.name, cls.value,
-                           nbytes, origin, line)
-        if self.metrics is not None:
-            self.metrics.record(cls.value, nbytes)
+        if self.obs is not None:
+            self.obs.bus(now, self.name, kind.name, cls.value,
+                         nbytes, origin, line)
 
     @property
     def total_bytes(self) -> int:

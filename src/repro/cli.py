@@ -87,7 +87,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.experiments.runner import build_simulation
-    from repro.obs import ChromeTraceSink, FlightRecorder, JsonlTraceSink, TeeSink
+    from repro.obs import ChromeTraceSink, FlightRecorder, JsonlTraceSink
     from repro.obs.timeline import TimelineSampler
 
     sinks = []
@@ -110,7 +110,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     tl = TimelineSampler() if args.timeline else None
     sim = build_simulation(_trace_spec(args))
-    sim.machine.set_trace(TeeSink(*sinks))
+    for s in sinks:
+        sim.attach(s)
     if tl is not None:
         # Sample every 500 kernel events: dense enough for short traced
         # runs, and the run itself is already paying for event tracing.
@@ -306,7 +307,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
                            memory_pressure=mp, scale=args.scale)
             sim = build_simulation(spec)
             cov = CoverageMap()
-            cov.attach_to(sim)
+            sim.attach(cov)
             sim.run()
             ana.add_run(f"{wl}@mp={mp:g}", cov.exercised)
     if args.micro:
@@ -350,18 +351,17 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.experiments.runner import build_simulation
-    from repro.obs import LineBiography, TeeSink
+    from repro.obs import LineBiography
 
     bio = LineBiography()
     sim = build_simulation(_trace_spec(args))
+    sim.attach(bio)
     att = None
     if args.slowest:
         from repro.obs.spans import StallAttribution, format_span_tree
 
         att = StallAttribution(top_spans=args.slowest)
-        sim.machine.set_trace(TeeSink(bio, att))
-    else:
-        sim.machine.set_trace(bio)
+        sim.attach(att)
     sim.run()
     if att is not None:
         trees = att.slowest_spans()
@@ -511,7 +511,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         window=args.window,
         pingpong_threshold=args.pingpong,
     )
-    sim.machine.set_trace(san)
+    sim.attach(san)
     sim.run()
     report = san.finish()
     prov = san.provenance or {}

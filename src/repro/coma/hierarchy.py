@@ -54,18 +54,7 @@ class HierarchicalComaMachine(ComaMachine):
             SharedBus(config.timing, config.line_size, name=f"gbus{g}")
             for g in range(n_groups)
         ]
-
-    def set_trace(self, sink) -> None:
-        super().set_trace(sink)
-        for gb in self.group_buses:
-            gb.trace = sink
-
-    def set_metrics(self, registry) -> None:
-        super().set_metrics(registry)
-        from repro.obs.metrics import BusInstruments
-
-        for gb in self.group_buses:
-            gb.metrics = BusInstruments(registry, gb.name)
+        self.buses = (self.bus, *self.group_buses)
 
     # ------------------------------------------------------------------
     def group_of(self, node_id: int) -> int:
@@ -101,58 +90,59 @@ class HierarchicalComaMachine(ComaMachine):
     def _remote_path(self, local: ComaNode, owner: ComaNode, now: int) -> int:
         nc_busy = self._t_nc_busy
         nc_ns = self._t_nc
-        spans = self.spans
+        bg = self._bg
         lg = self.group_buses[self.group_of(local.id)]
-        s = local.nc.acquire(now, nc_busy, self._bg)
-        t = lg.phase(s + nc_ns, self._bg)  # group bus request
-        if spans is not None:
-            spans.phase("nc_out", s + nc_ns)
-            spans.phase("bus_arb", lg.arb_start(t))
-            spans.phase("gbus_req", t)
+        s = local.nc.acquire(now, nc_busy, bg)
+        t_out = s + nc_ns
+        t_req = lg.phase(t_out, bg)  # group bus request
         if self.same_group(local, owner):
             # Snooped within the group: owner answers over the group bus.
-            s = owner.nc.acquire(t, nc_busy, self._bg)
-            t = s + nc_ns
-            s = owner.dram.acquire(t, self._t_dram_busy, self._bg)
-            t = lg.phase(s + self._t_dram_lat, self._bg)
-            if spans is not None:
-                spans.phase("remote_am", s + self._t_dram_lat)
-                spans.phase("bus_arb", lg.arb_start(t))
-                spans.phase("gbus_reply", t)
-        else:
-            # Group directory forwards over the top bus to the owner group.
-            og = self.group_buses[self.group_of(owner.id)]
-            t += nc_ns                         # local group directory lookup
-            if spans is not None:
-                spans.phase("dir_lookup", t)
-            t = self.bus.phase(t, self._bg)              # top bus request
-            if spans is not None:
-                spans.phase("bus_arb", self.bus.arb_start(t))
-                spans.phase("tbus_req", t)
-            t += nc_ns                         # remote group directory
-            if spans is not None:
-                spans.phase("dir_lookup", t)
-            t = og.phase(t, self._bg)                    # owner group bus
-            if spans is not None:
-                spans.phase("bus_arb", og.arb_start(t))
-                spans.phase("gbus_req", t)
-            s = owner.nc.acquire(t, nc_busy, self._bg)
-            t = s + nc_ns
-            s = owner.dram.acquire(t, self._t_dram_busy, self._bg)
-            t = og.phase(s + self._t_dram_lat, self._bg)
-            if spans is not None:
-                spans.phase("remote_am", s + self._t_dram_lat)
-                spans.phase("gbus_reply", t)
-            t = self.bus.phase(t, self._bg)              # top bus reply
-            if spans is not None:
-                spans.phase("bus_arb", self.bus.arb_start(t))
-                spans.phase("tbus_reply", t)
-            t = lg.phase(t + nc_ns, self._bg)            # back down the local group
-            if spans is not None:
-                spans.phase("gbus_reply", t)
-        s = local.nc.acquire(t, nc_busy, self._bg)
-        if spans is not None:
-            spans.phase("nc_ret", s + nc_ns)
+            s = owner.nc.acquire(t_req, nc_busy, bg)
+            s = owner.dram.acquire(s + nc_ns, self._t_dram_busy, bg)
+            t_am = s + self._t_dram_lat
+            t = lg.phase(t_am, bg)
+            s = local.nc.acquire(t, nc_busy, bg)
+            obs = self.obs
+            if obs is not None:
+                obs.phase("nc_out", t_out)
+                obs.phase("bus_arb", lg.arb_start(t_req))
+                obs.phase("gbus_req", t_req)
+                obs.phase("remote_am", t_am)
+                obs.phase("bus_arb", lg.arb_start(t))
+                obs.phase("gbus_reply", t)
+                obs.phase("nc_ret", s + nc_ns)
+            return s + nc_ns
+        # Group directory forwards over the top bus to the owner group.
+        top = self.bus
+        og = self.group_buses[self.group_of(owner.id)]
+        t_dir = t_req + nc_ns                  # local group directory lookup
+        t_top = top.phase(t_dir, bg)           # top bus request
+        t_dir2 = t_top + nc_ns                 # remote group directory
+        t_og = og.phase(t_dir2, bg)            # owner group bus
+        s = owner.nc.acquire(t_og, nc_busy, bg)
+        s = owner.dram.acquire(s + nc_ns, self._t_dram_busy, bg)
+        t_am = s + self._t_dram_lat
+        t_og2 = og.phase(t_am, bg)
+        t_top2 = top.phase(t_og2, bg)          # top bus reply
+        t = lg.phase(t_top2 + nc_ns, bg)       # back down the local group
+        s = local.nc.acquire(t, nc_busy, bg)
+        obs = self.obs
+        if obs is not None:
+            obs.phase("nc_out", t_out)
+            obs.phase("bus_arb", lg.arb_start(t_req))
+            obs.phase("gbus_req", t_req)
+            obs.phase("dir_lookup", t_dir)
+            obs.phase("bus_arb", top.arb_start(t_top))
+            obs.phase("tbus_req", t_top)
+            obs.phase("dir_lookup", t_dir2)
+            obs.phase("bus_arb", og.arb_start(t_og))
+            obs.phase("gbus_req", t_og)
+            obs.phase("remote_am", t_am)
+            obs.phase("gbus_reply", t_og2)
+            obs.phase("bus_arb", top.arb_start(t_top2))
+            obs.phase("tbus_reply", t_top2)
+            obs.phase("gbus_reply", t)
+            obs.phase("nc_ret", s + nc_ns)
         return s + nc_ns
 
     def _upgrade_broadcast(self, node: ComaNode, line: int, t: int) -> int:

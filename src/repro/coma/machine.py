@@ -158,45 +158,14 @@ class ComaMachine:
         #: resource occupancy it causes goes to the background ports so
         #: demand accesses are never queued behind it (read bypass).
         self._bg = False
-        #: Optional :class:`repro.obs.sink.TraceSink`.  None (the default)
-        #: keeps every emission site a single ``if`` with no allocations;
-        #: attach one with :meth:`set_trace`.
-        self.trace = None
-        #: Optional :class:`repro.obs.metrics.MachineInstruments`; same
-        #: ``None``-by-default, one-``if``-per-site discipline as tracing.
-        #: Attach a registry with :meth:`set_metrics`.
-        self.metrics = None
-        #: Optional :class:`repro.obs.spans.SpanBuilder`.  Installed by
-        #: :meth:`set_trace` only when the sink opts in (``wants_spans``),
-        #: so span construction follows the same zero-overhead-when-off
-        #: discipline: every checkpoint site is one ``if x is not None``.
-        self.spans = None
-
-    def set_trace(self, sink) -> None:
-        """Attach a trace sink to the machine and its interconnect.
-
-        A sink with a truthy ``wants_spans`` additionally gets a
-        :class:`~repro.obs.spans.SpanBuilder` so accesses emit causal
-        span trees; re-attaching the same sink (a tee that grew a
-        span consumer) keeps the builder's id counters.
-        """
-        self.trace = sink
-        self.bus.trace = sink
-        if sink is not None and getattr(sink, "wants_spans", False):
-            if self.spans is None or self.spans.sink is not sink:
-                from repro.obs.spans import SpanBuilder
-
-                self.spans = SpanBuilder(sink)
-        else:
-            self.spans = None
-
-    def set_metrics(self, registry) -> None:
-        """Wire a :class:`repro.obs.metrics.MetricsRegistry` into the
-        machine and its interconnect (pre-binding the hot-path children)."""
-        from repro.obs.metrics import BusInstruments, MachineInstruments
-
-        self.metrics = MachineInstruments(registry, len(self.nodes))
-        self.bus.metrics = BusInstruments(registry, self.bus.name)
+        #: The observation slot: None (the default) or the one
+        #: :class:`repro.obs.sink.TraceSink` that ``Simulation.attach``
+        #: composed (a span builder when span trees are on).  Every
+        #: emission site is one ``if obs is not None``, allocation-free
+        #: when nothing is attached.
+        self.obs = None
+        #: Every bus this machine meters; each shares the ``obs`` slot.
+        self.buses = (self.bus,)
 
     def hit_path(self) -> Optional[HitPath]:
         """Bindings for the kernel's fused hit path, or None when it must
@@ -207,13 +176,11 @@ class ComaMachine:
         L1, and a posted write to a line that is EXCLUSIVE in the node's
         AM and present in the writer's SLC.  Both have exactly the effects
         the full methods would have (``tests/test_fastpath.py`` runs them
-        in lockstep).  None when the L1 is associative, or when a trace
-        sink, metrics registry or span builder is attached — every access
-        must then reach its observers.  Call it after the last observer
-        is attached.
+        in lockstep).  None when the L1 is associative, or when an
+        observer holds the ``obs`` slot — every access must then reach
+        it.  Call it after the last observer is attached.
         """
-        if (not self._l1_direct or self.trace is not None
-                or self.metrics is not None or self.spans is not None):
+        if not self._l1_direct or self.obs is not None:
             return None
         procs = []
         for p in range(self.config.n_processors):
@@ -242,12 +209,10 @@ class ComaMachine:
         self.now = now
         c = self.counters
         c.reads += 1
-        trace = self.trace
-        metrics = self.metrics
-        spans = self.spans
+        obs = self.obs
         line = addr >> self._shift
-        if spans is not None:
-            spans.begin(now, proc, "r", line, addr)
+        if obs is not None:
+            obs.begin(now, proc, "r", line, addr)
         if (addr // self._page_size) not in self._page_home:
             self._materialize_page(addr, self.nodes[self._node_of[proc]], now)
 
@@ -265,13 +230,8 @@ class ComaMachine:
         if hit:
             c.l1_read_hits += 1
             done = now + self._t_l1
-            if trace is not None:
-                trace.access(now, proc, "r", line, LEVEL_L1, done - now,
-                                  addr)
-            if metrics is not None:
-                metrics.access("r", LEVEL_L1, done - now)
-            if spans is not None:
-                spans.end(done, LEVEL_L1)
+            if obs is not None:
+                obs.access(now, proc, "r", line, LEVEL_L1, done - now, addr)
             return done, LEVEL_L1
 
         node = self.nodes[self._node_of[proc]]
@@ -308,14 +268,9 @@ class ComaMachine:
             else:
                 self.l1s[proc].fill(line)
             done = start + self._t_slc
-            if trace is not None:
-                trace.access(now, proc, "r", line, LEVEL_SLC, done - now,
-                                  addr)
-            if metrics is not None:
-                metrics.access("r", LEVEL_SLC, done - now)
-            if spans is not None:
-                spans.phase("slc_wait", start)
-                spans.end(done, LEVEL_SLC)
+            if obs is not None:
+                obs.phase("slc_wait", start)
+                obs.access(now, proc, "r", line, LEVEL_SLC, done - now, addr)
             return done, LEVEL_SLC
 
         # Node level: the attraction memory (or the overflow buffer).
@@ -329,28 +284,16 @@ class ComaMachine:
                 shadow.access(line)
             c.am_read_hits += 1
             self._fill_hierarchy(proc, node, line, way)
-            if trace is not None:
-                trace.access(now, proc, "r", line, LEVEL_AM, done - now,
-                                  addr)
-            if metrics is not None:
-                metrics.access("r", LEVEL_AM, done - now)
-                metrics.node_hit(node.id)
-            if spans is not None:
-                spans.end(done, LEVEL_AM)
+            if obs is not None:
+                obs.access(now, proc, "r", line, LEVEL_AM, done - now, addr)
             return done, LEVEL_AM
         if line in node.overflow:
             done = self._am_access(node, now)
             if shadow is not None:
                 shadow.access(line)
             c.overflow_read_hits += 1
-            if trace is not None:
-                trace.access(now, proc, "r", line, LEVEL_AM, done - now,
-                                  addr)
-            if metrics is not None:
-                metrics.access("r", LEVEL_AM, done - now)
-                metrics.node_hit(node.id)
-            if spans is not None:
-                spans.end(done, LEVEL_AM)
+            if obs is not None:
+                obs.access(now, proc, "r", line, LEVEL_AM, done - now, addr)
             return done, LEVEL_AM
         if not self._inclusive:
             sr = node.slc_resident.get(line)
@@ -362,20 +305,13 @@ class ComaMachine:
                     shadow.access(line)
                 c.slc_neighbor_hits += 1
                 self._fill_slc_resident(proc, node, line, sr)
-                if trace is not None:
-                    trace.access(now, proc, "r", line, LEVEL_AM, done - now,
-                                  addr)
-                if metrics is not None:
-                    metrics.access("r", LEVEL_AM, done - now)
-                    metrics.node_hit(node.id)
-                if spans is not None:
-                    spans.end(done, LEVEL_AM)
+                if obs is not None:
+                    obs.access(now, proc, "r", line, LEVEL_AM, done - now,
+                               addr)
                 return done, LEVEL_AM
 
         # Read node miss.
         c.node_read_misses += 1
-        if metrics is not None:
-            metrics.node_miss(node.id)
         self._classify_read_miss(node, line)
         if shadow is not None:
             shadow.access(line)
@@ -391,30 +327,21 @@ class ComaMachine:
         if way is None:
             # Uncached read: data delivered, no local copy retained.
             done = t + self._t_remote
-            if trace is not None:
-                trace.access(now, proc, "r", line, LEVEL_REMOTE,
-                                  done - now, addr)
-            if metrics is not None:
-                metrics.access("r", LEVEL_REMOTE, done - now)
-            if spans is not None:
-                spans.end(done, LEVEL_REMOTE)
+            if obs is not None:
+                obs.access(now, proc, "r", line, LEVEL_REMOTE, done - now,
+                           addr)
             return done, LEVEL_REMOTE
         am.fill_way(way, line, SHARED)
         node.note_present(line)
         info.sharers.add(node.id)
-        if trace is not None:
-            trace.transition(t, node.id, line, "fill", "I", "S")
+        if obs is not None:
+            obs.transition(t, node.id, line, "fill", "I", "S")
         s = node.dram.acquire(t, self._t_dram_busy, self._bg)
         done = s + self._t_dram_lat + self._t_remote
         self._fill_hierarchy(proc, node, line, way)
-        if trace is not None:
-            trace.access(now, proc, "r", line, LEVEL_REMOTE,
-                                  done - now, addr)
-        if metrics is not None:
-            metrics.access("r", LEVEL_REMOTE, done - now)
-        if spans is not None:
-            spans.phase("fill_dram", s + self._t_dram_lat)
-            spans.end(done, LEVEL_REMOTE)
+        if obs is not None:
+            obs.phase("fill_dram", s + self._t_dram_lat)
+            obs.access(now, proc, "r", line, LEVEL_REMOTE, done - now, addr)
         return done, LEVEL_REMOTE
 
     def write(self, proc: int, addr: int, now: int) -> int:
@@ -425,21 +352,17 @@ class ComaMachine:
         release is pending.
         """
         self.counters.writes += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "w", addr >> self._shift, addr)
+        obs = self.obs
+        if obs is not None:
+            obs.begin(now, proc, "w", addr >> self._shift, addr)
         self._bg = True
         try:
             done, level = self._write_access(proc, addr, now)
         finally:
             self._bg = False
-        if self.trace is not None:
-            self.trace.access(now, proc, "w", addr >> self._shift, level,
-                              done - now, addr)
-        if self.metrics is not None:
-            self.metrics.access("w", level, done - now)
-        if spans is not None:
-            spans.end(done, level)
+        if obs is not None:
+            obs.access(now, proc, "w", addr >> self._shift, level,
+                       done - now, addr)
         return done
 
     def rmw(self, proc: int, addr: int, now: int) -> tuple[int, str]:
@@ -449,33 +372,23 @@ class ComaMachine:
         ``(completion_time, level)`` for stall accounting.
         """
         self.counters.atomics += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "rmw", addr >> self._shift, addr)
-        done, level = self._write_access(proc, addr, now)
-        if self.trace is not None:
-            self.trace.access(now, proc, "rmw", addr >> self._shift, level,
-                              done - now, addr)
-        if self.metrics is not None:
-            self.metrics.access("rmw", level, done - now)
-        if spans is not None:
-            spans.end(done, level)
-        return done, level
+        return self._stalling(proc, addr, now, "rmw")
 
     def write_stalling(self, proc: int, addr: int, now: int) -> tuple[int, str]:
         """A write the processor waits for (sequential-consistency mode)."""
         self.counters.writes += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "w", addr >> self._shift, addr)
+        return self._stalling(proc, addr, now, "w")
+
+    def _stalling(self, proc: int, addr: int, now: int,
+                  op: str) -> tuple[int, str]:
+        """A write-class access the processor waits for, observed."""
+        obs = self.obs
+        if obs is not None:
+            obs.begin(now, proc, op, addr >> self._shift, addr)
         done, level = self._write_access(proc, addr, now)
-        if self.trace is not None:
-            self.trace.access(now, proc, "w", addr >> self._shift, level,
-                              done - now, addr)
-        if self.metrics is not None:
-            self.metrics.access("w", level, done - now)
-        if spans is not None:
-            spans.end(done, level)
+        if obs is not None:
+            obs.access(now, proc, op, addr >> self._shift, level,
+                       done - now, addr)
         return done, level
 
     # ------------------------------------------------------------------
@@ -487,8 +400,7 @@ class ComaMachine:
         self.now = now
         c = self.counters
         line = addr >> self._shift
-        trace = self.trace
-        spans = self.spans
+        obs = self.obs
         if (addr // self._page_size) not in self._page_home:
             self._materialize_page(addr, self.nodes[self._node_of[proc]], now)
 
@@ -536,13 +448,12 @@ class ComaMachine:
             c.upgrades += 1
             s = node.nc.acquire(now, self._t_nc_busy, self._bg)
             t = self._upgrade_broadcast(node, line, s + self._t_nc)
-            if spans is not None:
-                spans.phase("nc_out", s + self._t_nc)
-                spans.phase("upgrade_bus", t)
             self._invalidate_others(line, node)
-            if trace is not None:
-                trace.transition(t, node.id, line, "upgrade",
-                                      state_name(local_state), "E")
+            if obs is not None:
+                obs.phase("nc_out", s + self._t_nc)
+                obs.phase("upgrade_bus", t)
+                obs.transition(t, node.id, line, "upgrade",
+                               state_name(local_state), "E")
             if way >= 0:
                 am.state_a[way] = EXCLUSIVE
                 am.tick += 1
@@ -564,16 +475,14 @@ class ComaMachine:
         # Write node miss: read-exclusive on the bus.
         c.node_write_misses += 1
         c.read_exclusive += 1
-        if self.metrics is not None:
-            self.metrics.node_miss(node.id)
         owner = self.nodes[info.owner_node]
         self._record_remote(TxKind.READ_EXCL, node, owner, line)
         t = self._remote_path(node, owner, now)
         self._invalidate_others(line, node)
         way = self.repl.make_room(node, line, t, mandatory=True)
         assert way is not None, "mandatory make_room returned None"
-        if trace is not None:
-            trace.transition(t, node.id, line, "read_exclusive", "I", "E")
+        if obs is not None:
+            obs.transition(t, node.id, line, "read_exclusive", "I", "E")
         am.fill_way(way, line, EXCLUSIVE)
         node.note_present(line)
         info.owner_node = node.id
@@ -585,8 +494,8 @@ class ComaMachine:
         t = s + self._t_dram_lat
         self._fill_hierarchy(proc, node, line, way)
         self.slcs[proc].mark_dirty(line)
-        if spans is not None:
-            spans.phase("fill_dram", t)
+        if obs is not None:
+            obs.phase("fill_dram", t)
         return t + self._t_remote, LEVEL_REMOTE
 
     @hotpath
@@ -651,8 +560,8 @@ class ComaMachine:
             raise ProtocolError(
                 f"owner node {owner.id} does not hold line {line:#x}"
             )
-        if changed and self.trace is not None:
-            self.trace.transition(self.now, owner.id, line, "remote_read",
+        if changed and self.obs is not None:
+            self.obs.transition(self.now, owner.id, line, "remote_read",
                                   "E", state_name(degraded))
 
     def _invalidate_others(self, line: int, writer: ComaNode) -> None:
@@ -676,9 +585,9 @@ class ComaMachine:
                 if n.shadow is not None:
                     n.shadow.remove(line)
             c.invalidations_sent += 1
-            if self.trace is not None:
-                self.trace.transition(self.now, sid, line, "invalidate",
-                                      "S", "I")
+            if self.obs is not None:
+                self.obs.transition(self.now, sid, line, "invalidate",
+                                    "S", "I")
         if info.owner_node != writer.id:
             onode = self.nodes[info.owner_node]
             if info.owner_loc == LOC_AM:
@@ -700,9 +609,9 @@ class ComaMachine:
                 if onode.shadow is not None:
                     onode.shadow.remove(line)
             c.invalidations_sent += 1
-            if self.trace is not None:
-                self.trace.transition(self.now, onode.id, line, "invalidate",
-                                      state_name(prev), "I")
+            if self.obs is not None:
+                self.obs.transition(self.now, onode.id, line, "invalidate",
+                                    state_name(prev), "I")
 
     def drop_shared_copy(self, node: ComaNode, way: int) -> None:
         """Silently drop the Shared replica held in ``way`` of ``node``'s
@@ -723,8 +632,8 @@ class ComaMachine:
         info = self.lines.get(line)
         info.sharers.discard(node.id)
         self.counters.shared_drops += 1
-        if self.trace is not None:
-            self.trace.transition(self.now, node.id, line, "drop", "S", "I")
+        if self.obs is not None:
+            self.obs.transition(self.now, node.id, line, "drop", "S", "I")
         self.strip_node_copy(node, way, REMOVED_EVICTED)
 
     def strip_node_copy(self, node: ComaNode, way: int, reason: str) -> None:
@@ -858,9 +767,9 @@ class ComaMachine:
             info.sharers.discard(node.id)
             node.note_removed(line, REMOVED_EVICTED)
             self.counters.shared_drops += 1
-            if self.trace is not None:
-                self.trace.transition(self.now, node.id, line, "drop",
-                                      "S", "I")
+            if self.obs is not None:
+                self.obs.transition(self.now, node.id, line, "drop",
+                                    "S", "I")
             return
         # Last copy of an owner line: reinsert into the attraction memory.
         way = self.repl.make_room(node, line, self.now, mandatory=True)
@@ -884,9 +793,9 @@ class ComaMachine:
             assert way is not None
             node.am.fill_way(way, line, EXCLUSIVE)
             node.note_present(line)
-            if self.trace is not None:
-                self.trace.transition(now, node.id, line, "materialize",
-                                      "I", "E")
+            if self.obs is not None:
+                self.obs.transition(now, node.id, line, "materialize",
+                                    "I", "E")
 
     @hotpath
     def _am_access(self, node: ComaNode, t0: int) -> int:
@@ -994,27 +903,26 @@ class ComaMachine:
         """
         nc_busy = self._t_nc_busy
         nc_ns = self._t_nc
-        spans = self.spans
+        obs = self.obs
         if self._bg:
             nc = local.nc
             bus = self.bus
             s = nc.acquire(now, nc_busy, True)
-            t = bus.phase(s + nc_ns, True)
-            if spans is not None:
-                spans.phase("nc_out", s + nc_ns)
-                spans.phase("bus_arb", bus.arb_start(t))
-                spans.phase("bus_req", t)
-            s = owner.nc.acquire(t, nc_busy, True)
-            t = s + nc_ns
-            s = owner.dram.acquire(t, self._t_dram_busy, True)
-            t = bus.phase(s + self._t_dram_lat, True)
-            if spans is not None:
-                spans.phase("remote_am", s + self._t_dram_lat)
-                spans.phase("bus_arb", bus.arb_start(t))
-                spans.phase("bus_reply", t)
-            s = nc.acquire(t, nc_busy, True)
-            if spans is not None:
-                spans.phase("nc_ret", s + nc_ns)
+            t_out = s + nc_ns
+            t_req = bus.phase(t_out, True)
+            s = owner.nc.acquire(t_req, nc_busy, True)
+            s = owner.dram.acquire(s + nc_ns, self._t_dram_busy, True)
+            t_am = s + self._t_dram_lat
+            t_rep = bus.phase(t_am, True)
+            s = nc.acquire(t_rep, nc_busy, True)
+            if obs is not None:
+                obs.phase("nc_out", t_out)
+                obs.phase("bus_arb", bus.arb_start(t_req))
+                obs.phase("bus_req", t_req)
+                obs.phase("remote_am", t_am)
+                obs.phase("bus_arb", bus.arb_start(t_rep))
+                obs.phase("bus_reply", t_rep)
+                obs.phase("nc_ret", s + nc_ns)
             return s + nc_ns
         lnc = local.nc
         onc = owner.nc
@@ -1023,27 +931,18 @@ class ComaMachine:
         br = bus.resource
         bus_busy = bus._busy_ns
         bus_phase = bus._phase_ns
-        bm = bus.metrics
         # local NC out
         s = lnc.next_free
         if s < now:
             s = now
         lnc.next_free = s + nc_busy
-        t = s + nc_ns
-        if spans is not None:
-            spans.phase("nc_out", t)
+        t_out = s + nc_ns
         # bus request phase
-        b = br.next_free
-        if b < t:
-            b = t
-        br.next_free = b + bus_busy
-        if bm is not None:
-            bm.phase(b - t, bus_busy)
-        if spans is not None:
-            spans.phase("bus_arb", b)
-        t = b + bus_phase
-        if spans is not None:
-            spans.phase("bus_req", t)
+        b_req = br.next_free
+        if b_req < t_out:
+            b_req = t_out
+        br.next_free = b_req + bus_busy
+        t = b_req + bus_phase
         # owner NC in
         s = onc.next_free
         if s < t:
@@ -1059,23 +958,15 @@ class ComaMachine:
         odram.next_free = s + self._t_dram_busy
         odram.busy_ns += self._t_dram_busy
         odram.uses += 1
-        t = s + self._t_dram_lat
-        if spans is not None:
-            spans.phase("remote_am", t)
+        t_am = s + self._t_dram_lat
         # bus reply phase
-        b = br.next_free
-        if b < t:
-            b = t
-        br.next_free = b + bus_busy
+        b_rep = br.next_free
+        if b_rep < t_am:
+            b_rep = t_am
+        br.next_free = b_rep + bus_busy
         br.busy_ns += 2 * bus_busy
         br.uses += 2
-        if bm is not None:
-            bm.phase(b - t, bus_busy)
-        if spans is not None:
-            spans.phase("bus_arb", b)
-        t = b + bus_phase
-        if spans is not None:
-            spans.phase("bus_reply", t)
+        t = b_rep + bus_phase
         # local NC return
         s = lnc.next_free
         if s < t:
@@ -1083,8 +974,17 @@ class ComaMachine:
         lnc.next_free = s + nc_busy
         lnc.busy_ns += 2 * nc_busy
         lnc.uses += 2
-        if spans is not None:
-            spans.phase("nc_ret", s + nc_ns)
+        if obs is not None:
+            name = bus.name
+            obs.phase("nc_out", t_out)
+            obs.bus_phase(name, b_req - t_out, bus_busy)
+            obs.phase("bus_arb", b_req)
+            obs.phase("bus_req", b_req + bus_phase)
+            obs.phase("remote_am", t_am)
+            obs.bus_phase(name, b_rep - t_am, bus_busy)
+            obs.phase("bus_arb", b_rep)
+            obs.phase("bus_reply", t)
+            obs.phase("nc_ret", s + nc_ns)
         return s + nc_ns
 
     def _classify_read_miss(self, node: ComaNode, line: int) -> None:

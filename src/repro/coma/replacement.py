@@ -89,10 +89,8 @@ class ReplacementEngine:
             return victim
         if not mandatory:
             self.m.counters.uncached_reads += 1
-            if self.m.trace is not None:
-                self.m.trace.replacement(now, node.id, -1, line, "uncached", 0)
-            if self.m.metrics is not None:
-                self.m.metrics.relocation("uncached", 0)
+            if self.m.obs is not None:
+                self.m.obs.replacement(now, node.id, -1, line, "uncached", 0)
             return None
         # Mandatory and nowhere to go: park the victim in overflow.
         self._park_in_overflow(node, victim)
@@ -130,12 +128,8 @@ class ReplacementEngine:
             am.aux_a[src_way] = 0
             am.invalidate_way(src_way)
             m.counters.replace_to_slc += 1
-            if m.trace is not None:
-                m.trace.replacement(now, src.id, src.id, line, "to_slc", hops)
-            if m.metrics is not None:
-                m.metrics.relocation("to_slc", hops)
-            if m.spans is not None:
-                m.spans.note_relocation()
+            if m.obs is not None:
+                m.obs.replacement(now, src.id, src.id, line, "to_slc", hops)
             return True
 
         # 1. A sharer node can take over ownership without a data transfer:
@@ -160,14 +154,10 @@ class ReplacementEngine:
             info.owner_node = dst_id
             m.charge_replacement(src, None, now, data=False, line=line)
             m.counters.replace_to_sharer += 1
-            if m.trace is not None:
-                m.trace.replacement(now, src.id, dst_id, line, "to_sharer", hops)
-                m.trace.transition(now, dst_id, line, "inject", "S",
-                                   state_name(new_state))
-            if m.metrics is not None:
-                m.metrics.relocation("to_sharer", hops)
-            if m.spans is not None:
-                m.spans.note_relocation()
+            if m.obs is not None:
+                m.obs.replacement(now, src.id, dst_id, line, "to_sharer", hops)
+                m.obs.transition(now, dst_id, line, "inject", "S",
+                                 state_name(new_state))
             m.strip_node_copy(src, src_way, REMOVED_EVICTED)
             return True
 
@@ -251,14 +241,10 @@ class ReplacementEngine:
         # Charge the replacement transaction: probe + data transfer into
         # the receiving node (controller + DRAM occupancy).
         m.charge_replacement(src, dst, now, data=True, line=line)
-        if m.trace is not None:
-            m.trace.replacement(now, src.id, dst.id, line, outcome, hops)
-            m.trace.transition(now, dst.id, line, "inject", "I",
-                               state_name(state))
-        if m.metrics is not None:
-            m.metrics.relocation(outcome, hops)
-        if m.spans is not None:
-            m.spans.note_relocation()
+        if m.obs is not None:
+            m.obs.replacement(now, src.id, dst.id, line, outcome, hops)
+            m.obs.transition(now, dst.id, line, "inject", "I",
+                             state_name(state))
         m.strip_node_copy(src, src_way, REMOVED_EVICTED)
         dst.am.fill_way(dst_way, line, state)
         dst.note_present(line)
@@ -273,12 +259,8 @@ class ReplacementEngine:
         node.overflow[line] = am.state_a[way]
         info.owner_loc = LOC_OVERFLOW
         m.counters.overflow_parks += 1
-        if m.trace is not None:
-            m.trace.replacement(m.now, node.id, -1, line, "overflow_park", 0)
-        if m.metrics is not None:
-            m.metrics.relocation("overflow_park", 0)
-        if m.spans is not None:
-            m.spans.note_relocation()
+        if m.obs is not None:
+            m.obs.replacement(m.now, node.id, -1, line, "overflow_park", 0)
         # The line is still present in the node (overflow), so strip only
         # the AM way, not the node-level tracking.
         m.backinvalidate_slcs(node, way)

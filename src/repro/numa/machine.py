@@ -59,30 +59,10 @@ class NumaMachine:
         self._node_of = [config.node_of_proc(p) for p in range(n)]
         self.now = 0
         self._bg = False  # posted-write background port selector
-        #: Optional :class:`repro.obs.sink.TraceSink`; None (the default)
-        #: keeps every emission site a single ``if`` with no allocations.
-        self.trace = None
-        #: Optional :class:`repro.obs.spans.SpanBuilder`, installed by
-        #: :meth:`set_trace` only when the sink opts in (``wants_spans``)
-        #: — same zero-overhead-when-off discipline as the COMA machine.
-        self.spans = None
-
-    def set_trace(self, sink) -> None:
-        """Attach a trace sink to the machine and its bus.
-
-        Mirrors :meth:`repro.coma.machine.ComaMachine.set_trace` so the
-        observability stack (span sinks, the bounds certifier,
-        ``TraceSink.attach_to``) drives the NUMA baseline unchanged.
-        """
-        self.trace = sink
-        self.bus.trace = sink
-        if sink is not None and getattr(sink, "wants_spans", False):
-            if self.spans is None or self.spans.sink is not sink:
-                from repro.obs.spans import SpanBuilder
-
-                self.spans = SpanBuilder(sink)
-        else:
-            self.spans = None
+        #: The observation slot, as on the COMA machine: None or the
+        #: sink ``Simulation.attach`` composed; one ``if`` per site.
+        self.obs = None
+        self.buses = (self.bus,)
 
     def hit_path(self) -> None:
         """No fused kernel hit path: every access goes through
@@ -113,25 +93,25 @@ class NumaMachine:
 
     def _remote_access(self, local: int, home: int, now: int) -> int:
         tm = self.timing
-        spans = self.spans
+        bus = self.bus
         s = self.nc[local].acquire(now, tm.nc_busy_ns, self._bg)
-        t = self.bus.phase(s + tm.nc_ns, self._bg)
-        if spans is not None:
-            spans.phase("nc_out", s + tm.nc_ns)
-            spans.phase("bus_arb", self.bus.arb_start(t))
-            spans.phase("bus_req", t)
-        s = self.nc[home].acquire(t, tm.nc_busy_ns, self._bg)
-        t = s + tm.nc_ns
-        s = self.dram[home].acquire(t, tm.dram_busy_ns, self._bg)
-        t = self.bus.phase(s + tm.dram_latency_ns, self._bg)
-        if spans is not None:
-            spans.phase("remote_am", s + tm.dram_latency_ns)
-            spans.phase("bus_arb", self.bus.arb_start(t))
-            spans.phase("bus_reply", t)
+        t_out = s + tm.nc_ns
+        t_req = bus.phase(t_out, self._bg)
+        s = self.nc[home].acquire(t_req, tm.nc_busy_ns, self._bg)
+        s = self.dram[home].acquire(s + tm.nc_ns, tm.dram_busy_ns, self._bg)
+        t_am = s + tm.dram_latency_ns
+        t = bus.phase(t_am, self._bg)
         s = self.nc[local].acquire(t, tm.nc_busy_ns, self._bg)
-        if spans is not None:
-            spans.phase("nc_ret", s + tm.nc_ns)
-            spans.phase("fill_dram", s + tm.nc_ns + tm.dram_latency_ns)
+        obs = self.obs
+        if obs is not None:
+            obs.phase("nc_out", t_out)
+            obs.phase("bus_arb", bus.arb_start(t_req))
+            obs.phase("bus_req", t_req)
+            obs.phase("remote_am", t_am)
+            obs.phase("bus_arb", bus.arb_start(t))
+            obs.phase("bus_reply", t)
+            obs.phase("nc_ret", s + tm.nc_ns)
+            obs.phase("fill_dram", s + tm.nc_ns + tm.dram_latency_ns)
         return s + tm.nc_ns + tm.dram_latency_ns + tm.remote_overhead_ns
 
     # ------------------------------------------------------------------
@@ -141,29 +121,24 @@ class NumaMachine:
         c.reads += 1
         line = addr >> self._shift
         node = self._node_of[proc]
-        trace = self.trace
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "r", line, addr)
+        obs = self.obs
+        if obs is not None:
+            obs.begin(now, proc, "r", line, addr)
         self._ensure_page(addr, node)
         if self.l1s[proc].lookup(line):
             c.l1_read_hits += 1
             done = now + self.timing.l1_hit_ns
-            if trace is not None:
-                trace.access(now, proc, "r", line, LEVEL_L1, done - now, addr)
-            if spans is not None:
-                spans.end(done, LEVEL_L1)
+            if obs is not None:
+                obs.access(now, proc, "r", line, LEVEL_L1, done - now, addr)
             return done, LEVEL_L1
         start = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._bg)
         if self.slcs[proc].lookup(line) is not None:
             c.slc_read_hits += 1
             self.l1s[proc].fill(line)
             done = start + self.timing.slc_hit_ns
-            if trace is not None:
-                trace.access(now, proc, "r", line, LEVEL_SLC, done - now, addr)
-            if spans is not None:
-                spans.phase("slc_wait", start)
-                spans.end(done, LEVEL_SLC)
+            if obs is not None:
+                obs.phase("slc_wait", start)
+                obs.access(now, proc, "r", line, LEVEL_SLC, done - now, addr)
             return done, LEVEL_SLC
         home = self._home_node(addr)
         e = self.directory.entry(line)
@@ -186,54 +161,44 @@ class NumaMachine:
             level = LEVEL_REMOTE
         e.sharers.add(proc)
         self._fill(proc, line)
-        if trace is not None:
-            trace.access(now, proc, "r", line, level, done - now, addr)
-        if spans is not None:
-            spans.end(done, level)
+        if obs is not None:
+            obs.access(now, proc, "r", line, level, done - now, addr)
         return done, level
 
     def write(self, proc: int, addr: int, now: int) -> int:
         self.counters.writes += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "w", addr >> self._shift, addr)
+        obs = self.obs
+        if obs is not None:
+            obs.begin(now, proc, "w", addr >> self._shift, addr)
         self._bg = True
         try:
             done, level = self._write_access(proc, addr, now)
         finally:
             self._bg = False
-        if self.trace is not None:
-            self.trace.access(now, proc, "w", addr >> self._shift, level,
-                              done - now, addr)
-        if spans is not None:
-            spans.end(done, level)
+        if obs is not None:
+            obs.access(now, proc, "w", addr >> self._shift, level,
+                       done - now, addr)
         return done
 
     def rmw(self, proc: int, addr: int, now: int) -> tuple[int, str]:
         self.counters.atomics += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "rmw", addr >> self._shift, addr)
-        done, level = self._write_access(proc, addr, now)
-        if self.trace is not None:
-            self.trace.access(now, proc, "rmw", addr >> self._shift, level,
-                              done - now, addr)
-        if spans is not None:
-            spans.end(done, level)
-        return done, level
+        return self._stalling(proc, addr, now, "rmw")
 
     def write_stalling(self, proc: int, addr: int, now: int) -> tuple[int, str]:
         """A write the processor waits for (sequential-consistency mode)."""
         self.counters.writes += 1
-        spans = self.spans
-        if spans is not None:
-            spans.begin(now, proc, "w", addr >> self._shift, addr)
+        return self._stalling(proc, addr, now, "w")
+
+    def _stalling(self, proc: int, addr: int, now: int,
+                  op: str) -> tuple[int, str]:
+        """A write-class access the processor waits for, observed."""
+        obs = self.obs
+        if obs is not None:
+            obs.begin(now, proc, op, addr >> self._shift, addr)
         done, level = self._write_access(proc, addr, now)
-        if self.trace is not None:
-            self.trace.access(now, proc, "w", addr >> self._shift, level,
-                              done - now, addr)
-        if spans is not None:
-            spans.end(done, level)
+        if obs is not None:
+            obs.access(now, proc, op, addr >> self._shift, level,
+                       done - now, addr)
         return done, level
 
     def _write_access(self, proc: int, addr: int, now: int) -> tuple[int, str]:
@@ -258,9 +223,9 @@ class NumaMachine:
             self.bus.record(TxKind.UPGRADE)
             s = self.nc[node].acquire(now, self.timing.nc_busy_ns, self._bg)
             now = self.bus.phase(s + self.timing.nc_ns, self._bg)
-            if self.spans is not None:
-                self.spans.phase("nc_out", s + self.timing.nc_ns)
-                self.spans.phase("upgrade_bus", now)
+            if self.obs is not None:
+                self.obs.phase("nc_out", s + self.timing.nc_ns)
+                self.obs.phase("upgrade_bus", now)
             for p in others:
                 self.slcs[p].invalidate(line)
                 self.l1s[p].invalidate(line)

@@ -6,8 +6,9 @@ package records *what* happened, event by event, so every figure is
 explainable:
 
 * :mod:`repro.obs.events`      — the typed event taxonomy;
-* :mod:`repro.obs.sink`        — the :class:`TraceSink` receiver interface
-  (machines emit through it; a ``None`` sink costs one ``if`` per access);
+* :mod:`repro.obs.sink`        — the :class:`TraceSink` receiver interface:
+  the one observation channel (machines, buses and the kernel emit
+  through one ``obs`` slot; ``None`` costs one ``if`` per site);
 * :mod:`repro.obs.flight`      — bounded ring-buffer flight recorder,
   dumped automatically when a simulation dies;
 * :mod:`repro.obs.jsonl`       — deterministic JSON-lines writer/reader;
@@ -18,8 +19,8 @@ explainable:
 * :mod:`repro.obs.manifest`    — run-manifest sidecars tying every cached
   result to the RunSpec, seed, code version and git revision it came from;
 * :mod:`repro.obs.metrics`     — typed metrics registry (counters, gauges,
-  log2-bucket histograms, labeled families) instrumented across the hot
-  layers, zero-overhead when disabled;
+  log2-bucket histograms, labeled families), filled from the event
+  stream by :class:`MetricsSink`;
 * :mod:`repro.obs.openmetrics` — OpenMetrics/Prometheus text and JSON
   snapshot exporters for the registry (behind ``coma-sim metrics``),
   with exemplar support linking latency buckets to span trace ids;
@@ -57,7 +58,13 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.history import HistoryArchive, default_history_path
 from repro.obs.jsonl import JsonlTraceSink, read_trace
 from repro.obs.manifest import RunManifest, git_revision, provenance_header
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    MetricsSink,
+)
 from repro.obs.openmetrics import parse_openmetrics, to_openmetrics
 from repro.obs.sink import CollectorSink, TeeSink, TraceSink
 from repro.obs.spans import (
@@ -66,13 +73,12 @@ from repro.obs.spans import (
     format_attribution,
     format_span_tree,
 )
-from repro.obs.timeline import CompositeProfiler, TimelineSampler
+from repro.obs.timeline import TimelineSampler
 
 __all__ = [
     "BusTx",
     "ChromeTraceSink",
     "CollectorSink",
-    "CompositeProfiler",
     "Counter",
     "FlightRecorder",
     "Gauge",
@@ -82,6 +88,7 @@ __all__ = [
     "LineBiography",
     "MemAccess",
     "MetricsRegistry",
+    "MetricsSink",
     "Replacement",
     "RunManifest",
     "SpanBuilder",

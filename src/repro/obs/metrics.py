@@ -8,11 +8,12 @@ than one-off report text.
 
 Design rules, in order of importance:
 
-* **Zero overhead when disabled.**  The machines hold a ``metrics``
-  attribute that defaults to ``None``; every hot-path emission site is a
-  single ``if self.metrics is not None`` — the same discipline as the
-  trace sinks.  No registry, family or sample object is ever allocated
-  for an uninstrumented run.
+* **One channel, zero overhead when disabled.**  A registry attached to
+  a simulation installs a :class:`MetricsSink` in the same ``obs`` slot
+  every trace sink uses, so a run with nothing attached pays one ``if``
+  per emission site and allocates no registry, family or sample.  The
+  sink overrides the typed entry points and updates pre-bound children
+  directly; it never builds an event object.
 * **Deterministic.**  This module is part of the deterministic core (the
   DET lint rules apply): metric values are simulated quantities —
   nanoseconds, event counts, bytes — never the wall clock.  Wall-time
@@ -33,6 +34,8 @@ from __future__ import annotations
 
 import re
 from typing import Iterable, Optional, Sequence, Union
+
+from repro.obs.sink import TraceSink
 
 Number = Union[int, float]
 
@@ -188,10 +191,9 @@ class MetricsRegistry:
     """A process-local collection of metric families.
 
     Attach to a simulation with :meth:`repro.sim.simulator.Simulation.attach`
-    (the uniform observer path shared with trace sinks and profilers):
-    the registry wires itself into the machine, its buses and the
-    replacement engine, and the simulation kernel fills the end-of-run
-    gauges.
+    (the one observer path shared with trace sinks and profilers): the
+    registry attaches a :class:`MetricsSink` that fills it from the
+    run's events.
     """
 
     def __init__(self) -> None:
@@ -294,50 +296,58 @@ class MetricsRegistry:
     # -- observer attach path -------------------------------------------
 
     def attach_to(self, sim, every: Optional[int] = None) -> None:
-        """Wire this registry into a :class:`~repro.sim.simulator.Simulation`.
-
-        Called by ``Simulation.attach(registry)`` — the same uniform path
-        trace sinks and profilers use.  ``every`` is accepted for
-        interface symmetry and ignored (metrics are not sampled; they are
-        incremented at the emission sites).
-        """
-        sim.machine.set_metrics(self)
-        sim.metrics = SimInstruments(self)
+        """Called by ``Simulation.attach(registry)``: attach a
+        :class:`MetricsSink` filling this registry.  ``every`` is
+        accepted for interface symmetry and ignored (metrics are not
+        sampled)."""
+        sim.attach(MetricsSink(self))
 
 
 # ----------------------------------------------------------------------
-# instrument bundles: pre-bound children for the hot layers
+# the simulation's metrics, derived from its events
 # ----------------------------------------------------------------------
 
 
-class MachineInstruments:
-    """Pre-bound machine-level children (``coma_*`` families).
+class MetricsSink(TraceSink):
+    """Fill the ``coma_*``, ``bus_*`` and ``sim_*`` families from events.
 
-    Built by :meth:`repro.coma.machine.ComaMachine.set_metrics`; the
-    machine and replacement engine call the bound methods below, so the
-    per-event cost is one attribute load, one ``if`` and one increment.
+    ==========================  ========================================
+    family                      derived from
+    ==========================  ========================================
+    ``coma_access_latency_ns``  ``access`` (by op and level)
+    ``coma_node_hits``          ``access``: reads satisfied at ``am``
+                                level, on the processor's node
+    ``coma_node_misses``        ``access``: ``remote`` accesses, on the
+                                processor's node
+    ``coma_relocations``        ``replacement`` (by outcome)
+    ``coma_relocation_hops``    ``replacement`` (forced-cascade depth)
+    ``bus_transactions``        ``bus`` (by bus and traffic class)
+    ``bus_bytes``               ``bus`` (by bus and traffic class)
+    ``bus_wait_ns``             ``bus_phase`` (arbitration wait)
+    ``bus_busy_ns``             ``bus_phase`` (occupancy)
+    ``sim_sync_wait_ns``        ``sync`` (by primitive)
+    ``sim_events_processed``    ``run_end``
+    ``sim_elapsed_ns``          ``run_end``
+    ``coma_events``             ``run_end``: the machine's end-of-run
+                                counters, one series per counter
+    ==========================  ========================================
     """
 
-    __slots__ = ("registry", "latency", "node_hits", "node_misses",
-                 "relocations", "relocation_hops", "_events")
-
-    def __init__(self, registry: MetricsRegistry, n_nodes: int) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self.latency = registry.histogram(
             "coma_access_latency_ns",
             "end-to-end access latency by operation and satisfying level",
             labels=("op", "level"),
         )
-        hits = registry.counter(
+        self.node_hits_family = registry.counter(
             "coma_node_hits", "node-level (AM/overflow/neighbour-SLC) hits",
             labels=("node",),
         )
-        misses = registry.counter(
+        self.node_misses_family = registry.counter(
             "coma_node_misses", "node misses (remote data fetches)",
             labels=("node",),
         )
-        self.node_hits = [hits.labels(i) for i in range(n_nodes)]
-        self.node_misses = [misses.labels(i) for i in range(n_nodes)]
         self.relocations = registry.counter(
             "coma_relocations", "owner-line relocations by outcome",
             labels=("outcome",),
@@ -346,40 +356,10 @@ class MachineInstruments:
             "coma_relocation_hops", "forced-cascade depth per relocation",
             n_buckets=8,
         )
-        self._events = registry.counter(
+        self.events = registry.counter(
             "coma_events", "end-of-run machine event counters",
             labels=("event",),
         )
-
-    def access(self, op: str, level: str, latency_ns: int) -> None:
-        self.latency.labels(op, level).observe(latency_ns)
-
-    def node_hit(self, node_id: int) -> None:
-        self.node_hits[node_id].inc()
-
-    def node_miss(self, node_id: int) -> None:
-        self.node_misses[node_id].inc()
-
-    def relocation(self, outcome: str, hops: int) -> None:
-        self.relocations.labels(outcome).inc()
-        self.relocation_hops.observe(hops)
-
-    def finish(self, machine) -> None:
-        """Fold the end-of-run :class:`~repro.stats.counters.Counters`
-        into the ``coma_events`` family (one labeled series per counter),
-        so exports cover every machine statistic without per-event cost."""
-        for name, value in machine.counters.as_dict().items():
-            if value:
-                self._events.labels(name).inc(value)
-
-
-class BusInstruments:
-    """Pre-bound interconnect children (``bus_*`` families)."""
-
-    __slots__ = ("transactions", "bytes", "busy", "wait", "_name")
-
-    def __init__(self, registry: MetricsRegistry, name: str) -> None:
-        self._name = name
         self.transactions = registry.counter(
             "bus_transactions", "metered transactions by bus and class",
             labels=("bus", "cls"),
@@ -388,29 +368,13 @@ class BusInstruments:
             "bus_bytes", "metered traffic bytes by bus and class",
             labels=("bus", "cls"),
         )
-        self.busy = registry.counter(
+        self.busy_family = registry.counter(
             "bus_busy_ns", "cumulative bus occupancy", labels=("bus",),
-        ).labels(name)
-        self.wait = registry.histogram(
+        )
+        self.wait_family = registry.histogram(
             "bus_wait_ns", "arbitration wait per bus phase", labels=("bus",),
-        ).labels(name)
-
-    def record(self, cls: str, nbytes: int) -> None:
-        self.transactions.labels(self._name, cls).inc()
-        self.bytes.labels(self._name, cls).inc(nbytes)
-
-    def phase(self, wait_ns: int, busy_ns: int) -> None:
-        self.wait.observe(wait_ns)
-        self.busy.inc(busy_ns)
-
-
-class SimInstruments:
-    """Pre-bound simulation-kernel children (``sim_*`` families)."""
-
-    __slots__ = ("events", "elapsed", "sync_wait")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.events = registry.gauge(
+        )
+        self.sim_events = registry.gauge(
             "sim_events_processed", "workload events the kernel dispatched")
         self.elapsed = registry.gauge(
             "sim_elapsed_ns", "simulated nanoseconds at completion")
@@ -418,10 +382,83 @@ class SimInstruments:
             "sim_sync_wait_ns", "time blocked per completed sync wait",
             labels=("primitive",),
         )
+        #: Pre-bound children, filled by :meth:`bind`.
+        self._node_of: list[int] = []
+        self._hits: list = []
+        self._misses: list = []
+        self._busy: dict[str, Counter] = {}
+        self._wait: dict[str, Histogram] = {}
+        self._latency: dict[tuple[str, str], Histogram] = {}
+        self._bus: dict[tuple[str, str], tuple[Counter, Counter]] = {}
 
-    def finish(self, events_processed: int, elapsed_ns: int) -> None:
-        self.events.set(events_processed)
-        self.elapsed.set(elapsed_ns)
+    def bind(self, machine) -> None:
+        """Pre-bind one hit/miss child per node and one wait/busy child
+        per bus, so every node and bus exports a series."""
+        config = machine.config
+        self._node_of = [config.node_of_proc(p)
+                         for p in range(config.n_processors)]
+        self._hits = [self.node_hits_family.labels(i)
+                      for i in range(config.n_nodes)]
+        self._misses = [self.node_misses_family.labels(i)
+                        for i in range(config.n_nodes)]
+        for bus in machine.buses:
+            self._busy[bus.name] = self.busy_family.labels(bus.name)
+            self._wait[bus.name] = self.wait_family.labels(bus.name)
+
+    # -- typed entry points ---------------------------------------------
+
+    def access(self, t, proc, op, line, level, latency_ns, addr=-1):
+        hist = self._latency.get((op, level))
+        if hist is None:
+            hist = self._latency[(op, level)] = self.latency.labels(op, level)
+        hist.observe(latency_ns)
+        if level == "remote":
+            self._misses[self._node_of[proc]].inc()
+        elif level == "am" and op == "r":
+            self._hits[self._node_of[proc]].inc()
+
+    def replacement(self, t, src, dst, line, outcome, hops):
+        self.relocations.labels(outcome).inc()
+        self.relocation_hops.observe(hops)
+
+    def bus(self, t, bus, tx, cls, nbytes, origin, line):
+        pair = self._bus.get((bus, cls))
+        if pair is None:
+            pair = self._bus[(bus, cls)] = (
+                self.transactions.labels(bus, cls),
+                self.bytes.labels(bus, cls),
+            )
+        pair[0].inc()
+        pair[1].inc(nbytes)
+
+    def bus_phase(self, bus, wait_ns, busy_ns):
+        self._wait[bus].observe(wait_ns)
+        self._busy[bus].inc(busy_ns)
+
+    def sync(self, t, proc, primitive, obj, wait_ns):
+        self.sync_wait.labels(primitive).observe(wait_ns)
+
+    def run_end(self, t, events, machine):
+        self.sim_events.set(events)
+        self.elapsed.set(t)
+        # Fold the end-of-run Counters into one labeled series each, so
+        # exports cover every machine statistic without per-event cost.
+        for name, value in machine.counters.as_dict().items():
+            if value:
+                self.events.labels(name).inc(value)
+
+    def transition(self, t, node, line, cause, before, after):
+        pass
+
+    def syncop(self, t, proc, op, primitive, obj):
+        pass
+
+    def span(self, t, dur_ns, trace_id, span_id, parent_id, name, proc,
+             line, op, level, relocs=0):
+        pass
+
+    def emit(self, ev) -> None:
+        pass
 
 
 class ExperimentInstruments:

@@ -1,16 +1,21 @@
-"""The :class:`TraceSink` receiver interface.
+"""The :class:`TraceSink` receiver interface: the one observation channel.
 
-Machines and the simulation kernel hold a ``trace`` attribute that is
-``None`` by default; every emission site is guarded by a single
+Machines, their buses and the simulation kernel hold one ``obs``
+attribute that is ``None`` by default; every emission site is guarded by
+a single
 
-    if self.trace is not None:
-        self.trace.access(...)
+    if obs is not None:
+        obs.access(...)
 
-so a disabled trace costs one attribute load and an ``is``-check on the
-hot path — no event objects are ever allocated.  When a sink is attached
-(:meth:`repro.coma.machine.ComaMachine.set_trace`), the five typed entry
-points below build the event dataclasses and route them through
-:meth:`TraceSink.emit`, which is the one method concrete sinks implement.
+so a run with nothing attached costs one local load and an ``is``-check
+per site — no event objects are ever allocated.
+:meth:`repro.sim.simulator.Simulation.attach` is the only way in: it
+composes every attached sink into one :class:`TeeSink` and, when any of
+them wants spans, wraps that in a :class:`repro.obs.spans.SpanBuilder`.
+The typed entry points below build the event dataclasses and route them
+through :meth:`TraceSink.emit`, the one method concrete sinks implement;
+sinks that never need the event object (the metrics sink, the Chrome
+exporter) override the typed entry points instead.
 """
 
 from __future__ import annotations
@@ -32,11 +37,15 @@ class TraceSink:
     """Base sink: typed entry points funnel into :meth:`emit`."""
 
     #: Span emission is opt-in: building a span tree per access costs
-    #: allocations the classic flat events avoid, so the machine only
-    #: installs a :class:`repro.obs.spans.SpanBuilder` when the attached
-    #: sink asks for it.  Sinks that consume span events set this True
-    #: (class attribute or per instance).
+    #: allocations the classic flat events avoid, so ``Simulation.attach``
+    #: only installs a :class:`repro.obs.spans.SpanBuilder` when an
+    #: attached sink asks for it.  Sinks that consume span events set
+    #: this True (class attribute or per instance).
     wants_spans = False
+
+    def bind(self, machine) -> None:
+        """Learn the machine's shape before the first event (called by
+        ``Simulation.attach``).  No-op by default."""
 
     # -- emission API used by the instrumented machines ----------------
 
@@ -70,22 +79,23 @@ class TraceSink:
         self.emit(SpanEvent(t, dur_ns, trace_id, span_id, parent_id,
                             name, proc, line, op, level, relocs))
 
-    # -- observer attach path -------------------------------------------
+    # -- facts no event carries: no-ops unless a sink needs them --------
 
-    def attach_to(self, sim, every: Optional[int] = None) -> None:
-        """Uniform observer hook (``Simulation.attach``): install this
-        sink on the machine, teeing when one is already attached.
-        ``every`` is accepted for interface symmetry and ignored."""
-        existing = sim.machine.trace
-        if existing is None:
-            sim.machine.set_trace(self)
-        elif isinstance(existing, TeeSink):
-            existing.sinks.append(self)
-            # Re-run set_trace so span wiring reflects the new member
-            # (a wants_spans sink attached onto a span-less tee).
-            sim.machine.set_trace(existing)
-        else:
-            sim.machine.set_trace(TeeSink(existing, self))
+    def bus_phase(self, bus: str, wait_ns: int, busy_ns: int) -> None:
+        """One bus phase waited ``wait_ns`` for arbitration and then
+        occupied ``bus`` for ``busy_ns``."""
+
+    def begin(self, t: int, proc: int, op: str, line: int,
+              addr: int = -1) -> None:
+        """An access is issued at ``t`` (a span checkpoint)."""
+
+    def phase(self, name: str, t: int) -> None:
+        """The in-flight access finished phase ``name`` at ``t`` (a span
+        checkpoint)."""
+
+    def run_end(self, t: int, events: int, machine) -> None:
+        """The run completed at simulated time ``t`` after ``events``
+        workload events."""
 
     # -- sink lifecycle -------------------------------------------------
 
@@ -119,18 +129,67 @@ class CollectorSink(TraceSink):
 
 
 class TeeSink(TraceSink):
-    """Fan every event out to several child sinks."""
+    """Fan every call out to several observers, in attach order.
 
-    def __init__(self, *sinks: TraceSink) -> None:
+    The one composite of the observation channel: ``Simulation.attach``
+    tees trace sinks into the ``obs`` slot and sampling profilers into
+    the ``profiler`` slot with it.  Typed calls are forwarded as typed
+    calls, so each member sees exactly what it would see alone.
+    """
+
+    def __init__(self, *sinks) -> None:
         self.sinks = list(sinks)
 
-    @property
-    def wants_spans(self) -> bool:
-        return any(getattr(s, "wants_spans", False) for s in self.sinks)
+    def bind(self, machine) -> None:
+        for s in self.sinks:
+            s.bind(machine)
+
+    def access(self, t, proc, op, line, level, latency_ns, addr=-1):
+        for s in self.sinks:
+            s.access(t, proc, op, line, level, latency_ns, addr)
+
+    def transition(self, t, node, line, cause, before, after):
+        for s in self.sinks:
+            s.transition(t, node, line, cause, before, after)
+
+    def bus(self, t, bus, tx, cls, nbytes, origin, line):
+        for s in self.sinks:
+            s.bus(t, bus, tx, cls, nbytes, origin, line)
+
+    def replacement(self, t, src, dst, line, outcome, hops):
+        for s in self.sinks:
+            s.replacement(t, src, dst, line, outcome, hops)
+
+    def sync(self, t, proc, primitive, obj, wait_ns):
+        for s in self.sinks:
+            s.sync(t, proc, primitive, obj, wait_ns)
+
+    def syncop(self, t, proc, op, primitive, obj):
+        for s in self.sinks:
+            s.syncop(t, proc, op, primitive, obj)
+
+    def span(self, t, dur_ns, trace_id, span_id, parent_id, name, proc,
+             line, op, level, relocs=0):
+        for s in self.sinks:
+            s.span(t, dur_ns, trace_id, span_id, parent_id, name, proc,
+                   line, op, level, relocs)
+
+    def bus_phase(self, bus, wait_ns, busy_ns):
+        for s in self.sinks:
+            s.bus_phase(bus, wait_ns, busy_ns)
+
+    def run_end(self, t, events, machine):
+        for s in self.sinks:
+            s.run_end(t, events, machine)
 
     def emit(self, ev) -> None:
         for s in self.sinks:
             s.emit(ev)
+
+    def sample(self, machine) -> None:
+        """The profiler hook: every member takes its periodic sample."""
+        for s in self.sinks:
+            s.sample(machine)
 
     def close(self) -> None:
         for s in self.sinks:
@@ -141,3 +200,14 @@ class TeeSink(TraceSink):
         for s in self.sinks:
             dump = s.on_simulation_error(exc) or dump
         return dump
+
+
+def tee(current, observer):
+    """``current`` (None, one observer or a :class:`TeeSink`) with
+    ``observer`` added after its members."""
+    if current is None:
+        return observer
+    if isinstance(current, TeeSink):
+        current.sinks.append(observer)
+        return current
+    return TeeSink(current, observer)

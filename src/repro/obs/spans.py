@@ -6,15 +6,15 @@ remote-access cost split across bus arbitration, AM lookup and
 inter-cluster transfer.  This module makes every simulated cycle of an
 access attributable:
 
-* :class:`SpanBuilder` — held by the machine (``machine.spans``, None by
-  default, installed by ``set_trace`` only when the sink sets
-  ``wants_spans``).  The instrumented hot paths mark *checkpoints* —
-  monotone completion times along one access — and the builder turns
-  consecutive checkpoints into child spans.  Because children are
-  differences of a monotone cut sequence over ``[issue, completion]``,
-  their durations sum to the access latency **by construction**: the
-  conservation invariant costs nothing to maintain and is enforced by
-  the test suite on every machine flavour.
+* :class:`SpanBuilder` — the observation slot (``machine.obs``) itself
+  when an attached sink sets ``wants_spans``: it forwards every typed
+  call to that sink and, in between, records *checkpoints* — monotone
+  completion times along one access — that it turns into child spans
+  when the access completes.  Because children are differences of a
+  monotone cut sequence over ``[issue, completion]``, their durations
+  sum to the access latency **by construction**: the conservation
+  invariant costs nothing to maintain and is enforced by the test suite
+  on every machine flavour.
 * :class:`StallAttribution` — a :class:`~repro.obs.sink.TraceSink` that
   aggregates span trees into the paper-style breakdown per processor,
   per line and per workload phase (barrier episodes delimit phases),
@@ -35,13 +35,20 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import TraceSink
 
 
-class SpanBuilder:
-    """Per-machine recorder of one in-flight access's phase checkpoints.
+class SpanBuilder(TraceSink):
+    """The observation slot while span trees are on.
 
-    The machine's access entry points are strictly sequential (the event
-    loop never interleaves two accesses of one machine), so a single
-    mutable builder per machine suffices.  Lists are reused across
-    accesses — the per-access cost is appends plus one emission pass.
+    Forwards every typed call to ``sink`` (one sink or a
+    :class:`~repro.obs.sink.TeeSink`), and in between records one
+    in-flight access's phase checkpoints: :meth:`begin` opens the root,
+    :meth:`phase` cuts a phase, :meth:`access` (the access's completion
+    event) closes the root and emits the tree right after the flat
+    event, and :meth:`replacement` counts the background relocations
+    the open access triggered.  The machine's access entry points are
+    strictly sequential (the event loop never interleaves two accesses
+    of one machine), so one mutable builder per machine suffices.
+    Lists are reused across accesses — the per-access cost is appends
+    plus one emission pass.
     """
 
     __slots__ = ("sink", "_next_trace", "_next_span", "_open",
@@ -64,7 +71,7 @@ class SpanBuilder:
         self._starts: list[int] = []
         self._ends: list[int] = []
 
-    # -- recording API (called from @hotpath code, spans enabled only) --
+    # -- checkpoints ----------------------------------------------------
 
     def begin(self, t: int, proc: int, op: str, line: int,
               addr: int = -1) -> None:
@@ -95,11 +102,58 @@ class SpanBuilder:
         self._ends.append(t)
         self.cursor = t
 
-    def note_relocation(self) -> None:
-        """Count one background owner-line relocation triggered by the
-        open access (traffic, not latency — annotated on the root)."""
-        if self._open:
+    # -- forwarded events -----------------------------------------------
+
+    def access(self, t, proc, op, line, level, latency_ns, addr=-1):
+        """Forward the completed access, then close its span tree."""
+        self.sink.access(t, proc, op, line, level, latency_ns, addr)
+        self.end(t + latency_ns, level)
+
+    def replacement(self, t, src, dst, line, outcome, hops):
+        """Forward one relocation step and count it on the open access
+        (traffic, not latency — annotated on the root).  An abandoned
+        optional allocation (``uncached``) relocates nothing."""
+        self.sink.replacement(t, src, dst, line, outcome, hops)
+        if self._open and outcome != "uncached":
             self.relocs += 1
+
+    def transition(self, t, node, line, cause, before, after):
+        self.sink.transition(t, node, line, cause, before, after)
+
+    def bus(self, t, bus, tx, cls, nbytes, origin, line):
+        self.sink.bus(t, bus, tx, cls, nbytes, origin, line)
+
+    def sync(self, t, proc, primitive, obj, wait_ns):
+        self.sink.sync(t, proc, primitive, obj, wait_ns)
+
+    def syncop(self, t, proc, op, primitive, obj):
+        self.sink.syncop(t, proc, op, primitive, obj)
+
+    def span(self, t, dur_ns, trace_id, span_id, parent_id, name, proc,
+             line, op, level, relocs=0):
+        self.sink.span(t, dur_ns, trace_id, span_id, parent_id, name,
+                       proc, line, op, level, relocs)
+
+    def bus_phase(self, bus, wait_ns, busy_ns):
+        self.sink.bus_phase(bus, wait_ns, busy_ns)
+
+    def run_end(self, t, events, machine):
+        self.sink.run_end(t, events, machine)
+
+    def emit(self, ev) -> None:
+        self.sink.emit(ev)
+
+    def close(self) -> None:
+        self.sink.close()
+
+    def on_simulation_error(self, exc: BaseException) -> Optional[str]:
+        """The sink's dump, followed by the in-flight span stack so a
+        crash dump shows *where in an access* the run died."""
+        dump = self.sink.on_simulation_error(exc)
+        stack = self.open_stack_text()
+        if stack:
+            dump = f"{dump}\n{stack}" if dump else stack
+        return dump
 
     def end(self, t: int, level: str) -> None:
         """Complete the access at ``t``; the un-annotated remainder
@@ -127,15 +181,10 @@ class SpanBuilder:
 
     # -- failure introspection ------------------------------------------
 
-    @property
-    def open(self) -> bool:
-        return self._open
-
     def open_stack_text(self) -> str:
         """Render the in-flight span stack (empty string when idle).
 
-        Folded into ``exc.flight_dump`` by the simulation kernel so a
-        crash dump shows *where in an access* the run died.
+        Folded into ``exc.flight_dump`` by :meth:`on_simulation_error`.
         """
         if not self._open:
             return ""
@@ -237,6 +286,20 @@ class StallAttribution(TraceSink):
         self._trees: dict[int, list[SpanEvent]] = {}
 
     # -- event intake ---------------------------------------------------
+
+    # Flat access/protocol/bus events carry nothing the attribution
+    # reads: skip building their event objects.
+    def access(self, t, proc, op, line, level, latency_ns, addr=-1):
+        pass
+
+    def transition(self, t, node, line, cause, before, after):
+        pass
+
+    def bus(self, t, bus, tx, cls, nbytes, origin, line):
+        pass
+
+    def replacement(self, t, src, dst, line, outcome, hops):
+        pass
 
     def emit(self, ev) -> None:
         kind = ev.kind

@@ -16,35 +16,17 @@ cheap, mergeable, and exportable three ways:
 * through ``coma-sim attribute``/``coma-sim trace --timeline`` on the
   CLI.
 
-:class:`CompositeProfiler` lives here canonically (it predates this
-module in ``repro.stats.timeline``, which now re-exports it): it is the
-fan-out point ``Simulation.attach`` uses to merge profilers, so the
-sampler and the legacy traffic profilers compose freely.
+Several profilers attached to one simulation are teed by
+``Simulation.attach`` with the same composite that tees trace sinks.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.coma.machine import ComaMachine
     from repro.obs.metrics import MetricsRegistry
-
-
-class CompositeProfiler:
-    """Fan a simulation's profiler hook out to several profilers."""
-
-    def __init__(self, profilers: Sequence) -> None:
-        self.profilers = list(profilers)
-
-    def sample(self, machine) -> None:
-        for p in self.profilers:
-            p.sample(machine)
-
-
-def traffic_by_class(machine) -> dict[str, int]:
-    """Cumulative top-bus bytes keyed by traffic class name."""
-    return {k.value: v for k, v in machine.bus.tx_bytes.items()}
 
 
 class TimelineSampler:

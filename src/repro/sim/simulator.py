@@ -25,7 +25,8 @@ from repro.sim.events import (
     EV_WRITE,
 )
 from repro.sim.results import SimulationResult
-from repro.obs.timeline import CompositeProfiler
+from repro.obs.sink import TraceSink, tee
+from repro.obs.spans import SpanBuilder
 from repro.sync.primitives import SimBarrier, SimLock, SyncSpace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,9 +67,11 @@ class Simulation:
         self.check_every = check_every
         self.profiler = None
         self.profile_every = profile_every
-        #: :class:`repro.obs.metrics.SimInstruments` when a registry is
-        #: attached; None keeps the kernel allocation-free.
-        self.metrics = None
+        #: The observation slot shared with the machine and its buses:
+        #: None keeps the kernel allocation-free (see :meth:`attach`).
+        self.obs = None
+        #: Every attached trace sink, composed (before span wrapping).
+        self._sinks = None
         if profiler is not None:
             self.attach(profiler, every=profile_every)
         for obs in observers:
@@ -88,59 +91,62 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def attach(self, observer, every: Optional[int] = None) -> None:
-        """Attach an observer through the one uniform path.
+        """Attach an observer: the only way into a run.
 
-        Every observer kind hangs off the simulation the same way:
-        objects exposing ``attach_to(sim, every=)`` wire themselves in
-        (trace sinks tee onto ``machine.trace``, a
-        :class:`~repro.obs.metrics.MetricsRegistry` builds its pre-bound
-        instrument bundles); anything exposing ``sample(machine)``
-        registers as a sampling profiler, merged into a
-        :class:`~repro.obs.timeline.CompositeProfiler` when one is
-        already attached.  ``every`` overrides the sampling interval for
-        profilers and is forwarded to ``attach_to`` hooks.
+        * A :class:`~repro.obs.sink.TraceSink` joins the ``obs`` slot
+          that the simulation, the machine and every bus share.  Several
+          sinks are composed into one :class:`~repro.obs.sink.TeeSink`;
+          when any of them ``wants_spans``, the slot holds a
+          :class:`~repro.obs.spans.SpanBuilder` wrapping that tee.
+        * Anything exposing ``sample(machine)`` joins the ``profiler``
+          slot (teed the same way); ``every`` sets the sampling interval.
+        * Anything else exposing ``attach_to(sim, every=)`` attaches
+          what it needs through this method (a
+          :class:`~repro.obs.metrics.MetricsRegistry` attaches its
+          :class:`~repro.obs.metrics.MetricsSink`).
+
+        Attach before :meth:`run`.
         """
-        hook = getattr(observer, "attach_to", None)
-        if hook is not None:
-            hook(self, every=every)
-            return
-        if hasattr(observer, "sample"):
+        if isinstance(observer, TraceSink):
+            observer.bind(self.machine)
+            sinks = self._sinks = tee(self._sinks, observer)
+            members = sinks.sinks if sinks is not observer else (sinks,)
+            obs = sinks
+            if any(s.wants_spans for s in members):
+                obs = SpanBuilder(sinks)
+            self.obs = self.machine.obs = obs
+            for bus in self.machine.buses:
+                bus.obs = obs
+        elif hasattr(observer, "sample"):
             if every is not None:
                 self.profile_every = every
-            if self.profiler is None:
-                self.profiler = observer
-            elif isinstance(self.profiler, CompositeProfiler):
-                self.profiler.profilers.append(observer)
-            else:
-                self.profiler = CompositeProfiler([self.profiler, observer])
-            return
-        raise SimulationError(
-            f"cannot attach {type(observer).__name__}: it exposes neither "
-            "attach_to(sim, every=) nor sample(machine)"
-        )
+            self.profiler = tee(self.profiler, observer)
+        elif hasattr(observer, "attach_to"):
+            observer.attach_to(self, every=every)
+        else:
+            raise SimulationError(
+                f"cannot attach {type(observer).__name__}: it is not a "
+                "TraceSink and exposes neither sample(machine) nor "
+                "attach_to(sim, every=)"
+            )
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Run every thread to completion and collect the results.
 
         If the run dies (deadlock, protocol invariant violation, event
-        budget) and a trace sink is attached, the sink's
-        ``on_simulation_error`` hook fires — the flight recorder uses it
-        to dump the last events before the crash — and the rendered dump
-        (if any) is attached to the exception as ``flight_dump``.
+        budget) and an observer is attached, its ``on_simulation_error``
+        hook fires — the flight recorder uses it to dump the last events
+        before the crash, a span builder adds the in-flight span stack —
+        and the rendered dump (if any) is attached to the exception as
+        ``flight_dump``.
         """
         try:
             self._loop(self.machine.hit_path())
             self._check_finished()
         except (AssertionError, ReproError) as exc:
-            trace = getattr(self.machine, "trace", None)
-            if trace is not None:
-                dump = trace.on_simulation_error(exc)
-                spans = getattr(self.machine, "spans", None)
-                if spans is not None and spans.open:
-                    stack = spans.open_stack_text()
-                    dump = f"{dump}\n{stack}" if dump else stack
-                exc.flight_dump = dump
+            if self.obs is not None:
+                exc.flight_dump = self.obs.on_simulation_error(exc)
             raise
         return self._collect()
 
@@ -405,9 +411,8 @@ class Simulation:
             p.clock = done
             lock.holder = p.pid
             self.machine.counters.lock_acquires += 1
-            trace = getattr(self.machine, "trace", None)
-            if trace is not None:
-                trace.syncop(done, p.pid, "acquire", "lock", lock.lock_id)
+            if self.obs is not None:
+                self.obs.syncop(done, p.pid, "acquire", "lock", lock.lock_id)
         else:
             lock.waiters.append(p.pid)
             p.block()
@@ -424,9 +429,9 @@ class Simulation:
         p.clock = now
         handoff = self.machine.write(p.pid, lock.addr, p.clock)
         lock.holder = None
-        trace = getattr(self.machine, "trace", None)
-        if trace is not None:
-            trace.syncop(p.clock, p.pid, "release", "lock", lock.lock_id)
+        obs = self.obs
+        if obs is not None:
+            obs.syncop(p.clock, p.pid, "release", "lock", lock.lock_id)
         if lock.waiters:
             wpid = lock.waiters.popleft()
             # The release invalidated every waiter's cached copy of the
@@ -438,16 +443,10 @@ class Simulation:
             self.machine.counters.lock_acquires += 1
             wp = self.procs[wpid]
             wp.unblock(done)
-            if trace is not None:
-                trace.sync(
-                    wp.clock, wpid, "lock", lock.lock_id,
-                    wp.clock - wp.block_start,
-                )
-                trace.syncop(done, wpid, "acquire", "lock", lock.lock_id)
-            if self.metrics is not None:
-                self.metrics.sync_wait.labels("lock").observe(
-                    wp.clock - wp.block_start
-                )
+            if obs is not None:
+                obs.sync(wp.clock, wpid, "lock", lock.lock_id,
+                         wp.clock - wp.block_start)
+                obs.syncop(done, wpid, "acquire", "lock", lock.lock_id)
             heapq.heappush(self._heap, (wp.clock, wpid))
 
     def _barrier(self, p: Processor, b: SimBarrier) -> None:
@@ -459,9 +458,9 @@ class Simulation:
         self._charge(p, level, done - p.clock)
         p.clock = done
         b.arrived[p.pid] = done
-        trace = getattr(self.machine, "trace", None)
-        if trace is not None:
-            trace.syncop(done, p.pid, "arrive", "barrier", b.barrier_id)
+        obs = self.obs
+        if obs is not None:
+            obs.syncop(done, p.pid, "arrive", "barrier", b.barrier_id)
         if len(b.arrived) < self.n_participants:
             p.block()
             return
@@ -475,22 +474,16 @@ class Simulation:
             q = self.procs[pid2]
             rdone, _lvl = self.machine.read(pid2, b.addr, sense_done)
             q.unblock(rdone)
-            if trace is not None:
-                trace.sync(
-                    q.clock, pid2, "barrier", b.barrier_id,
-                    q.clock - q.block_start,
-                )
-                trace.syncop(rdone, pid2, "depart", "barrier", b.barrier_id)
-            if self.metrics is not None:
-                self.metrics.sync_wait.labels("barrier").observe(
-                    q.clock - q.block_start
-                )
+            if obs is not None:
+                obs.sync(q.clock, pid2, "barrier", b.barrier_id,
+                         q.clock - q.block_start)
+                obs.syncop(rdone, pid2, "depart", "barrier", b.barrier_id)
             heapq.heappush(self._heap, (q.clock, pid2))
         if sense_done > p.clock:
             p.acct.sync += sense_done - p.clock
             p.clock = sense_done
-        if trace is not None:
-            trace.syncop(p.clock, p.pid, "depart", "barrier", b.barrier_id)
+        if obs is not None:
+            obs.syncop(p.clock, p.pid, "depart", "barrier", b.barrier_id)
         b.arrived.clear()
         b.generation += 1
 
@@ -505,8 +498,6 @@ class Simulation:
 
     def _collect(self) -> SimulationResult:
         elapsed = max((p.clock for p in self.procs), default=0)
-        if self.metrics is not None:
-            self.metrics.finish(self.events_processed, elapsed)
-            if self.machine.metrics is not None:
-                self.machine.metrics.finish(self.machine)
+        if self.obs is not None:
+            self.obs.run_end(elapsed, self.events_processed, self.machine)
         return SimulationResult.build(self.machine, self.procs, elapsed)

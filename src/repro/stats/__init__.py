@@ -7,12 +7,7 @@ from repro.stats.metrics import (
     traffic_by_class,
     time_breakdown_figure5,
 )
-from repro.obs.timeline import CompositeProfiler
 from repro.stats.profiler import SharingProfiler, format_profile
-
-# repro.stats.timeline is deprecated (import it to get the legacy
-# TrafficTimeline, with a DeprecationWarning); the canonical timeline
-# home is repro.obs.timeline.
 
 __all__ = [
     "Counters",
@@ -22,5 +17,4 @@ __all__ = [
     "time_breakdown_figure5",
     "SharingProfiler",
     "format_profile",
-    "CompositeProfiler",
 ]

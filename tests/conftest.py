@@ -78,14 +78,12 @@ def sanitizer():
     """
     from repro.analysis.report import format_findings
     from repro.analysis.sanitize import sanitizer_for
-    from repro.obs.sink import TeeSink
 
     attached = []
 
     def attach(sim, **kwargs):
         san = sanitizer_for(sim, **kwargs)
-        prior = getattr(sim.machine, "trace", None)
-        sim.machine.set_trace(TeeSink(prior, san) if prior is not None else san)
+        sim.attach(san)
         attached.append((sim, san))
         return san
 
@@ -97,6 +95,18 @@ def sanitizer():
             f"sanitizer found {len(report.findings)} issue(s):\n"
             + format_findings(report.findings)
         )
+
+
+def observe(machine, *observers):
+    """Attach ``observers`` to a machine that a test drives directly,
+    through ``Simulation.attach`` (the only attach path); returns the
+    thread-less simulation holding them."""
+    from repro.sim.simulator import Simulation
+
+    sim = Simulation(machine, [])
+    for o in observers:
+        sim.attach(o)
+    return sim
 
 
 def drain(machine: ComaMachine, ops, start: int = 0) -> int:

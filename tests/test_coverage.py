@@ -96,7 +96,7 @@ class TestCoverageMap:
                        scale=0.1)
         sim = build_simulation(spec)
         cov = CoverageMap()
-        cov.attach_to(sim)
+        sim.attach(cov)
         sim.run()
         for cell in [("I", "local_read", "-"), ("I", "local_write", "-"),
                      ("E", "remote_read", "-"), ("S", "remote_write", "-")]:
@@ -109,7 +109,7 @@ class TestCoverageMap:
         a = build_simulation(spec).run()
         sim = build_simulation(spec)
         cov = CoverageMap()
-        cov.attach_to(sim)
+        sim.attach(cov)
         b = sim.run()
         assert a.elapsed_ns == b.elapsed_ns
         assert a.counters == b.counters
@@ -124,7 +124,7 @@ class TestAnalysisReport:
                            scale=0.1)
             sim = build_simulation(spec)
             cov = CoverageMap()
-            cov.attach_to(sim)
+            sim.attach(cov)
             sim.run()
             ana.add_run(f"synth_migratory@mp={mp:g}", cov.exercised)
         return ana

@@ -182,23 +182,32 @@ class TestDeterminism:
 
 
 class TestZeroOverheadOff:
-    def test_disabled_run_never_touches_metric_types(self, monkeypatch):
+    @pytest.mark.parametrize("machine", ["coma", "hcoma", "numa"])
+    def test_disabled_run_never_touches_metric_types(self, monkeypatch,
+                                                      machine):
         """Mutation-style guard: an uninstrumented run must not execute a
         single metric mutation, not merely produce no visible series."""
+        from repro.obs.spans import SpanBuilder
 
         def boom(*a, **k):  # pragma: no cover - must never run
-            raise AssertionError("metric mutated on an uninstrumented run")
+            raise AssertionError("observer ran on an uninstrumented run")
 
         monkeypatch.setattr(Counter, "inc", boom)
         monkeypatch.setattr(Gauge, "set", boom)
         monkeypatch.setattr(Gauge, "inc", boom)
         monkeypatch.setattr(Histogram, "observe", boom)
         monkeypatch.setattr(Family, "labels", boom)
-        sim = build_simulation(SPEC)
+        monkeypatch.setattr(Family, "inc", boom)
+        monkeypatch.setattr(Family, "set", boom)
+        monkeypatch.setattr(Family, "observe", boom)
+        for name, attr in vars(SpanBuilder).items():
+            if callable(attr) and not name.startswith("__"):
+                monkeypatch.setattr(SpanBuilder, name, boom)
+        sim = build_simulation(SPEC.with_(machine=machine))
         result = sim.run()
         assert result.elapsed_ns > 0
-        assert sim.metrics is None and sim.machine.metrics is None
-        assert sim.machine.bus.metrics is None
+        assert sim.obs is None and sim.machine.obs is None
+        assert all(bus.obs is None for bus in sim.machine.buses)
 
 
 class TestAttachPath:
@@ -219,23 +228,21 @@ class TestAttachPath:
         assert sink.events
         assert registry.snapshot()["sim_events_processed"]["series"][""] > 0
 
-    @pytest.mark.filterwarnings(
-        "ignore:TrafficTimeline is deprecated:DeprecationWarning")
-    @pytest.mark.filterwarnings(
-        "ignore:repro.stats.timeline is deprecated:DeprecationWarning")
     def test_attach_second_profiler_composes(self):
+        from repro.obs.sink import TeeSink
+        from repro.obs.timeline import TimelineSampler
         from repro.stats.profiler import SharingProfiler
-        from repro.stats.timeline import CompositeProfiler, TrafficTimeline
 
         sim = build_simulation(SPEC)
-        prof, tl = SharingProfiler(), TrafficTimeline()
+        prof, tl = SharingProfiler(), TimelineSampler()
         sim.attach(prof)
         sim.attach(tl, every=2000)
-        assert isinstance(sim.profiler, CompositeProfiler)
-        assert sim.profiler.profilers == [prof, tl]
+        assert isinstance(sim.profiler, TeeSink)
+        assert sim.profiler.sinks == [prof, tl]
         assert sim.profile_every == 2000
+        assert sim.obs is None  # profilers never take the event slot
         sim.run()
-        assert prof.samples and tl.samples
+        assert prof.samples and tl.t
 
     def test_attach_second_sink_tees(self):
         from repro.obs.sink import CollectorSink, TeeSink
@@ -244,7 +251,8 @@ class TestAttachPath:
         a, b = CollectorSink(), CollectorSink()
         sim.attach(a)
         sim.attach(b)
-        assert isinstance(sim.machine.trace, TeeSink)
+        assert isinstance(sim.obs, TeeSink)
+        assert sim.obs is sim.machine.obs is sim.machine.bus.obs
         sim.run()
         assert len(a.events) == len(b.events) > 0
 

@@ -6,7 +6,7 @@ import io
 import json
 
 import pytest
-from tests.conftest import make_machine
+from tests.conftest import make_machine, observe
 
 from repro.common.errors import SimulationError
 from repro.experiments.runner import RunSpec, build_simulation
@@ -25,7 +25,7 @@ def _trace_jsonl(spec: RunSpec) -> str:
     buf = io.StringIO()
     sink = JsonlTraceSink(buf)
     sim = build_simulation(spec)
-    sim.machine.set_trace(sink)
+    sim.attach(sink)
     sim.run()
     sink.close()
     return buf.getvalue()
@@ -46,9 +46,8 @@ class TestDeterminism:
         sink = JsonlTraceSink(path)
         collector = CollectorSink()
         sim = build_simulation(SPEC)
-        from repro.obs.sink import TeeSink
-
-        sim.machine.set_trace(TeeSink(sink, collector))
+        sim.attach(sink)
+        sim.attach(collector)
         sim.run()
         sink.close()
         assert read_trace(path) == collector.events
@@ -81,7 +80,6 @@ class TestFlightRecorder:
         dump_path = tmp_path / "flight.txt"
         m = make_machine()
         fr = FlightRecorder(capacity=64, dump_path=str(dump_path))
-        m.set_trace(fr)
 
         def rogue():
             yield ("r", 0)
@@ -89,6 +87,7 @@ class TestFlightRecorder:
 
         sync = SyncSpace(m.space, 64, 1, 0)
         sim = Simulation(m, [rogue()], sync)
+        sim.attach(fr)
         with pytest.raises(SimulationError) as err:
             sim.run()
         assert "flight recorder dump" in err.value.flight_dump
@@ -112,7 +111,7 @@ class TestChromeTrace:
         path = tmp_path / "trace.json"
         sink = ChromeTraceSink(path)
         sim = build_simulation(SPEC)
-        sim.machine.set_trace(sink)
+        sim.attach(sink)
         sim.run()
         sink.close()
         obj = json.loads(path.read_text())
@@ -122,7 +121,7 @@ class TestChromeTrace:
     def test_tracks_named_per_layer(self):
         sink = ChromeTraceSink()
         sim = build_simulation(SPEC)
-        sim.machine.set_trace(sink)
+        sim.attach(sink)
         sim.run()
         obj = json.loads(sink.to_json())
         names = {
@@ -155,7 +154,7 @@ class TestExplain:
             line_size=64, page_size=64, slc_lines=4, l1_lines=2,
         )
         bio = LineBiography()
-        m.set_trace(bio)
+        observe(m, bio)
         t = m.write(0, 0, 0)       # line 0 materializes E in node 0
         m.write(0, 64, t)          # line 1 evicts it -> relocation
         assert 0 in bio.lines()
@@ -185,7 +184,7 @@ class TestTracingOverhead:
     def test_disabled_tracing_is_a_null_check(self):
         """With no sink attached the machines must not allocate events."""
         m = make_machine()
-        assert m.trace is None
-        assert m.bus.trace is None
+        assert m.obs is None
+        assert m.bus.obs is None
         t = m.write(0, 0, 0)
         m.read(1, 0, t)  # exercises remote path with trace off

@@ -168,8 +168,6 @@ def test_observers_never_change_the_result(machine, workload, mp):
     spec = _spec(machine, workload, mp)
     bare = build_simulation(spec).run().to_dict()
     for kind in OBSERVERS:
-        if kind == "metrics" and machine == "numa":
-            continue  # the NUMA baseline has no metrics slot
         sim = build_simulation(spec)
         _attach(kind, sim, spec)
         assert sim.run().to_dict() == bare, kind

@@ -354,7 +354,7 @@ def _run_mutated(mutate, workload="synth_migratory", mp=0.5, scale=0.25):
                    n_processors=8, procs_per_node=2)
     sim = build_simulation(spec)
     san = sanitizer_for(sim, spec=spec)
-    sim.machine.set_trace(_MutatingSink(san, mutate))
+    sim.attach(_MutatingSink(san, mutate))
     sim.run()
     return san.finish()
 
@@ -405,7 +405,7 @@ class TestSeededDefects:
                                   ev.latency_ns, ev.addr),)
             return (ev,)
 
-        sim.machine.set_trace(_MutatingSink(san, mutate))
+        sim.attach(_MutatingSink(san, mutate))
         sim.run()
         assert "V001" in rules(san.finish())
 
@@ -486,7 +486,7 @@ class TestWiring:
                                   ev.latency_ns, ev.addr),)
             return (ev,)
 
-        sim.machine.set_trace(_MutatingSink(san, swap))
+        sim.attach(_MutatingSink(san, swap))
         sim.run()
         assert "R003" in rules(san.finish())
 

@@ -6,7 +6,7 @@ import io
 import json
 
 import pytest
-from tests.conftest import make_machine
+from tests.conftest import make_machine, observe
 
 from repro.common.errors import SimulationError
 from repro.experiments.runner import RunSpec, build_simulation
@@ -72,7 +72,7 @@ class TestConservation:
     def test_every_child_sum_equals_root(self, flavour):
         m = make_machine(**FLAVOURS[flavour])
         sink = _WantsSpans()
-        m.set_trace(sink)
+        observe(m, sink)
         _exercise(m)
         roots, children = _roots_and_children(sink)
         assert roots, "no spans emitted"
@@ -89,7 +89,7 @@ class TestConservation:
     def test_attribution_conserves(self, flavour):
         m = make_machine(**FLAVOURS[flavour])
         att = StallAttribution()
-        m.set_trace(att)
+        observe(m, att)
         _exercise(m)
         assert att.accesses > 0
         assert att.conservation_errors() == []
@@ -98,7 +98,7 @@ class TestConservation:
         """Children are adjacent, ordered cuts of [issue, completion]."""
         m = make_machine()
         sink = _WantsSpans()
-        m.set_trace(sink)
+        observe(m, sink)
         _exercise(m)
         roots, children = _roots_and_children(sink)
         kids: dict[int, list] = {}
@@ -151,21 +151,24 @@ class TestZeroOverheadOff:
         def boom(*a, **k):  # pragma: no cover - must never run
             raise AssertionError("span recorded on a spans-off run")
 
-        for meth in ("begin", "phase", "note_relocation", "end"):
-            monkeypatch.setattr(SpanBuilder, meth, boom)
+        for name, attr in vars(SpanBuilder).items():
+            if callable(attr) and not name.startswith("__"):
+                monkeypatch.setattr(SpanBuilder, name, boom)
         sim = build_simulation(SPEC)
-        sim.machine.set_trace(CollectorSink())  # tracing on, spans off
+        sink = CollectorSink()
+        sim.attach(sink)  # tracing on, spans off
         result = sim.run()
         assert result.elapsed_ns > 0
-        assert sim.machine.spans is None
+        assert sim.obs is sink and sim.machine.obs is sink
 
     def test_detaching_span_sink_restores_byte_identical_traces(self):
         def jsonl(extra_sink) -> str:
             buf = io.StringIO()
             sink = JsonlTraceSink(buf)
             sim = build_simulation(SPEC)
-            tee = TeeSink(sink, extra_sink) if extra_sink else sink
-            sim.machine.set_trace(tee)
+            sim.attach(sink)
+            if extra_sink:
+                sim.attach(extra_sink)
             sim.run()
             return buf.getvalue()
 
@@ -179,10 +182,13 @@ class TestZeroOverheadOff:
 
     def test_tee_wants_spans_if_any_child_does(self):
         m = make_machine()
-        m.set_trace(TeeSink(CollectorSink(), CollectorSink()))
-        assert m.spans is None
-        m.set_trace(TeeSink(CollectorSink(), StallAttribution()))
-        assert m.spans is not None
+        sim = observe(m, CollectorSink(), CollectorSink())
+        assert isinstance(m.obs, TeeSink)
+        att = StallAttribution()
+        sim.attach(att)
+        assert isinstance(m.obs, SpanBuilder)
+        assert m.obs.sink.sinks[-1] is att
+        assert m.bus.obs is m.obs
 
 
 class TestSpanEvents:
@@ -198,7 +204,7 @@ class TestSpanEvents:
         ct = ChromeTraceSink(str(path))
         ct.wants_spans = True
         sim = build_simulation(SPEC)
-        sim.machine.set_trace(ct)
+        sim.attach(ct)
         sim.run()
         ct.close()
         doc = json.loads(path.read_text())
@@ -336,15 +342,15 @@ class TestFlightDumpSpanStack:
         m = make_machine()
         fr = FlightRecorder(capacity=16)
         fr.wants_spans = True
-        m.set_trace(fr)
-        # Leave an access open, as a mid-access crash would.
-        m.spans.begin(100, 2, "w", 0x9, addr=0x240)
-        m.spans.phase("bus_arb", 140)
 
         def rogue():
             yield ("u", 0)  # releases a lock it never acquired
 
         sim = Simulation(m, [rogue()], SyncSpace(m.space, 64, 1, 0))
+        sim.attach(fr)
+        # Leave an access open, as a mid-access crash would.
+        m.obs.begin(100, 2, "w", 0x9, addr=0x240)
+        m.obs.phase("bus_arb", 140)
         with pytest.raises(SimulationError) as err:
             sim.run()
         dump = err.value.flight_dump
@@ -355,34 +361,6 @@ class TestFlightDumpSpanStack:
     def test_builder_stack_text_empty_when_idle(self):
         b = SpanBuilder(CollectorSink())
         assert b.open_stack_text() == ""
-
-
-@pytest.mark.filterwarnings(
-    "ignore:repro.stats.timeline is deprecated:DeprecationWarning")
-class TestLegacyTimelineDeprecation:
-    def test_traffic_timeline_warns_and_still_works(self):
-        from repro.stats.timeline import TrafficTimeline
-
-        with pytest.warns(DeprecationWarning, match="TimelineSampler"):
-            tl = TrafficTimeline()
-        m = make_machine()
-        _exercise(m)
-        tl.sample(m)
-        _exercise(m)
-        tl.sample(m)
-        assert tl.windows()
-
-    def test_sample_and_window_reprs_are_sorted(self):
-        from repro.stats.timeline import TrafficSample, TrafficWindow
-
-        s = TrafficSample(sim_time_ns=5,
-                          bytes_by_class={"z": 1, "a": 2, "m": 3})
-        assert repr(s) == ("TrafficSample(sim_time_ns=5, "
-                           "bytes_by_class={'a': 2, 'm': 3, 'z': 1})")
-        w = TrafficWindow(start_ns=0, end_ns=10,
-                          bytes_by_class={"b": 4, "a": 1})
-        assert repr(w) == ("TrafficWindow(start_ns=0, end_ns=10, "
-                           "bytes_by_class={'a': 1, 'b': 4})")
 
 
 class TestAttributeCli:
