@@ -13,15 +13,15 @@ numeric factorization from that structure:
 * a factored panel scatters right-looking updates into every ancestor
   panel its column structure reaches, under the ancestor's lock.
 
-``networkx`` computes the elimination-tree levels (longest path from a
-leaf), exactly the dependency analysis a real solver performs.
+The elimination-tree levels (longest path from a leaf) come from one
+forward pass over the panel-parent list, exactly the dependency analysis
+a real solver performs.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-import networkx as nx
 import numpy as np
 
 from repro.mem.address import AddressSpace
@@ -99,25 +99,24 @@ class CholeskyWorkload(Workload):
             for c in cols_:
                 self.panel_of_col[c] = pid
 
-        # Panel-level dependency DAG via networkx: panel -> panel of its
-        # columns' parents; levels = longest path from a leaf (wavefronts).
-        dag = nx.DiGraph()
-        dag.add_nodes_from(range(self.n_panels))
+        # Panel-level elimination tree: each panel's parent is the panel
+        # of its last column's parent (-1 at a root); levels = longest
+        # path from a leaf (wavefronts).  A parent column lies past the
+        # panel's columns, so the parent panel always comes later and one
+        # forward pass over the panels is a topological order.
+        self.panel_parent: list[int] = []
         for pid, cols_ in enumerate(self.panel_cols):
             p = self.etree_parent[cols_[-1]]
-            if p != -1:
-                tgt = self.panel_of_col[p]
-                if tgt != pid:
-                    dag.add_edge(pid, tgt)
-        assert nx.is_directed_acyclic_graph(dag)
-        depth = {pid: 0 for pid in dag.nodes}
-        for pid in nx.topological_sort(dag):
-            for succ in dag.successors(pid):
-                depth[succ] = max(depth[succ], depth[pid] + 1)
-        self.dag = dag
-        n_levels = 1 + max(depth.values(), default=0)
+            tgt = -1 if p == -1 else self.panel_of_col[p]
+            assert tgt == -1 or tgt > pid, "panel parent precedes its child"
+            self.panel_parent.append(tgt)
+        depth = [0] * self.n_panels
+        for pid, tgt in enumerate(self.panel_parent):
+            if tgt != -1:
+                depth[tgt] = max(depth[tgt], depth[pid] + 1)
+        n_levels = 1 + max(depth, default=0)
         self.levels: list[list[int]] = [[] for _ in range(n_levels)]
-        for pid, d in depth.items():
+        for pid, d in enumerate(depth):
             self.levels[d].append(pid)
 
         # Ancestor panels each panel updates (its columns' structures).
