@@ -25,7 +25,7 @@ from repro.sim.events import (
     EV_WRITE,
 )
 from repro.sim.results import SimulationResult
-from repro.obs.sink import TraceSink, tee
+from repro.obs.sink import TeeSink, TraceSink, tee
 from repro.obs.spans import SpanBuilder
 from repro.sync.primitives import SimBarrier, SimLock, SyncSpace
 
@@ -74,8 +74,8 @@ class Simulation:
         self._sinks = None
         if profiler is not None:
             self.attach(profiler, every=profile_every)
-        for obs in observers:
-            self.attach(obs)
+        for observer in observers:
+            self.attach(observer)
         timing = machine.config.timing
         coalesce = machine.config.write_buffer_coalescing
         self.procs = [
@@ -110,7 +110,7 @@ class Simulation:
         if isinstance(observer, TraceSink):
             observer.bind(self.machine)
             sinks = self._sinks = tee(self._sinks, observer)
-            members = sinks.sinks if sinks is not observer else (sinks,)
+            members = sinks.sinks if isinstance(sinks, TeeSink) else (sinks,)
             obs = sinks
             if any(s.wants_spans for s in members):
                 obs = SpanBuilder(sinks)

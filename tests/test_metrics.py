@@ -182,9 +182,7 @@ class TestDeterminism:
 
 
 class TestZeroOverheadOff:
-    @pytest.mark.parametrize("machine", ["coma", "hcoma", "numa"])
-    def test_disabled_run_never_touches_metric_types(self, monkeypatch,
-                                                      machine):
+    def test_disabled_run_never_touches_metric_types(self, monkeypatch):
         """Mutation-style guard: an uninstrumented run must not execute a
         single metric mutation, not merely produce no visible series."""
         from repro.obs.spans import SpanBuilder
@@ -203,11 +201,12 @@ class TestZeroOverheadOff:
         for name, attr in vars(SpanBuilder).items():
             if callable(attr) and not name.startswith("__"):
                 monkeypatch.setattr(SpanBuilder, name, boom)
-        sim = build_simulation(SPEC.with_(machine=machine))
-        result = sim.run()
-        assert result.elapsed_ns > 0
-        assert sim.obs is None and sim.machine.obs is None
-        assert all(bus.obs is None for bus in sim.machine.buses)
+        for machine in ("coma", "hcoma", "numa"):
+            sim = build_simulation(SPEC.with_(machine=machine))
+            result = sim.run()
+            assert result.elapsed_ns > 0
+            assert sim.obs is None and sim.machine.obs is None
+            assert all(bus.obs is None for bus in sim.machine.buses)
 
 
 class TestAttachPath:
