@@ -334,7 +334,6 @@ class MetricsSink(TraceSink):
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
         self.latency = registry.histogram(
             "coma_access_latency_ns",
             "end-to-end access latency by operation and satisfying level",
