@@ -10,8 +10,9 @@ a single
 so a run with nothing attached costs one local load and an ``is``-check
 per site — no event objects are ever allocated.
 :meth:`repro.sim.simulator.Simulation.attach` is the only way in: it
-composes every attached sink into one :class:`TeeSink` and, when any of
-them wants spans, wraps that in a :class:`repro.obs.spans.SpanBuilder`.
+composes every attached sink into one :class:`TeeSink` — a
+:class:`repro.obs.spans.SpanBuilder`, the tee that also builds span
+trees, when any of them wants spans.
 The typed entry points below build the event dataclasses and route them
 through :meth:`TraceSink.emit`, the one method concrete sinks implement;
 sinks that never need the event object (the metrics sink, the Chrome

@@ -7,10 +7,10 @@ inter-cluster transfer.  This module makes every simulated cycle of an
 access attributable:
 
 * :class:`SpanBuilder` — the observation slot (``machine.obs``) itself
-  when an attached sink sets ``wants_spans``: it forwards every typed
-  call to that sink and, in between, records *checkpoints* — monotone
-  completion times along one access — that it turns into child spans
-  when the access completes.  Because children are differences of a
+  when an attached sink sets ``wants_spans``: a tee over the attached
+  sinks that, in between forwarding their events, records *checkpoints*
+  — monotone completion times along one access — and turns them into
+  child spans when the access completes.  Because children are differences of a
   monotone cut sequence over ``[issue, completion]``, their durations
   sum to the access latency **by construction**: the conservation
   invariant costs nothing to maintain and is enforced by the test suite
@@ -32,18 +32,17 @@ from typing import Optional
 
 from repro.obs.events import EV_SPAN, EV_SYNC, EV_SYNCOP, SpanEvent
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import TraceSink
+from repro.obs.sink import TeeSink, TraceSink
 
 
-class SpanBuilder(TraceSink):
+class SpanBuilder(TeeSink):
     """The observation slot while span trees are on.
 
-    Forwards every typed call to ``sink`` (one sink or a
-    :class:`~repro.obs.sink.TeeSink`), and in between records one
-    in-flight access's phase checkpoints: :meth:`begin` opens the root,
-    :meth:`phase` cuts a phase, :meth:`access` (the access's completion
-    event) closes the root and emits the tree right after the flat
-    event, and :meth:`replacement` counts the background relocations
+    A :class:`~repro.obs.sink.TeeSink` over every attached sink that
+    also records one in-flight access's phase checkpoints: :meth:`begin`
+    opens the root, :meth:`phase` cuts a phase, :meth:`access` (the
+    access's completion event) forwards the flat event and then emits the
+    span tree, and :meth:`replacement` counts the background relocations
     the open access triggered.  The machine's access entry points are
     strictly sequential (the event loop never interleaves two accesses
     of one machine), so one mutable builder per machine suffices.
@@ -51,12 +50,12 @@ class SpanBuilder(TraceSink):
     plus one emission pass.
     """
 
-    __slots__ = ("sink", "_next_trace", "_next_span", "_open",
+    __slots__ = ("_next_trace", "_next_span", "_open",
                  "t0", "cursor", "proc", "op", "line", "addr", "relocs",
                  "_names", "_starts", "_ends")
 
-    def __init__(self, sink: TraceSink) -> None:
-        self.sink = sink
+    def __init__(self, *sinks: TraceSink) -> None:
+        super().__init__(*sinks)
         self._next_trace = 0
         self._next_span = 0
         self._open = False
@@ -102,54 +101,27 @@ class SpanBuilder(TraceSink):
         self._ends.append(t)
         self.cursor = t
 
-    # -- forwarded events -----------------------------------------------
+    # -- events that close or annotate the open access ------------------
 
     def access(self, t, proc, op, line, level, latency_ns, addr=-1):
-        """Forward the completed access, then close its span tree."""
-        self.sink.access(t, proc, op, line, level, latency_ns, addr)
+        """Forward the completed access, then emit its span tree."""
+        for s in self.sinks:
+            s.access(t, proc, op, line, level, latency_ns, addr)
         self.end(t + latency_ns, level)
 
     def replacement(self, t, src, dst, line, outcome, hops):
         """Forward one relocation step and count it on the open access
         (traffic, not latency — annotated on the root).  An abandoned
         optional allocation (``uncached``) relocates nothing."""
-        self.sink.replacement(t, src, dst, line, outcome, hops)
+        for s in self.sinks:
+            s.replacement(t, src, dst, line, outcome, hops)
         if self._open and outcome != "uncached":
             self.relocs += 1
 
-    def transition(self, t, node, line, cause, before, after):
-        self.sink.transition(t, node, line, cause, before, after)
-
-    def bus(self, t, bus, tx, cls, nbytes, origin, line):
-        self.sink.bus(t, bus, tx, cls, nbytes, origin, line)
-
-    def sync(self, t, proc, primitive, obj, wait_ns):
-        self.sink.sync(t, proc, primitive, obj, wait_ns)
-
-    def syncop(self, t, proc, op, primitive, obj):
-        self.sink.syncop(t, proc, op, primitive, obj)
-
-    def span(self, t, dur_ns, trace_id, span_id, parent_id, name, proc,
-             line, op, level, relocs=0):
-        self.sink.span(t, dur_ns, trace_id, span_id, parent_id, name,
-                       proc, line, op, level, relocs)
-
-    def bus_phase(self, bus, wait_ns, busy_ns):
-        self.sink.bus_phase(bus, wait_ns, busy_ns)
-
-    def run_end(self, t, events, machine):
-        self.sink.run_end(t, events, machine)
-
-    def emit(self, ev) -> None:
-        self.sink.emit(ev)
-
-    def close(self) -> None:
-        self.sink.close()
-
     def on_simulation_error(self, exc: BaseException) -> Optional[str]:
-        """The sink's dump, followed by the in-flight span stack so a
+        """The sinks' dump, followed by the in-flight span stack so a
         crash dump shows *where in an access* the run died."""
-        dump = self.sink.on_simulation_error(exc)
+        dump = super().on_simulation_error(exc)
         stack = self.open_stack_text()
         if stack:
             dump = f"{dump}\n{stack}" if dump else stack
@@ -169,13 +141,12 @@ class SpanBuilder(TraceSink):
         trace_id = self._next_trace
         self._next_span += 1
         root_id = self._next_span
-        sink = self.sink
-        sink.span(self.t0, t - self.t0, trace_id, root_id, 0, "access",
+        self.span(self.t0, t - self.t0, trace_id, root_id, 0, "access",
                   self.proc, self.line, self.op, level, self.relocs)
         names, starts, ends = self._names, self._starts, self._ends
         for i in range(len(names)):
             self._next_span += 1
-            sink.span(starts[i], ends[i] - starts[i], trace_id,
+            self.span(starts[i], ends[i] - starts[i], trace_id,
                       self._next_span, root_id, names[i], self.proc,
                       self.line, self.op, level)
 

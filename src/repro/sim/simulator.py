@@ -97,7 +97,8 @@ class Simulation:
           that the simulation, the machine and every bus share.  Several
           sinks are composed into one :class:`~repro.obs.sink.TeeSink`;
           when any of them ``wants_spans``, the slot holds a
-          :class:`~repro.obs.spans.SpanBuilder` wrapping that tee.
+          :class:`~repro.obs.spans.SpanBuilder` (a tee that also builds
+          span trees) over them instead.
         * Anything exposing ``sample(machine)`` joins the ``profiler``
           slot (teed the same way); ``every`` sets the sampling interval.
         * Anything else exposing ``attach_to(sim, every=)`` attaches
@@ -113,7 +114,7 @@ class Simulation:
             members = sinks.sinks if isinstance(sinks, TeeSink) else (sinks,)
             obs = sinks
             if any(s.wants_spans for s in members):
-                obs = SpanBuilder(sinks)
+                obs = SpanBuilder(*members)
             self.obs = self.machine.obs = obs
             for bus in self.machine.buses:
                 bus.obs = obs

@@ -187,7 +187,7 @@ class TestZeroOverheadOff:
         att = StallAttribution()
         sim.attach(att)
         assert isinstance(m.obs, SpanBuilder)
-        assert m.obs.sink.sinks[-1] is att
+        assert m.obs.sinks[-1] is att
         assert m.bus.obs is m.obs
 
 
