@@ -39,6 +39,7 @@ from the machine's compiled protocol table rather than string dispatch.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.rng import derive_seed
@@ -55,7 +56,11 @@ class ReplacementEngine:
     """Implements victim selection and owner relocation for one machine."""
 
     def __init__(self, machine: "ComaMachine") -> None:
-        self.m = machine
+        #: A proxy, not a reference: the machine owns the engine, and a
+        #: strong back-reference would make the pair a cycle that only the
+        #: cyclic collector frees, keeping every finished machine's arrays
+        #: alive until its next full pass.
+        self.m = weakref.proxy(machine)
         #: Rotating start point so relocations spread over nodes.
         self._rotor = 0
         #: Seeded shuffler for the "random" receiver-policy ablation.

@@ -60,56 +60,63 @@ class WayRef:
     local processors whose SLC holds the line; the SLC stores nothing.
     """
 
-    __slots__ = ("_arr", "way", "set_idx")
+    __slots__ = ("_line_a", "_state_a", "_lru_a", "_aux_a", "_dirty_a",
+                 "way", "set_idx")
 
     def __init__(self, arr: "LineArray", way: int, set_idx: int) -> None:
-        self._arr = arr
+        # The buffers, not the array: the array holds its refs, so a
+        # back-reference would make a cycle only the cyclic collector frees.
+        self._line_a = arr.line_a
+        self._state_a = arr.state_a
+        self._lru_a = arr.lru_a
+        self._aux_a = arr.aux_a
+        self._dirty_a = arr.dirty_a
         self.way = way
         self.set_idx = set_idx
 
     @property
     def line(self) -> int:
-        return self._arr.line_a[self.way]
+        return self._line_a[self.way]
 
     @line.setter
     def line(self, v: int) -> None:
-        self._arr.line_a[self.way] = v
+        self._line_a[self.way] = v
 
     @property
     def state(self) -> int:
-        return self._arr.state_a[self.way]
+        return self._state_a[self.way]
 
     @state.setter
     def state(self, v: int) -> None:
-        self._arr.state_a[self.way] = v
+        self._state_a[self.way] = v
 
     @property
     def lru(self) -> int:
-        return self._arr.lru_a[self.way]
+        return self._lru_a[self.way]
 
     @lru.setter
     def lru(self, v: int) -> None:
-        self._arr.lru_a[self.way] = v
+        self._lru_a[self.way] = v
 
     @property
     def dirty(self) -> bool:
-        return self._arr.dirty_a[self.way] != 0
+        return self._dirty_a[self.way] != 0
 
     @dirty.setter
     def dirty(self, v: bool) -> None:
-        self._arr.dirty_a[self.way] = 1 if v else 0
+        self._dirty_a[self.way] = 1 if v else 0
 
     @property
     def aux(self) -> int:
-        return self._arr.aux_a[self.way]
+        return self._aux_a[self.way]
 
     @aux.setter
     def aux(self, v: int) -> None:
-        self._arr.aux_a[self.way] = v
+        self._aux_a[self.way] = v
 
     @property
     def valid(self) -> bool:
-        return self._arr.state_a[self.way] != INVALID
+        return self._state_a[self.way] != INVALID
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -3,9 +3,12 @@ determinism, deadlock detection, and stall-accounting conservation."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.experiments.runner import RunSpec, build_simulation
 from repro.sim.simulator import Simulation
 from repro.sync.primitives import SyncSpace
 from tests.conftest import make_machine
@@ -211,3 +214,25 @@ class TestAccountingConservation:
         sim.check_every = 25
         sim.run()
         sim.machine.check_consistency()
+
+
+class TestTeardown:
+    @pytest.mark.parametrize("machine", ["coma", "hcoma", "numa"])
+    def test_finished_run_is_freed_by_reference_counting(self, machine):
+        # A machine caught in a reference cycle lives until the next full
+        # cyclic collection, so back-to-back runs pile machines up and the
+        # peak footprint depends on how many ran before that collection.
+        sim = build_simulation(RunSpec(workload="synth_migratory", machine=machine,
+                                       scale=0.05, memory_pressure=0.875))
+        sim.run()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            del sim
+            gc.collect()
+            cyclic = sorted({type(o).__qualname__ for o in gc.garbage
+                             if type(o).__module__.startswith("repro.")})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert cyclic == []
