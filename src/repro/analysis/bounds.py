@@ -46,9 +46,8 @@ from repro.analysis.report import Finding
 from repro.coma.protocol import TRANSITIONS, Transition
 from repro.coma.states import state_name
 from repro.common.config import TimingConfig
-from repro.obs.events import EV_SPAN, SpanEvent
-from repro.obs.sink import TraceSink
-from repro.obs.spans import SpanTreeAssembler, format_span_tree
+from repro.obs.sink import TraceSink, tree_events
+from repro.obs.spans import format_span_tree
 
 #: Rule catalogue (merged into the registry in repro.analysis.report).
 BOUNDS_RULES: dict[str, str] = {
@@ -541,8 +540,9 @@ def envelope_for(
 class BoundsCertifier(TraceSink):
     """Check every observed span tree against its static envelope.
 
-    Attach to a simulation (``sim.attach``); call :meth:`finalize`
-    after the run, then read :attr:`findings` / :meth:`counts` / :meth:`ok`.
+    Attach to a simulation (``sim.attach``): each access is checked as
+    its :meth:`tree` arrives.  Call :meth:`finalize` after the run, then
+    read :attr:`findings` / :meth:`counts` / :meth:`ok`.
     """
 
     wants_spans = True
@@ -554,17 +554,19 @@ class BoundsCertifier(TraceSink):
         self.findings: list[Finding] = []
         self.checked = 0
         self._counts: dict[str, int] = {r: 0 for r in BOUNDS_RULES}
-        self._trees = SpanTreeAssembler(self._check_tree)
+        #: (op, level, phase names) -> the paths they align with, and
+        #: the segment each phase matched on that path.
+        self._aligned: dict[tuple[str, str, tuple[str, ...]],
+                            list[tuple[list[EvalSeg], list[EvalSeg]]]] = {}
 
     # -- event intake ---------------------------------------------------
 
     def emit(self, ev: Any) -> None:
-        if ev.kind == EV_SPAN:
-            self._trees.add(ev)
+        pass
 
     def finalize(self) -> None:
-        """Flush the trailing span tree (call once, after the run)."""
-        self._trees.flush()
+        """End-of-run hook (call once, after the run).  Every tree was
+        already checked as it completed, so nothing is left to flush."""
 
     # -- results --------------------------------------------------------
 
@@ -598,63 +600,79 @@ class BoundsCertifier(TraceSink):
                 Finding(rule=rule, message=message, line=line, detail=detail)
             )
 
-    def _check_tree(self, root: SpanEvent,
-                    children: list[SpanEvent]) -> None:
-        self.checked += 1
-        cls = (root.op, root.level)
-        paths = self.envelope.by_class.get(cls)
-        who = (f"P{root.proc} {root.op} line {root.line:#x} -> "
-               f"{root.level} (+{root.dur_ns} ns, trace {root.trace_id})")
-        witness = format_span_tree([root] + children)
+    def _align(self, op: str, level: str, names: Sequence[str]
+               ) -> Optional[list[tuple[list[EvalSeg], list[EvalSeg]]]]:
+        """The enumerated paths ``names`` aligns with (in path order),
+        or None when the class has no enumerated path at all."""
+        paths = self.envelope.by_class.get((op, level))
         if paths is None:
-            self._record(
-                "B103",
-                f"{who}: no enumerated path for class "
-                f"({root.op}, {root.level})",
-                root.line, witness)
-            return
-        names = [c.name for c in children]
+            return None
+        key = (op, level, tuple(names))
+        aligned = self._aligned.get(key)
+        if aligned is None:
+            aligned = self._aligned[key] = []
+            for path in paths:
+                matched = Envelope.match(path, names)
+                if matched is not None:
+                    aligned.append((path, matched))
+        return aligned
+
+    def tree(self, t0: int, t: int, trace_id: int, root_id: int,
+             proc: int, line: int, op: str, level: str, relocs: int,
+             names: Sequence[str], starts: Sequence[int],
+             ends: Sequence[int]) -> None:
+        """Check one completed access against its class's paths."""
+        self.checked += 1
+        aligned = self._align(op, level, names)
         best: Optional[tuple[list[EvalSeg],
-                             list[tuple[str, SpanEvent, EvalSeg]]]] = None
-        for path in paths:
-            matched = Envelope.match(path, names)
-            if matched is None:
-                continue
-            viols: list[tuple[str, SpanEvent, EvalSeg]] = []
-            for child, seg in zip(children, matched):
+                             list[tuple[str, int, EvalSeg]]]] = None
+        for path, matched in aligned or ():
+            viols: list[tuple[str, int, EvalSeg]] = []
+            for seg, start, end in zip(matched, starts, ends):
                 _, lo, hi = seg
-                if hi is not None and child.dur_ns > hi:
-                    viols.append(("B101", child, seg))
-                elif child.dur_ns < lo:
-                    viols.append(("B102", child, seg))
+                dur = end - start
+                if hi is not None and dur > hi:
+                    viols.append(("B101", dur, seg))
+                elif dur < lo:
+                    viols.append(("B102", dur, seg))
             if not viols:
                 return  # within the envelope of at least one path
             if best is None or len(viols) < len(best[1]):
                 best = (path, viols)
+        who = (f"P{proc} {op} line {line:#x} -> {level} "
+               f"(+{t - t0} ns, trace {trace_id})")
+        witness = format_span_tree(tree_events(
+            t0, t, trace_id, root_id, proc, line, op, level, relocs,
+            names, starts, ends))
+        if aligned is None:
+            self._record(
+                "B103",
+                f"{who}: no enumerated path for class ({op}, {level})",
+                line, witness)
+            return
         if best is None:
             candidates = "; ".join(
-                " -> ".join(s[0] for s in p) or "(empty)" for p in paths
+                " -> ".join(s[0] for s in p) or "(empty)"
+                for p in self.envelope.by_class[(op, level)]
             )
             self._record(
                 "B103",
                 f"{who}: phase sequence {' -> '.join(names) or '(empty)'} "
                 f"not in the enumerated path set",
-                root.line,
-                f"{witness}\nenumerated paths for ({root.op}, "
-                f"{root.level}): {candidates}")
+                line,
+                f"{witness}\nenumerated paths for ({op}, {level}): "
+                f"{candidates}")
             return
-        path, viols = best
+        path, found = best
         env = " -> ".join(
             f"{n}[{lo},{'∞' if hi is None else hi}]" for n, lo, hi in path
         )
-        for rule, child, (name, lo, hi) in viols:
+        for rule, dur, (name, lo, hi) in found:
             if rule == "B101":
-                msg = (f"{who}: phase {name} took {child.dur_ns} ns, "
-                       f"static max {hi} ns")
+                msg = f"{who}: phase {name} took {dur} ns, static max {hi} ns"
             else:
-                msg = (f"{who}: phase {name} took {child.dur_ns} ns, "
-                       f"static min {lo} ns")
-            self._record(rule, msg, root.line,
+                msg = f"{who}: phase {name} took {dur} ns, static min {lo} ns"
+            self._record(rule, msg, line,
                          f"{witness}\nclosest static path: {env}")
 
 

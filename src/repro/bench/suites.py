@@ -2,10 +2,9 @@
 
 Each suite is a callable that performs a fixed amount of work and
 reports how much it did (so the harness can derive a throughput); the
-harness owns all timing.  The suites mirror the pytest microbenchmarks
-in ``benchmarks/bench_micro.py`` — per-operation machine paths, the full
-event loop, and a small parallel sweep — but are runnable without
-pytest so CI and developers get one ``coma-sim bench`` entry point.
+harness owns all timing.  The suites cover per-operation machine paths,
+the full event loop and a small parallel sweep, runnable without pytest
+so CI and developers get one ``coma-sim bench`` entry point.
 """
 
 from __future__ import annotations

@@ -381,7 +381,8 @@ class MetricsSink(TraceSink):
             "sim_sync_wait_ns", "time blocked per completed sync wait",
             labels=("primitive",),
         )
-        #: Pre-bound children, filled by :meth:`bind`.
+        #: Pre-bound children: per node and bus by :meth:`bind`, per
+        #: label on first use otherwise.
         self._node_of: list[int] = []
         self._hits: list = []
         self._misses: list = []
@@ -389,6 +390,8 @@ class MetricsSink(TraceSink):
         self._wait: dict[str, Histogram] = {}
         self._latency: dict[tuple[str, str], Histogram] = {}
         self._bus: dict[tuple[str, str], tuple[Counter, Counter]] = {}
+        self._reloc: dict[str, tuple[Counter, Histogram]] = {}
+        self._sync: dict[str, Histogram] = {}
 
     def bind(self, machine) -> None:
         """Pre-bind one hit/miss child per node and one wait/busy child
@@ -417,8 +420,14 @@ class MetricsSink(TraceSink):
             self._hits[self._node_of[proc]].inc()
 
     def replacement(self, t, src, dst, line, outcome, hops):
-        self.relocations.labels(outcome).inc()
-        self.relocation_hops.observe(hops)
+        pair = self._reloc.get(outcome)
+        if pair is None:
+            pair = self._reloc[outcome] = (
+                self.relocations.labels(outcome),
+                self.relocation_hops.labels(),
+            )
+        pair[0].inc()
+        pair[1].observe(hops)
 
     def bus(self, t, bus, tx, cls, nbytes, origin, line):
         pair = self._bus.get((bus, cls))
@@ -435,7 +444,10 @@ class MetricsSink(TraceSink):
         self._busy[bus].inc(busy_ns)
 
     def sync(self, t, proc, primitive, obj, wait_ns):
-        self.sync_wait.labels(primitive).observe(wait_ns)
+        hist = self._sync.get(primitive)
+        if hist is None:
+            hist = self._sync[primitive] = self.sync_wait.labels(primitive)
+        hist.observe(wait_ns)
 
     def run_end(self, t, events, machine):
         self.sim_events.set(events)
@@ -452,8 +464,8 @@ class MetricsSink(TraceSink):
     def syncop(self, t, proc, op, primitive, obj):
         pass
 
-    def span(self, t, dur_ns, trace_id, span_id, parent_id, name, proc,
-             line, op, level, relocs=0):
+    def tree(self, t0, t, trace_id, root_id, proc, line, op, level, relocs,
+             names, starts, ends):
         pass
 
     def emit(self, ev) -> None:

@@ -16,12 +16,15 @@ trees, when any of them wants spans.
 The typed entry points below build the event dataclasses and route them
 through :meth:`TraceSink.emit`, the one method concrete sinks implement;
 sinks that never need the event object (the metrics sink, the Chrome
-exporter) override the typed entry points instead.
+exporter) override the typed entry points instead.  A completed span
+tree arrives whole through :meth:`TraceSink.tree`, which by default
+expands into one :meth:`TraceSink.span` call per span; sinks that fold
+trees (stall attribution, the bounds certifier) override it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.obs.events import (
     BusTx,
@@ -80,6 +83,28 @@ class TraceSink:
         self.emit(SpanEvent(t, dur_ns, trace_id, span_id, parent_id,
                             name, proc, line, op, level, relocs))
 
+    def tree(self, t0: int, t: int, trace_id: int, root_id: int,
+             proc: int, line: int, op: str, level: str, relocs: int,
+             names: Sequence[str], starts: Sequence[int],
+             ends: Sequence[int]) -> None:
+        """One completed access's span tree, delivered whole.
+
+        The root covers ``[t0, t]``; phase ``i`` covers
+        ``[starts[i], ends[i]]``.  By default the tree expands into
+        :meth:`span` calls: the root (``root_id``, parent 0, carrying
+        ``relocs``), then each phase in order with ids ``root_id + 1``
+        onwards and parent ``root_id``.  Sinks that fold trees override
+        this instead of paying one event per span.  The three lists
+        belong to the caller and are reused: copy what you keep.
+        """
+        self.span(t0, t - t0, trace_id, root_id, 0, "access", proc, line,
+                  op, level, relocs)
+        span_id = root_id
+        for name, start, end in zip(names, starts, ends):
+            span_id += 1
+            self.span(start, end - start, trace_id, span_id, root_id, name,
+                      proc, line, op, level)
+
     # -- facts no event carries: no-ops unless a sink needs them --------
 
     def bus_phase(self, bus: str, wait_ns: int, busy_ns: int) -> None:
@@ -119,14 +144,28 @@ class TraceSink:
 class CollectorSink(TraceSink):
     """Keep every event in a list (tests, in-process analysis)."""
 
-    def __init__(self) -> None:
+    def __init__(self, wants_spans: bool = False) -> None:
         self.events: list = []
+        if wants_spans:
+            self.wants_spans = True
 
     def emit(self, ev) -> None:
         self.events.append(ev)
 
     def of_kind(self, kind: str) -> list:
         return [e for e in self.events if e.kind == kind]
+
+
+def tree_events(t0: int, t: int, trace_id: int, root_id: int, proc: int,
+                line: int, op: str, level: str, relocs: int,
+                names: Sequence[str], starts: Sequence[int],
+                ends: Sequence[int]) -> list[SpanEvent]:
+    """One :meth:`TraceSink.tree` as the span events its default
+    expansion emits (root first) — for consumers that keep a tree."""
+    sink = CollectorSink()
+    sink.tree(t0, t, trace_id, root_id, proc, line, op, level, relocs,
+              names, starts, ends)
+    return sink.events
 
 
 class TeeSink(TraceSink):
@@ -174,6 +213,12 @@ class TeeSink(TraceSink):
         for s in self.sinks:
             s.span(t, dur_ns, trace_id, span_id, parent_id, name, proc,
                    line, op, level, relocs)
+
+    def tree(self, t0, t, trace_id, root_id, proc, line, op, level, relocs,
+             names, starts, ends):
+        for s in self.sinks:
+            s.tree(t0, t, trace_id, root_id, proc, line, op, level, relocs,
+                   names, starts, ends)
 
     def bus_phase(self, bus, wait_ns, busy_ns):
         for s in self.sinks:

@@ -14,9 +14,10 @@ access attributable:
   monotone cut sequence over ``[issue, completion]``, their durations
   sum to the access latency **by construction**: the conservation
   invariant costs nothing to maintain and is enforced by the test suite
-  on every machine flavour.
+  on every machine flavour.  Each sink receives a completed tree in one
+  :meth:`~repro.obs.sink.TraceSink.tree` call.
 * :class:`StallAttribution` — a :class:`~repro.obs.sink.TraceSink` that
-  aggregates span trees into the paper-style breakdown per processor,
+  folds span trees into the paper-style breakdown per processor,
   per line and per workload phase (barrier episodes delimit phases),
   keeps log2 latency histograms per access class, and retains the full
   span trees of the N slowest accesses as tail exemplars.
@@ -30,9 +31,9 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
-from repro.obs.events import EV_SPAN, EV_SYNC, EV_SYNCOP, SpanEvent
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import TeeSink, TraceSink
+from repro.obs.events import SpanEvent
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.sink import TeeSink, TraceSink, tree_events
 
 
 class SpanBuilder(TeeSink):
@@ -41,13 +42,14 @@ class SpanBuilder(TeeSink):
     A :class:`~repro.obs.sink.TeeSink` over every attached sink that
     also records one in-flight access's phase checkpoints: :meth:`begin`
     opens the root, :meth:`phase` cuts a phase, :meth:`access` (the
-    access's completion event) forwards the flat event and then emits the
-    span tree, and :meth:`replacement` counts the background relocations
-    the open access triggered.  The machine's access entry points are
-    strictly sequential (the event loop never interleaves two accesses
-    of one machine), so one mutable builder per machine suffices.
-    Lists are reused across accesses — the per-access cost is appends
-    plus one emission pass.
+    access's completion event) forwards the flat event and then delivers
+    the span tree, and :meth:`replacement` counts the background
+    relocations the open access triggered.  The machine's access entry
+    points are strictly sequential (the event loop never interleaves two
+    accesses of one machine), so one mutable builder per machine
+    suffices.  Lists are reused across accesses — the per-access cost is
+    appends plus one :meth:`~repro.obs.sink.TraceSink.tree` call per
+    sink.
     """
 
     __slots__ = ("_next_trace", "_next_span", "_open",
@@ -129,26 +131,24 @@ class SpanBuilder(TeeSink):
 
     def end(self, t: int, level: str) -> None:
         """Complete the access at ``t``; the un-annotated remainder
-        ``[cursor, t]`` becomes a tail phase named after ``level``."""
+        ``[cursor, t]`` becomes a tail phase named after ``level``.
+        Each sink receives the whole tree in one
+        :meth:`~repro.obs.sink.TraceSink.tree` call."""
         if not self._open:
             return
+        names, starts, ends = self._names, self._starts, self._ends
         if t > self.cursor:
-            self._names.append(level)
-            self._starts.append(self.cursor)
-            self._ends.append(t)
+            names.append(level)
+            starts.append(self.cursor)
+            ends.append(t)
         self._open = False
         self._next_trace += 1
-        trace_id = self._next_trace
-        self._next_span += 1
-        root_id = self._next_span
-        self.span(self.t0, t - self.t0, trace_id, root_id, 0, "access",
-                  self.proc, self.line, self.op, level, self.relocs)
-        names, starts, ends = self._names, self._starts, self._ends
-        for i in range(len(names)):
-            self._next_span += 1
-            self.span(starts[i], ends[i] - starts[i], trace_id,
-                      self._next_span, root_id, names[i], self.proc,
-                      self.line, self.op, level)
+        root_id = self._next_span + 1
+        self._next_span += 1 + len(names)
+        for s in self.sinks:
+            s.tree(self.t0, t, self._next_trace, root_id, self.proc,
+                   self.line, self.op, level, self.relocs, names, starts,
+                   ends)
 
     # -- failure introspection ------------------------------------------
 
@@ -171,39 +171,6 @@ class SpanBuilder(TeeSink):
         return "\n".join(out)
 
 
-class SpanTreeAssembler:
-    """Regroup a flat span-event stream back into (root, children) trees.
-
-    :meth:`SpanBuilder.end` emits each access's root (parent_id 0)
-    immediately followed by its children, and the machine's access entry
-    points are strictly sequential — so a new root closes the previous
-    tree.  Consumers that need whole trees (the bounds certifier, tree
-    renderers) feed span events to :meth:`add` and get one callback per
-    completed access; call :meth:`flush` after the run to deliver the
-    trailing tree.
-    """
-
-    __slots__ = ("_on_tree", "_root", "_children")
-
-    def __init__(self, on_tree) -> None:
-        self._on_tree = on_tree
-        self._root: Optional[SpanEvent] = None
-        self._children: list[SpanEvent] = []
-
-    def add(self, ev: SpanEvent) -> None:
-        if ev.parent_id == 0:
-            self.flush()
-            self._root = ev
-        elif self._root is not None and ev.trace_id == self._root.trace_id:
-            self._children.append(ev)
-
-    def flush(self) -> None:
-        if self._root is not None:
-            self._on_tree(self._root, self._children)
-            self._root = None
-            self._children = []
-
-
 # ----------------------------------------------------------------------
 # attribution aggregator
 # ----------------------------------------------------------------------
@@ -215,11 +182,13 @@ DEFAULT_TOP_SPANS = 10
 class StallAttribution(TraceSink):
     """Aggregate span trees into paper-style latency attributions.
 
-    Consumes ``span`` events (per-phase cycle sums by processor, line
-    and workload phase), ``sync`` events (blocked time per processor)
-    and barrier ``syncop`` events (workload-phase boundaries).  The
-    report's per-phase sums conserve cycles: for every processor and
-    operation class, the phase sums equal the root-span sums exactly.
+    Folds each access's ``tree`` (per-phase cycle sums by processor,
+    line and workload phase) in place, ``sync`` calls (blocked time per
+    processor) and barrier ``syncop`` arrivals (workload-phase
+    boundaries); no event object is built except for the trees kept as
+    tail exemplars.  The report's per-phase sums conserve cycles: for
+    every processor and operation class, the phase sums equal the
+    root-span sums exactly.
     """
 
     wants_spans = True
@@ -249,6 +218,8 @@ class StallAttribution(TraceSink):
             "access latency from span roots by operation and level",
             labels=("op", "level"),
         )
+        #: (op, level) -> its bound histogram child.
+        self._hist: dict[tuple[str, str], Histogram] = {}
         #: Slowest access per class: (op, level) -> (dur, trace_id).
         self._class_max: dict[tuple[str, str], tuple[int, int]] = {}
         #: Min-heap of (dur, trace_id) for the N slowest accesses.
@@ -272,53 +243,57 @@ class StallAttribution(TraceSink):
     def replacement(self, t, src, dst, line, outcome, hops):
         pass
 
+    def sync(self, t, proc, primitive, obj, wait_ns):
+        self.sync_ns[proc] = self.sync_ns.get(proc, 0) + wait_ns
+
+    def syncop(self, t, proc, op, primitive, obj):
+        if op == "arrive":
+            self._wphase[proc] = self._wphase.get(proc, 0) + 1
+
     def emit(self, ev) -> None:
-        kind = ev.kind
-        if kind == EV_SPAN:
-            self._span(ev)
-        elif kind == EV_SYNC:
-            self.sync_ns[ev.proc] = self.sync_ns.get(ev.proc, 0) + ev.wait_ns
-        elif kind == EV_SYNCOP:
-            if ev.op == "arrive":
-                self._wphase[ev.proc] = self._wphase.get(ev.proc, 0) + 1
+        pass
 
-    def _span(self, ev: SpanEvent) -> None:
-        proc, op, dur = ev.proc, ev.op, ev.dur_ns
-        if ev.parent_id == 0:
-            self.accesses += 1
-            by_op = self.root_ns.setdefault(proc, {})
-            by_op[op] = by_op.get(op, 0) + dur
-            self.line_ns[ev.line] = self.line_ns.get(ev.line, 0) + dur
-            wp = self._wphase.get(proc, 0)
-            by_wp = self.wphase_ns.setdefault(wp, {})
-            by_wp[op] = by_wp.get(op, 0) + dur
-            if ev.relocs:
-                self.reloc_count[proc] = (
-                    self.reloc_count.get(proc, 0) + ev.relocs
-                )
-            self._latency.labels(op, ev.level).observe(dur)
-            cls = (op, ev.level)
-            best = self._class_max.get(cls)
-            if best is None or dur > best[0]:
-                self._class_max[cls] = (dur, ev.trace_id)
-            self._keep_tail(ev)
-        else:
+    def tree(self, t0, t, trace_id, root_id, proc, line, op, level, relocs,
+             names, starts, ends):
+        dur = t - t0
+        self.accesses += 1
+        by_op = self.root_ns.get(proc)
+        if by_op is None:
+            by_op = self.root_ns[proc] = {}
+        by_op[op] = by_op.get(op, 0) + dur
+        self.line_ns[line] = self.line_ns.get(line, 0) + dur
+        wp = self._wphase.get(proc, 0)
+        by_wp = self.wphase_ns.get(wp)
+        if by_wp is None:
+            by_wp = self.wphase_ns[wp] = {}
+        by_wp[op] = by_wp.get(op, 0) + dur
+        if relocs:
+            self.reloc_count[proc] = self.reloc_count.get(proc, 0) + relocs
+        cls = (op, level)
+        hist = self._hist.get(cls)
+        if hist is None:
+            hist = self._hist[cls] = self._latency.labels(op, level)
+        hist.observe(dur)
+        best = self._class_max.get(cls)
+        if best is None or dur > best[0]:
+            self._class_max[cls] = (dur, trace_id)
+        if names:
             phases = self.phase_ns.setdefault(proc, {}).setdefault(op, {})
-            phases[ev.name] = phases.get(ev.name, 0) + dur
-            if ev.trace_id in self._trees:
-                self._trees[ev.trace_id].append(ev)
-
-    def _keep_tail(self, root: SpanEvent) -> None:
-        if self.top_spans <= 0:
-            return
-        entry = (root.dur_ns, root.trace_id)
-        if len(self._slowest) < self.top_spans:
-            heapq.heappush(self._slowest, entry)
-            self._trees[root.trace_id] = [root]
-        elif entry > self._slowest[0]:
-            _, evicted = heapq.heapreplace(self._slowest, entry)
+            for name, start, end in zip(names, starts, ends):
+                phases[name] = phases.get(name, 0) + end - start
+        # Keep the tree if it is among the N slowest so far.
+        slowest = self._slowest
+        if len(slowest) < self.top_spans:
+            heapq.heappush(slowest, (dur, trace_id))
+        elif (slowest and dur >= slowest[0][0]
+              and (dur, trace_id) > slowest[0]):
+            _, evicted = heapq.heapreplace(slowest, (dur, trace_id))
             del self._trees[evicted]
-            self._trees[root.trace_id] = [root]
+        else:
+            return
+        self._trees[trace_id] = tree_events(
+            t0, t, trace_id, root_id, proc, line, op, level, relocs,
+            names, starts, ends)
 
     # -- results --------------------------------------------------------
 

@@ -19,7 +19,6 @@ from repro.analysis.bounds import (
 )
 from repro.common.config import TimingConfig
 from repro.experiments.runner import RunSpec, build_simulation
-from repro.obs.events import SpanEvent
 
 FLAVOURS = ("coma", "hcoma", "numa")
 
@@ -151,14 +150,8 @@ class TestMutationGate:
 
     def test_unknown_phase_sequence_fires_b103(self):
         cert = BoundsCertifier(envelope_for("coma", TimingConfig()))
-        root = SpanEvent(t=0, dur_ns=100, trace_id=1, span_id=1,
-                         parent_id=0, name="access", proc=0, line=0,
-                         op="r", level="remote")
-        child = SpanEvent(t=0, dur_ns=100, trace_id=1, span_id=2,
-                          parent_id=1, name="warp_drive", proc=0, line=0,
-                          op="r", level="remote")
-        cert.emit(root)
-        cert.emit(child)
+        cert.tree(0, 100, 1, 1, 0, 0, "r", "remote", 0,
+                  ["warp_drive"], [0], [100])
         cert.finalize()
         assert cert.counts()["B103"] == 1
         assert "warp_drive" in cert.findings[0].detail
@@ -167,14 +160,8 @@ class TestMutationGate:
         cert = BoundsCertifier(envelope_for("coma", TimingConfig()),
                                max_witnesses=2)
         for i in range(5):
-            root = SpanEvent(t=0, dur_ns=1, trace_id=i + 1, span_id=1,
-                             parent_id=0, name="access", proc=0, line=0,
-                             op="r", level="remote")
-            child = SpanEvent(t=0, dur_ns=1, trace_id=i + 1, span_id=2,
-                              parent_id=1, name="bogus", proc=0, line=0,
-                              op="r", level="remote")
-            cert.emit(root)
-            cert.emit(child)
+            cert.tree(0, 1, i + 1, 2 * i + 1, 0, 0, "r", "remote", 0,
+                      ["bogus"], [0], [1])
         cert.finalize()
         assert cert.counts()["B103"] == 5
         assert len(cert.findings) == 2

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import heapq
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tests.conftest import make_machine, observe
 
+from repro.analysis.bounds import BoundsCertifier, envelope_for
+from repro.common.config import TimingConfig
 from repro.common.errors import SimulationError
 from repro.experiments.runner import RunSpec, build_simulation
 from repro.obs.chrometrace import ChromeTraceSink, validate_trace_events
@@ -18,7 +23,8 @@ from repro.obs.openmetrics import (
     render_openmetrics,
     to_openmetrics,
 )
-from repro.obs.sink import CollectorSink, TeeSink
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sink import CollectorSink, TeeSink, tree_events
 from repro.obs.spans import (
     SpanBuilder,
     StallAttribution,
@@ -40,10 +46,6 @@ FLAVOURS = {
 }
 
 LINE = 64
-
-
-class _WantsSpans(CollectorSink):
-    wants_spans = True
 
 
 def _exercise(m) -> None:
@@ -71,7 +73,7 @@ class TestConservation:
     @pytest.mark.parametrize("flavour", sorted(FLAVOURS))
     def test_every_child_sum_equals_root(self, flavour):
         m = make_machine(**FLAVOURS[flavour])
-        sink = _WantsSpans()
+        sink = CollectorSink(wants_spans=True)
         observe(m, sink)
         _exercise(m)
         roots, children = _roots_and_children(sink)
@@ -97,7 +99,7 @@ class TestConservation:
     def test_children_tile_the_root_interval(self):
         """Children are adjacent, ordered cuts of [issue, completion]."""
         m = make_machine()
-        sink = _WantsSpans()
+        sink = CollectorSink(wants_spans=True)
         observe(m, sink)
         _exercise(m)
         roots, children = _roots_and_children(sink)
@@ -283,6 +285,169 @@ class TestStallAttribution:
         a, ra = self._run()
         b, rb = self._run()
         assert a.report(stalls=ra.stalls) == b.report(stalls=rb.stalls)
+
+
+def _reference_fold(events: list, top_spans: int) -> dict:
+    """Every StallAttribution aggregate, folded plainly from the flat
+    span/sync/syncop stream a collector saw beside it."""
+    root_ns: dict = {}
+    phase_ns: dict = {}
+    line_ns: dict = {}
+    wphase_ns: dict = {}
+    reloc_count: dict = {}
+    sync_ns: dict = {}
+    wphase: dict = {}
+    class_max: dict = {}
+    registry = MetricsRegistry()
+    latency = registry.histogram(
+        "span_access_latency_ns",
+        "access latency from span roots by operation and level",
+        labels=("op", "level"),
+    )
+    trees: dict = {}
+    for ev in events:
+        if ev.kind == "sync":
+            sync_ns[ev.proc] = sync_ns.get(ev.proc, 0) + ev.wait_ns
+        elif ev.kind == "syncop" and ev.op == "arrive":
+            wphase[ev.proc] = wphase.get(ev.proc, 0) + 1
+        elif ev.kind == "span" and ev.parent_id == 0:
+            by_op = root_ns.setdefault(ev.proc, {})
+            by_op[ev.op] = by_op.get(ev.op, 0) + ev.dur_ns
+            line_ns[ev.line] = line_ns.get(ev.line, 0) + ev.dur_ns
+            by_wp = wphase_ns.setdefault(wphase.get(ev.proc, 0), {})
+            by_wp[ev.op] = by_wp.get(ev.op, 0) + ev.dur_ns
+            if ev.relocs:
+                reloc_count[ev.proc] = reloc_count.get(ev.proc, 0) + ev.relocs
+            latency.labels(ev.op, ev.level).observe(ev.dur_ns)
+            best = class_max.get((ev.op, ev.level))
+            if best is None or ev.dur_ns > best[0]:
+                class_max[(ev.op, ev.level)] = (ev.dur_ns, ev.trace_id)
+            trees[ev.trace_id] = [ev]
+        elif ev.kind == "span":
+            phases = phase_ns.setdefault(ev.proc, {}).setdefault(ev.op, {})
+            phases[ev.name] = phases.get(ev.name, 0) + ev.dur_ns
+            trees[ev.trace_id].append(ev)
+    slowest = heapq.nlargest(top_spans, ((t[0].dur_ns, tid)
+                                         for tid, t in trees.items()))
+    return {
+        "accesses": len(trees),
+        "root_ns": root_ns,
+        "phase_ns": phase_ns,
+        "line_ns": line_ns,
+        "wphase_ns": wphase_ns,
+        "reloc_count": reloc_count,
+        "sync_ns": sync_ns,
+        "class_max": class_max,
+        "histograms": registry.snapshot(),
+        "slowest": [trees[tid] for _, tid in slowest],
+    }
+
+
+class TestReferenceFold:
+    """StallAttribution folds whole trees in place; each aggregate must
+    equal a plain fold over the flat span stream of the same run."""
+
+    @pytest.mark.parametrize("machine", ["coma", "hcoma", "numa"])
+    def test_aggregates_equal_flat_stream_fold(self, machine):
+        sim = build_simulation(RunSpec(
+            workload="barnes", machine=machine, scale=0.05, n_processors=8,
+            procs_per_node=2, hierarchy_groups=2, memory_pressure=0.875))
+        att = StallAttribution(top_spans=5)
+        flat = CollectorSink(wants_spans=True)
+        sim.attach(att)
+        sim.attach(flat)
+        sim.run()
+        want = _reference_fold(flat.events, top_spans=5)
+        assert want["accesses"] > 0
+        # NUMA pages have a fixed home: nothing relocates.
+        assert bool(want["reloc_count"]) == (machine != "numa")
+        assert att.accesses == want["accesses"]
+        assert att.root_ns == want["root_ns"]
+        assert att.phase_ns == want["phase_ns"]
+        assert att.line_ns == want["line_ns"]
+        assert att.wphase_ns == want["wphase_ns"]
+        assert att.reloc_count == want["reloc_count"]
+        assert att.sync_ns == want["sync_ns"]
+        assert att._class_max == want["class_max"]
+        assert att.registry.snapshot() == want["histograms"]
+        assert att.slowest_spans() == want["slowest"]
+
+
+_OPS = ("r", "w", "rmw")
+_LEVELS = ("l1", "slc", "am", "remote")
+_PHASES = ("nc_out", "bus_arb", "bus_req", "remote_am", "warp_drive")
+
+#: One access: (op, level, [(phase, step ns)], tail ns, relocations),
+#: where a step of 0 or less is a checkpoint at or before the cursor.
+_ACCESS = st.tuples(
+    st.sampled_from(_OPS), st.sampled_from(_LEVELS),
+    st.lists(st.tuples(st.sampled_from(_PHASES),
+                       st.integers(min_value=-5, max_value=60)),
+             max_size=6),
+    st.integers(min_value=0, max_value=40),
+    st.lists(st.sampled_from(("relocated", "uncached", "dropped")),
+             max_size=3),
+)
+
+
+class TestTreeDelivery:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_ACCESS, min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=50))
+    def test_random_checkpoints(self, accesses, gap):
+        flat = CollectorSink(wants_spans=True)
+        cert = BoundsCertifier(envelope_for("coma", TimingConfig()))
+        b = SpanBuilder(flat, cert)
+        t = 0
+        relocs = []
+        for i, (op, level, phases, tail, outcomes) in enumerate(accesses):
+            t += gap
+            t0 = latest = t
+            b.begin(t0, i % 4, op, 64 * i)
+            for k, (name, step) in enumerate(phases):
+                t += step
+                b.phase(name, t)
+                latest = max(latest, t)
+                if k < len(outcomes):
+                    b.replacement(t, 0, 1, 64 * i, outcomes[k], 1)
+            t = latest + tail
+            b.access(t0, i % 4, op, 64 * i, level, t - t0)
+            relocs.append(sum(o != "uncached"
+                              for o in outcomes[:len(phases)]))
+        # Every access is certified as it completes, the last included.
+        assert cert.checked == len(accesses)
+        cert.finalize()
+        assert cert.checked == len(accesses)
+        spans = flat.of_kind("span")
+        # Contiguous ids from 1; each root first, then its children.
+        assert [s.span_id for s in spans] == list(range(1, len(spans) + 1))
+        roots = [s for s in spans if s.parent_id == 0]
+        assert [r.trace_id for r in roots] == list(
+            range(1, len(accesses) + 1))
+        assert [r.relocs for r in roots] == relocs
+        for r in roots:
+            kids = [s for s in spans if s.trace_id == r.trace_id
+                    and s.parent_id != 0]
+            # The children follow their root directly ...
+            at = spans.index(r) + 1
+            assert spans[at:at + len(kids)] == kids
+            # ... and tile [t0, t].
+            cursor = r.t
+            for c in kids:
+                assert c.parent_id == r.span_id
+                assert c.t == cursor and c.dur_ns > 0
+                cursor += c.dur_ns
+            assert cursor == r.t + r.dur_ns
+
+    def test_tree_events_is_the_default_expansion(self):
+        flat = CollectorSink()
+        args = (10, 50, 3, 7, 1, 0x40, "r", "remote", 2,
+                ["nc_out", "remote"], [10, 30], [30, 50])
+        flat.tree(*args)
+        assert flat.events == tree_events(*args)
+        assert [e.span_id for e in flat.events] == [7, 8, 9]
+        assert [e.parent_id for e in flat.events] == [0, 7, 7]
+        assert [e.relocs for e in flat.events] == [2, 0, 0]
 
 
 class TestTimelineSampler:
