@@ -554,10 +554,6 @@ class BoundsCertifier(TraceSink):
         self.findings: list[Finding] = []
         self.checked = 0
         self._counts: dict[str, int] = {r: 0 for r in BOUNDS_RULES}
-        #: (op, level, phase names) -> the paths they align with, and
-        #: the segment each phase matched on that path.
-        self._aligned: dict[tuple[str, str, tuple[str, ...]],
-                            list[tuple[list[EvalSeg], list[EvalSeg]]]] = {}
 
     # -- event intake ---------------------------------------------------
 
@@ -600,33 +596,19 @@ class BoundsCertifier(TraceSink):
                 Finding(rule=rule, message=message, line=line, detail=detail)
             )
 
-    def _align(self, op: str, level: str, names: Sequence[str]
-               ) -> Optional[list[tuple[list[EvalSeg], list[EvalSeg]]]]:
-        """The enumerated paths ``names`` aligns with (in path order),
-        or None when the class has no enumerated path at all."""
-        paths = self.envelope.by_class.get((op, level))
-        if paths is None:
-            return None
-        key = (op, level, tuple(names))
-        aligned = self._aligned.get(key)
-        if aligned is None:
-            aligned = self._aligned[key] = []
-            for path in paths:
-                matched = Envelope.match(path, names)
-                if matched is not None:
-                    aligned.append((path, matched))
-        return aligned
-
     def tree(self, t0: int, t: int, trace_id: int, root_id: int,
              proc: int, line: int, op: str, level: str, relocs: int,
              names: Sequence[str], starts: Sequence[int],
              ends: Sequence[int]) -> None:
         """Check one completed access against its class's paths."""
         self.checked += 1
-        aligned = self._align(op, level, names)
+        paths = self.envelope.by_class.get((op, level))
         best: Optional[tuple[list[EvalSeg],
                              list[tuple[str, int, EvalSeg]]]] = None
-        for path, matched in aligned or ():
+        for path in paths or ():
+            matched = Envelope.match(path, names)
+            if matched is None:
+                continue
             viols: list[tuple[str, int, EvalSeg]] = []
             for seg, start, end in zip(matched, starts, ends):
                 _, lo, hi = seg
@@ -644,7 +626,7 @@ class BoundsCertifier(TraceSink):
         witness = format_span_tree(tree_events(
             t0, t, trace_id, root_id, proc, line, op, level, relocs,
             names, starts, ends))
-        if aligned is None:
+        if paths is None:
             self._record(
                 "B103",
                 f"{who}: no enumerated path for class ({op}, {level})",
@@ -652,8 +634,7 @@ class BoundsCertifier(TraceSink):
             return
         if best is None:
             candidates = "; ".join(
-                " -> ".join(s[0] for s in p) or "(empty)"
-                for p in self.envelope.by_class[(op, level)]
+                " -> ".join(s[0] for s in p) or "(empty)" for p in paths
             )
             self._record(
                 "B103",
