@@ -285,8 +285,7 @@ class StallAttribution(TraceSink):
         slowest = self._slowest
         if len(slowest) < self.top_spans:
             heapq.heappush(slowest, (dur, trace_id))
-        elif (slowest and dur >= slowest[0][0]
-              and (dur, trace_id) > slowest[0]):
+        elif slowest and (dur, trace_id) > slowest[0]:
             _, evicted = heapq.heapreplace(slowest, (dur, trace_id))
             del self._trees[evicted]
         else:
