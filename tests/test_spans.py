@@ -18,12 +18,12 @@ from repro.experiments.runner import RunSpec, build_simulation
 from repro.obs.chrometrace import ChromeTraceSink, validate_trace_events
 from repro.obs.events import SpanEvent, record_to_event
 from repro.obs.jsonl import JsonlTraceSink
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import (
     parse_openmetrics,
     render_openmetrics,
     to_openmetrics,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import CollectorSink, TeeSink, tree_events
 from repro.obs.spans import (
     SpanBuilder,
@@ -337,7 +337,10 @@ def _reference_fold(events: list, top_spans: int) -> dict:
         "wphase_ns": wphase_ns,
         "reloc_count": reloc_count,
         "sync_ns": sync_ns,
-        "class_max": class_max,
+        "exemplars": {"span_access_latency_ns": {
+            cls: ({"trace_id": str(tid)}, dur)
+            for cls, (dur, tid) in sorted(class_max.items())
+        }},
         "histograms": registry.snapshot(),
         "slowest": [trees[tid] for _, tid in slowest],
     }
@@ -368,7 +371,7 @@ class TestReferenceFold:
         assert att.wphase_ns == want["wphase_ns"]
         assert att.reloc_count == want["reloc_count"]
         assert att.sync_ns == want["sync_ns"]
-        assert att._class_max == want["class_max"]
+        assert att.exemplars() == want["exemplars"]
         assert att.registry.snapshot() == want["histograms"]
         assert att.slowest_spans() == want["slowest"]
 
