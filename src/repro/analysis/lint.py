@@ -75,7 +75,7 @@ RESTRICTED_SUBSYSTEMS = frozenset({
 })
 
 #: Files *inside* restricted subsystems that are explicitly exempt from
-#: the DET rules.  The metrics/bench exporters stamp wall-clock
+#: the DET rules.  The metrics exporters stamp wall-clock
 #: provenance on their output — host facts, like ``obs/manifest.py``'s
 #: git revision — so they live outside the deterministic core even
 #: though they sit next to the (restricted) registry they export.

@@ -673,100 +673,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Sentinel for a bare ``--compare`` (no path): gate against the archive.
-_ROLLING = "@rolling"
-
-#: Fallback baseline when the archive holds no bench rows yet.
-_BASELINE_FILE = "benchmarks/BENCH_baseline.json"
-
-
-def _bench_baseline(args: argparse.Namespace):
-    """Resolve the ``--compare`` operand to a BENCH payload.
-
-    A path loads that file.  Bare ``--compare`` gates against the rolling
-    median of the last ``--baseline-runs`` archived bench rows, falling
-    back to the committed ``benchmarks/BENCH_baseline.json`` while the
-    archive is still empty.  Returns ``(payload_or_None, label)``.
-    """
-    from repro.bench import load_bench
-
-    if args.compare != _ROLLING:
-        return load_bench(args.compare), args.compare
-    from repro.bench.compare import rolling_baseline
-    from repro.obs.history import HistoryArchive
-
-    archive = HistoryArchive(args.archive)
-    old = rolling_baseline(archive, last=args.baseline_runs,
-                           quick=args.quick)
-    if old is not None:
-        runs = old.get("rolling", {}).get("runs", "?")
-        return old, f"rolling median of {runs} archived run(s)"
-    from pathlib import Path
-
-    if Path(_BASELINE_FILE).exists():
-        return load_bench(_BASELINE_FILE), f"{_BASELINE_FILE} (fallback)"
-    raise BenchBaselineError(
-        f"no archived bench runs in {archive.path} and no "
-        f"{_BASELINE_FILE} fallback; run 'coma-sim bench' once with "
-        "recording enabled or pass an explicit --compare PATH"
-    )
-
-
-class BenchBaselineError(Exception):
-    """Bare ``--compare`` had neither archive rows nor a baseline file."""
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        BenchFileError,
-        compare_benches,
-        format_comparison,
-        has_regression,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
-    from repro.obs.history import history_disabled
-
-    try:
-        old = label = None
-        if args.compare is not None:
-            old, label = _bench_baseline(args)
-        if args.new is not None:
-            # Compare two existing files; no timing run.
-            if old is None:
-                print("--new requires --compare OLD", file=sys.stderr)
-                return 2
-            new = load_bench(args.new)
-        else:
-            run_label = "quick suites" if args.quick else "full suites"
-            print(f"bench: {run_label}, {args.repeats} repeat(s), "
-                  f"jobs={args.jobs}", file=sys.stderr)
-            new = run_bench(
-                quick=args.quick, jobs=args.jobs, repeats=args.repeats,
-                only=args.suites or None,
-                echo=lambda line: print(line, file=sys.stderr),
-            )
-            path = write_bench(new, out=args.out, out_dir=args.out_dir)
-            print(f"wrote {path}")
-            record = args.record if args.record is not None \
-                else not history_disabled()
-            if record:
-                from repro.obs.history import HistoryArchive
-
-                outcome = HistoryArchive(args.archive).record_bench(new)
-                print(f"history: bench {outcome}", file=sys.stderr)
-    except (BenchFileError, BenchBaselineError, ValueError) as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    if old is None:
-        return 0
-    print(f"baseline: {label}", file=sys.stderr)
-    rows = compare_benches(old, new, threshold_pct=args.threshold)
-    print(format_comparison(rows, args.threshold))
-    return 1 if has_regression(rows) else 0
-
-
 def _emit(out: str, args: argparse.Namespace, what: str) -> None:
     """Print ``out`` or write it to ``--out`` (with a pointer line)."""
     if getattr(args, "out", None):
@@ -784,7 +690,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
         HistoryArchive,
         HistoryArchiveError,
         format_history,
-        format_trend,
     )
 
     archive = HistoryArchive(args.archive)
@@ -816,28 +721,11 @@ def _cmd_history(args: argparse.Namespace) -> int:
             _emit(_json.dumps(row, indent=2, sort_keys=True),
                   args, "history")
             return 0
-        if args.action == "trend":
-            report = archive.trend(
-                last=args.last, threshold_pct=args.threshold,
-                quick=args.quick or None,
-            )
-            if args.format == "json":
-                _emit(_json.dumps(report, indent=2, sort_keys=True),
-                      args, "trend")
-            else:
-                print(format_trend(report))
-            flagged = any(r["status"] == "regression"
-                          for r in report["suites"].values())
-            return 1 if flagged else 0
         if args.action == "gc":
             stats = archive.gc(
-                keep_revisions=args.keep_revisions,
-                keep_benches=args.keep_benches,
-                dry_run=args.dry_run,
-            )
+                keep_revisions=args.keep_revisions, dry_run=args.dry_run)
             tag = "would delete" if stats["dry_run"] else "deleted"
-            print(f"history gc: {tag} {stats['runs_deleted']} run row(s), "
-                  f"{stats['benches_deleted']} bench row(s)")
+            print(f"history gc: {tag} {stats['runs_deleted']} run row(s)")
             return 0
     except HistoryArchiveError as exc:
         print(f"history: {exc}", file=sys.stderr)
@@ -857,9 +745,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.obs.history import HistoryArchive, HistoryArchiveError
 
     if not args.sweep and len(args.keys) != 2:
-        print("diff: expected exactly two run keys (or --sweep A B)",
-              file=sys.stderr)
+        print("diff: expected exactly two run keys, two benchmark "
+              "payload files, or --sweep A B", file=sys.stderr)
         return 2
+    from pathlib import Path
+
+    if not args.sweep and all(Path(k).is_file() for k in args.keys):
+        return _diff_payload_files(args)
     archive = HistoryArchive(args.archive)
     try:
         if args.sweep:
@@ -895,6 +787,32 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     except HistoryArchiveError as exc:
         print(f"diff: {exc}", file=sys.stderr)
         return 2
+
+
+def _diff_payload_files(args: argparse.Namespace) -> int:
+    """``diff A.json B.json`` on two benchmark ``run.py --out`` payloads:
+    exit 1 when B fails the gate, 2 when a payload is unreadable."""
+    import json as _json
+
+    from repro.obs.diff import (
+        check_payload,
+        diff_payloads,
+        format_payload_diff,
+    )
+
+    payloads = []
+    for path in args.keys:
+        try:
+            with open(path) as fh:
+                payloads.append(check_payload(_json.load(fh)))
+        except (OSError, ValueError) as exc:
+            print(f"diff: {path}: {exc}", file=sys.stderr)
+            return 2
+    report = diff_payloads(*payloads)
+    out = (_json.dumps(report, indent=2, sort_keys=True)
+           if args.format == "json" else format_payload_diff(report))
+    _emit(out, args, "diff")
+    return 1 if report["failures"] else 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -1262,55 +1180,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the export to a file instead of stdout")
     mt.set_defaults(func=_cmd_metrics)
 
-    from repro.bench.suites import suite_names as _suite_names
-
-    bn = sub.add_parser(
-        "bench",
-        help="time the simulator's hot paths and gate wall-time regressions",
-    )
-    bn.add_argument("--quick", action="store_true",
-                    help="smaller work units (CI smoke)")
-    bn.add_argument("--repeats", type=int, default=3, metavar="N",
-                    help="repeats per suite; the minimum wall time is kept")
-    bn.add_argument("--suites", nargs="*", metavar="NAME",
-                    choices=_suite_names(),
-                    help="restrict to these suites")
-    bn.add_argument("--out", metavar="PATH",
-                    help="explicit output path (overrides --out-dir)")
-    bn.add_argument("--out-dir", metavar="DIR",
-                    help="directory for BENCH_<timestamp>.json outputs "
-                    "(default benchmarks/)")
-    bn.add_argument("--compare", metavar="BENCH_OLD.json",
-                    nargs="?", const=_ROLLING,
-                    help="compare against this baseline and exit 1 on "
-                    "regression; with no path, gate against the rolling "
-                    "median of recently archived runs (falling back to "
-                    f"{_BASELINE_FILE})")
-    bn.add_argument("--new", metavar="BENCH_NEW.json",
-                    help="with --compare: diff two existing files "
-                    "without running")
-    bn.add_argument("--threshold", type=float, default=10.0, metavar="PCT",
-                    help="wall-time slowdown that counts as a regression "
-                    "(default 10%%)")
-    bn.add_argument("--baseline-runs", type=int, default=5, metavar="N",
-                    help="archived runs in the bare --compare rolling "
-                    "median (default 5)")
-    bn.add_argument("--record", action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help="archive the bench payload in the history store "
-                    "(default: record unless REPRO_NO_HISTORY is set)")
-    bn.add_argument("--archive", metavar="PATH",
-                    help="history archive file (default "
-                    "$REPRO_HISTORY_DIR/history.sqlite)")
-    _jobs_flag(bn)
-    bn.set_defaults(func=_cmd_bench)
-
     hi = sub.add_parser(
         "history",
-        help="query the persistent run/bench archive "
-        "(list, show, trend, gc)",
+        help="query the persistent run archive (list, show, gc)",
     )
-    hi.add_argument("action", choices=["list", "show", "trend", "gc"])
+    hi.add_argument("action", choices=["list", "show", "gc"])
     hi.add_argument("key", nargs="?",
                     help="run key (or unique prefix) for 'show'; "
                     "key prefix filter for 'list'")
@@ -1325,18 +1199,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="list: at most N rows (default 50)")
     hi.add_argument("--rev", type=int, metavar="R",
                     help="show: this revision instead of the newest")
-    hi.add_argument("--last", type=int, default=10, metavar="N",
-                    help="trend: window of archived bench runs "
-                    "(default 10)")
-    hi.add_argument("--threshold", type=float, default=10.0, metavar="PCT",
-                    help="trend: regression threshold vs the rolling "
-                    "median (default 10%%)")
-    hi.add_argument("--quick", action="store_true",
-                    help="trend: only quick-mode bench rows")
     hi.add_argument("--keep-revisions", type=int, default=1, metavar="N",
                     help="gc: newest revisions kept per key (default 1)")
-    hi.add_argument("--keep-benches", type=int, metavar="N",
-                    help="gc: newest bench rows kept (default: keep all)")
     hi.add_argument("--dry-run", action="store_true",
                     help="gc: report what would be deleted, delete "
                     "nothing")
@@ -1347,12 +1211,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     dd = sub.add_parser(
         "diff",
-        help="differential attribution between two archived runs: "
-        "counter ratios, phase deltas naming the responsible phase, "
-        "histogram shifts",
+        help="differential attribution between two archived runs "
+        "(counter ratios, phase deltas naming the responsible phase, "
+        "histogram shifts) or two benchmark payloads (median ratios, "
+        "the layer and observer that moved most, a slowdown gate)",
     )
     dd.add_argument("keys", nargs="*", metavar="KEY",
-                    help="two run keys (or unique prefixes) to diff")
+                    help="two run keys (or unique prefixes), or two "
+                    "'benchmarks/e2e/run.py --out' payload files, to diff")
     dd.add_argument("--sweep", nargs=2, metavar=("BATCH_A", "BATCH_B"),
                     help="diff two recorded batches point-by-point "
                     "instead of two keys")

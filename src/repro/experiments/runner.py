@@ -126,7 +126,7 @@ def _bump_stat(kind: str, n: int = 1) -> None:
 
 
 #: Optional :class:`repro.obs.metrics.ExperimentInstruments`; set by
-#: ``coma-sim metrics``/``coma-sim bench`` via :func:`set_experiment_metrics`.
+#: ``coma-sim metrics`` via :func:`set_experiment_metrics`.
 _metrics = None
 
 

@@ -27,12 +27,14 @@ explainable:
 * :mod:`repro.obs.spans`       — causal span trees per memory access and
   the :class:`StallAttribution` latency-attribution aggregator (behind
   ``coma-sim attribute``);
-* :mod:`repro.obs.history`     — persistent sqlite-backed run/bench
+* :mod:`repro.obs.history`     — persistent sqlite-backed run
   archive (``coma-sim history``), one row per completed RunSpec with
   counters, attribution totals and provenance;
 * :mod:`repro.obs.diff`        — differential attribution between
   archived runs (``coma-sim diff``): counter ratios, phase-delta
-  breakdowns naming the responsible phase, histogram shifts;
+  breakdowns naming the responsible phase, histogram shifts; and
+  between two end-to-end benchmark payloads, naming the host-time
+  layer and observer whose ns/event moved most;
 * :mod:`repro.obs.timeline`    — :class:`TimelineSampler` columnar
   metric series over simulated time (JSON / Perfetto counter tracks).
 

@@ -21,8 +21,15 @@ responsible?*  It computes structured deltas —
 spec identity that survives a timing-constant perturbation) and rolls
 the per-pair diffs up into one report.
 
-Deterministic-core module: pure arithmetic over archived rows, no wall
-clock, no randomness.
+``diff_payloads`` applies the same breakdown to host time.  It reads two
+end-to-end benchmark payloads (the JSON that ``benchmarks/e2e/run.py
+--out`` writes; only that schema is read, nothing is imported from the
+benchmark) and names, per workload, the host-time layer and the observer
+whose ns/event moved most.  It also gates: a workload missing from B, an
+incorrect B, or a :data:`SLOWDOWN_GATE`-fold slowdown fails.
+
+Deterministic-core module: pure arithmetic over archived rows and
+payloads, no wall clock, no randomness.
 """
 
 from __future__ import annotations
@@ -65,7 +72,12 @@ def _counter_rows(a: dict, b: dict, noise_pct: float) -> list[dict]:
     return rows
 
 
-def _phase_rows(a: Optional[dict], b: Optional[dict]) -> list[dict]:
+def _swing_rows(a: Optional[dict], b: Optional[dict],
+                label: str) -> list[dict]:
+    """Per-name nanosecond deltas, largest first, each with its share of
+    the total absolute swing.  ``label`` names the row key: protocol
+    phases of an archived run, or host-time layers and observers (ns per
+    event) of a benchmark payload."""
     a, b = a or {}, b or {}
     rows = []
     deltas = {
@@ -76,7 +88,7 @@ def _phase_rows(a: Optional[dict], b: Optional[dict]) -> list[dict]:
     for name in sorted(deltas, key=lambda n: (-abs(deltas[n]), n)):
         d = deltas[name]
         rows.append({
-            "phase": name,
+            label: name,
             "a_ns": a.get(name, 0),
             "b_ns": b.get(name, 0),
             "delta_ns": d,
@@ -136,7 +148,7 @@ def diff_runs(a: dict, b: dict,
     """
     ra, rb = a["result"], b["result"]
     ea, eb = ra["elapsed_ns"], rb["elapsed_ns"]
-    phases = _phase_rows(a.get("phases"), b.get("phases"))
+    phases = _swing_rows(a.get("phases"), b.get("phases"), "phase")
     regressed = eb >= ea
     candidates = [
         p for p in phases
@@ -199,6 +211,129 @@ def diff_sweeps(rows_a: list[dict], rows_b: list[dict],
         "unpaired_b": only_b,
         "diffs": diffs,
         "worst_regression": slowest,
+    }
+
+
+# ----------------------------------------------------------------------
+# end-to-end benchmark payloads
+# ----------------------------------------------------------------------
+
+#: A workload fails the payload gate when B's median wall time is at
+#: least this many times A's, or B's median events/s at most 1/this.
+SLOWDOWN_GATE = 3.0
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def check_payload(obj) -> dict:
+    """Return ``obj`` if it is a well-formed benchmark ``run.py --out``
+    payload; raise ValueError naming the first defect otherwise."""
+    if not isinstance(obj, dict) or "workloads" not in obj:
+        raise ValueError("not a benchmark payload (no top-level "
+                         "'workloads' key)")
+    if not isinstance(obj["workloads"], dict):
+        raise ValueError("'workloads' is not an object")
+    for name, rec in obj["workloads"].items():
+        if not isinstance(rec, dict) or not isinstance(
+                rec.get("metrics"), dict):
+            raise ValueError(f"workload {name!r} has no 'metrics' object")
+        for metric, m in rec["metrics"].items():
+            if not isinstance(m, dict) or not _is_number(m.get("value")):
+                raise ValueError(f"workload {name!r}: metric {metric!r} "
+                                 "has no numeric 'value'")
+        layers = rec.get("layers", {})
+        if not isinstance(layers, dict) or not all(
+                _is_number(v) for v in layers.values()):
+            raise ValueError(f"workload {name!r}: 'layers' is not an "
+                             "object of numbers")
+    return obj
+
+
+def _layer_ns(layers: dict) -> dict:
+    """Host-time layer self time per simulated event, in ns."""
+    events = layers.get("sim.events")
+    if not events:
+        return {}
+    return {k[:-len(".self_s")]: v * 1e9 / events
+            for k, v in layers.items() if k.endswith(".self_s")}
+
+
+def _observer_ns(layers: dict) -> dict:
+    """Observer prices, in ns per event."""
+    return {k[len("obs."):-len(".ns_per_event")]: v
+            for k, v in layers.items()
+            if k.startswith("obs.") and k.endswith(".ns_per_event")}
+
+
+def _ranked(a: dict, b: dict, label: str) -> list[dict]:
+    """Swing rows over ns/event, or none unless both sides traced."""
+    return _swing_rows(a, b, label) if a and b else []
+
+
+def _top(rows: list[dict]) -> Optional[dict]:
+    return rows[0] if rows and rows[0]["delta_ns"] else None
+
+
+def _payload_side(payload: dict) -> dict:
+    return {k: payload.get(k) for k in (
+        "seed", "scale", "seconds", "trace", "correct", "attempted",
+        "failed")}
+
+
+def diff_payloads(a: dict, b: dict) -> dict:
+    """Compare two benchmark payloads (A = base, B = change).
+
+    For each workload of A: the B/A ratio of every end-to-end median,
+    then the host-time layers (``<layer>.self_s`` per ``sim.events``)
+    and observers (``obs.<name>.ns_per_event``) ranked by how far their
+    ns/event moved, each with its share of the swing.  ``failures``
+    lists what gates B: a workload of A missing from B, B not
+    ``correct``, or a workload :data:`SLOWDOWN_GATE` times slower.
+    """
+    failures = []
+    if b.get("correct") is False:
+        bad = [n for n, r in b["workloads"].items()
+               if r.get("correct") is False]
+        failures.append("B is not correct: "
+                        + (", ".join(bad) or "incomplete metrics"))
+    rows = []
+    for name, ra in a["workloads"].items():
+        rb = b["workloads"].get(name)
+        if rb is None:
+            failures.append(f"{name}: missing from B")
+            continue
+        ends = {}
+        for metric, ma in ra["metrics"].items():
+            if metric in rb["metrics"]:
+                av, bv = ma["value"], rb["metrics"][metric]["value"]
+                ends[metric] = {"a": av, "b": bv,
+                                "ratio": bv / av if av else None}
+        eps, wall = ends.get("events_per_s"), ends.get("wall_s")
+        if eps and eps["b"] <= eps["a"] / SLOWDOWN_GATE:
+            failures.append(f"{name}: events_per_s at most "
+                            f"1/{SLOWDOWN_GATE:g} of A's")
+        if wall and wall["b"] >= wall["a"] * SLOWDOWN_GATE:
+            failures.append(f"{name}: wall_s at least "
+                            f"{SLOWDOWN_GATE:g}x A's")
+        la, lb = ra.get("layers", {}), rb.get("layers", {})
+        layers = _ranked(_layer_ns(la), _layer_ns(lb), "layer")
+        observers = _ranked(_observer_ns(la), _observer_ns(lb), "observer")
+        rows.append({
+            "workload": name,
+            "end_to_end": ends,
+            "layers": layers,
+            "observers": observers,
+            "top_layer": _top(layers),
+            "top_observer": _top(observers),
+        })
+    return {
+        "a": _payload_side(a),
+        "b": _payload_side(b),
+        "slowdown_gate": SLOWDOWN_GATE,
+        "workloads": rows,
+        "failures": failures,
     }
 
 
@@ -294,4 +429,30 @@ def format_sweep_diff(report: dict) -> str:
     if worst is not None:
         out.append("worst regression in detail:")
         out.append(format_diff(worst))
+    return "\n".join(out)
+
+
+def format_payload_diff(report: dict) -> str:
+    """Human rendering of :func:`diff_payloads`: B/A median ratios per
+    workload, then the top layer and observer by ns/event moved."""
+    out = ["bench diff A -> B (B/A ratio of each end-to-end median)"]
+    for w in report["workloads"]:
+        ratios = "  ".join(
+            f"{m} " + (f"x{e['ratio']:.3f}" if e["ratio"] is not None
+                       else "n/a")
+            for m, e in w["end_to_end"].items())
+        out.append(f"  {w['workload']:<15} {ratios}")
+        for kind in ("layer", "observer"):
+            top = w[f"top_{kind}"]
+            if top is None:
+                why = "none moved" if w[f"{kind}s"] else "untraced"
+                out.append(f"  {'':<15} top {kind}: ({why})")
+            else:
+                out.append(
+                    f"  {'':<15} top {kind}: {top[kind]} "
+                    f"{top['a_ns']:.1f} -> {top['b_ns']:.1f} ns/event "
+                    f"({top['delta_ns']:+.1f}, {top['share_pct']:.1f}% "
+                    f"of the {kind} swing)")
+    fails = report["failures"]
+    out.append("  => " + ("FAIL: " + "; ".join(fails) if fails else "PASS"))
     return "\n".join(out)

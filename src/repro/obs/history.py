@@ -1,14 +1,14 @@
 """Persistent run-history archive: every completed run, queryable forever.
 
 The paper's claims are *comparative* (COMA vs hcoma vs NUMA, 6.25 % vs
-87.5 % memory pressure), yet a metrics snapshot or bench payload used to
-die with its process.  This module is the seed of ROADMAP item 3's
-columnar result store: an append-only, schema-versioned archive of every
-completed :class:`~repro.experiments.runner.RunSpec` — counters, the
-metrics-registry snapshot, span/phase attribution totals, bench numbers
-and the full provenance manifest — keyed on ``RunSpec.key()`` and backed
-by stdlib ``sqlite3`` (one file, multi-writer safe, readable after a
-SIGKILL mid-append thanks to sqlite's journal).
+87.5 % memory pressure), yet a metrics snapshot used to die with its
+process.  This module is the seed of ROADMAP item 3's columnar result
+store: an append-only, schema-versioned archive of every completed
+:class:`~repro.experiments.runner.RunSpec` — counters, the
+metrics-registry snapshot, span/phase attribution totals and the full
+provenance manifest — keyed on ``RunSpec.key()`` and backed by stdlib
+``sqlite3`` (one file, multi-writer safe, readable after a SIGKILL
+mid-append thanks to sqlite's journal).
 
 Write semantics (the PR 4 publication discipline, adapted to a table):
 
@@ -29,8 +29,12 @@ object itself holds no file handle, so it is safe to share across
 
 This module is part of the deterministic core (DET lint): it never reads
 the wall clock — ``recorded_at`` timestamps are passed in by the
-unrestricted callers (the experiment runner, ``coma-sim bench``), the
+unrestricted caller (the experiment runner's ``HistoryRecorder``), the
 manifest pattern exactly.
+
+Archives written before the bench rows were retired still carry a
+``benches`` table.  It is neither read nor dropped, and the schema
+number did not change.
 """
 
 from __future__ import annotations
@@ -96,13 +100,6 @@ _SCHEMA_SQL = (
         UNIQUE (key, content_hash))""",
     """CREATE INDEX IF NOT EXISTS runs_by_key ON runs (key)""",
     """CREATE INDEX IF NOT EXISTS runs_by_batch ON runs (batch)""",
-    """CREATE TABLE IF NOT EXISTS benches (
-        id INTEGER PRIMARY KEY AUTOINCREMENT,
-        content_hash TEXT NOT NULL UNIQUE,
-        recorded_at TEXT,
-        git_rev TEXT,
-        quick INTEGER NOT NULL DEFAULT 0,
-        payload_json TEXT NOT NULL)""",
 )
 
 
@@ -152,7 +149,7 @@ def _load(text):
 
 
 class HistoryArchive:
-    """One sqlite-backed run/bench archive (see the module docstring)."""
+    """One sqlite-backed run archive (see the module docstring)."""
 
     def __init__(self, path: Union[str, Path, None] = None) -> None:
         self.path = Path(path) if path is not None else default_history_path()
@@ -277,30 +274,6 @@ class HistoryArchive:
                 raise HistoryArchiveError(
                     f"append to {self.path} failed: {exc}") from exc
 
-    def record_bench(self, payload: dict,
-                     recorded_at: Optional[str] = None) -> str:
-        """Append one BENCH payload; identical payloads dedup."""
-        canon = {k: v for k, v in payload.items() if k != "timestamp"}
-        chash = hashlib.sha256(
-            json.dumps(canon, sort_keys=True).encode()).hexdigest()[:24]
-        with closing(self._connect()) as con:
-            try:
-                con.execute("BEGIN IMMEDIATE")
-                cur = con.execute(
-                    "INSERT OR IGNORE INTO benches (content_hash, "
-                    "recorded_at, git_rev, quick, payload_json) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (chash, recorded_at or payload.get("timestamp"),
-                     payload.get("git_rev"),
-                     1 if payload.get("quick") else 0,
-                     json.dumps(payload, sort_keys=True)))
-                con.commit()
-                return "inserted" if cur.rowcount else "deduped"
-            except sqlite3.DatabaseError as exc:
-                con.rollback()
-                raise HistoryArchiveError(
-                    f"append to {self.path} failed: {exc}") from exc
-
     # -- queries --------------------------------------------------------
 
     def _row_dict(self, row, with_blobs: bool) -> dict:
@@ -365,100 +338,11 @@ class HistoryArchive:
         with closing(self._connect()) as con:
             return con.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
 
-    def list_benches(self, limit: Optional[int] = None,
-                     quick: Optional[bool] = None) -> list[dict]:
-        """Newest-first bench payloads (decoded)."""
-        sql = ("SELECT id, content_hash, recorded_at, git_rev, quick, "
-               "payload_json FROM benches")
-        params: list = []
-        if quick is not None:
-            sql += " WHERE quick = ?"
-            params.append(1 if quick else 0)
-        sql += " ORDER BY id DESC"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
-        with closing(self._connect()) as con:
-            rows = con.execute(sql, params).fetchall()
-        return [
-            {"id": r[0], "content_hash": r[1], "recorded_at": r[2],
-             "git_rev": r[3], "quick": bool(r[4]),
-             "payload": json.loads(r[5])}
-            for r in rows
-        ]
-
-    def bench_count(self) -> int:
-        with closing(self._connect()) as con:
-            return con.execute("SELECT COUNT(*) FROM benches").fetchone()[0]
-
-    # -- trend ----------------------------------------------------------
-
-    def trend(self, last: int = 10, threshold_pct: float = 10.0,
-              quick: Optional[bool] = None) -> dict:
-        """Per-suite wall-time trajectory over the last N archived
-        benches, with the newest run classified against the rolling
-        median of the earlier ones (the ``history trend`` payload).
-
-        The embedded ``baseline`` is a valid BENCH-schema payload whose
-        per-suite ``wall_s`` is the rolling median, so ``coma-sim bench
-        --compare trend.json`` can gate directly against it.
-        """
-        benches = self.list_benches(limit=last, quick=quick)
-        benches.reverse()  # chronological, oldest first
-        suites: dict[str, dict] = {}
-        names = sorted({
-            name for b in benches for name in b["payload"].get("suites", {})
-        })
-        for name in names:
-            walls = [
-                float(b["payload"]["suites"][name]["wall_s"])
-                for b in benches if name in b["payload"].get("suites", {})
-            ]
-            median = _median(walls[:-1] if len(walls) > 1 else walls)
-            latest = walls[-1]
-            if latest > median * (1.0 + threshold_pct / 100.0):
-                status = "regression"
-            elif latest < median * (1.0 - threshold_pct / 100.0):
-                status = "improvement"
-            else:
-                status = "ok"
-            change = (latest - median) / median * 100.0 if median > 0 else 0.0
-            suites[name] = {
-                "walls_s": walls,
-                "median_s": median,
-                "latest_s": latest,
-                "change_pct": change,
-                "status": status,
-                "rolling_median_s": _median(walls),
-            }
-        # The gate baseline is the median over the whole window (the
-        # classification median above excludes the newest run so the
-        # newest run can be judged against its predecessors).
-        baseline_suites = {
-            name: {"wall_s": row["rolling_median_s"],
-                   "samples": len(row["walls_s"])}
-            for name, row in suites.items()
-        }
-        return {
-            "benches": len(benches),
-            "threshold_pct": threshold_pct,
-            "suites": suites,
-            "baseline": {
-                "schema": 1,  # repro.bench.harness.BENCH_SCHEMA
-                "rolling": {"runs": len(benches)},
-                "suites": baseline_suites,
-            },
-        }
-
     # -- retention ------------------------------------------------------
 
-    def gc(self, keep_revisions: int = 1,
-           keep_benches: Optional[int] = None,
-           dry_run: bool = False) -> dict:
-        """Trim superseded revisions (keeping the newest
-        ``keep_revisions`` per key) and, optionally, old bench rows
-        beyond the newest ``keep_benches``.  Returns deletion counts."""
-        deleted_runs = deleted_benches = 0
+    def gc(self, keep_revisions: int = 1, dry_run: bool = False) -> dict:
+        """Trim superseded revisions, keeping the newest
+        ``keep_revisions`` per key.  Returns the deletion count."""
         with closing(self._connect()) as con:
             con.execute("BEGIN IMMEDIATE")
             doomed = con.execute(
@@ -466,35 +350,12 @@ class HistoryArchive:
                 "WHERE n.key = r.key AND (n.rev > r.rev OR "
                 "(n.rev = r.rev AND n.id > r.id))) >= ?",
                 (max(1, int(keep_revisions)),)).fetchall()
-            deleted_runs = len(doomed)
             if not dry_run and doomed:
                 con.executemany("DELETE FROM runs WHERE id = ?", doomed)
-            if keep_benches is not None:
-                doomed_b = con.execute(
-                    "SELECT id FROM benches ORDER BY id DESC LIMIT -1 "
-                    "OFFSET ?", (max(0, int(keep_benches)),)).fetchall()
-                deleted_benches = len(doomed_b)
-                if not dry_run and doomed_b:
-                    con.executemany(
-                        "DELETE FROM benches WHERE id = ?", doomed_b)
             con.commit()
-            if not dry_run and (deleted_runs or deleted_benches):
+            if not dry_run and doomed:
                 con.execute("VACUUM")
-        return {"runs_deleted": deleted_runs,
-                "benches_deleted": deleted_benches,
-                "dry_run": dry_run}
-
-
-def _median(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
+        return {"runs_deleted": len(doomed), "dry_run": dry_run}
 
 def format_history(rows: list[dict]) -> str:
     """Human table for ``coma-sim history list``."""
@@ -510,27 +371,4 @@ def format_history(rows: list[dict]) -> str:
             f"{r['elapsed_ns']:>14} {r['cache']:>10}  {r['source']:<6} "
             f"{r['recorded_at'] or '-'}"
         )
-    return "\n".join(out)
-
-
-def format_trend(report: dict) -> str:
-    """Human table for ``coma-sim history trend``."""
-    n = report["benches"]
-    out = [
-        f"bench trend over {n} archived run(s) "
-        f"(threshold {report['threshold_pct']:g}% vs rolling median):",
-        f"  {'suite':<26} {'runs':>4} {'median':>9} {'latest':>9} "
-        f"{'change':>8}  status",
-    ]
-    for name, row in sorted(report["suites"].items()):
-        out.append(
-            f"  {name:<26} {len(row['walls_s']):>4} "
-            f"{row['median_s']:>8.3f}s {row['latest_s']:>8.3f}s "
-            f"{row['change_pct']:>+7.1f}%  {row['status']}"
-        )
-    flagged = [n for n, r in sorted(report["suites"].items())
-               if r["status"] == "regression"]
-    out.append(
-        f"  => {'REGRESSION: ' + ', '.join(flagged) if flagged else 'PASS'}"
-    )
     return "\n".join(out)

@@ -18,9 +18,9 @@ Design rules, in order of importance:
   DET lint rules apply): metric values are simulated quantities —
   nanoseconds, event counts, bytes — never the wall clock.  Wall-time
   series (per-phase seconds, sweep ETA) are recorded by the unrestricted
-  callers (``repro.experiments``, ``repro.bench``) into the same
-  registry.  :meth:`MetricsRegistry.snapshot` is sorted at every level,
-  so two runs of one RunSpec+seed snapshot byte-identically.
+  caller (``repro.experiments``) into the same registry.
+  :meth:`MetricsRegistry.snapshot` is sorted at every level, so two runs
+  of one RunSpec+seed snapshot byte-identically.
 * **Fixed log2 buckets.**  Histograms bucket by power of two
   (``le = 1, 2, 4, ... 2^(n-1), +Inf``): constant-time ``bit_length``
   indexing on the hot path, and bucket boundaries that never depend on

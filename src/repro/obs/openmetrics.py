@@ -5,7 +5,7 @@ exposition format (the Prometheus-compatible superset): ``# TYPE`` /
 ``# HELP`` metadata, ``_total``-suffixed counter samples, cumulative
 ``le``-labeled histogram buckets and a terminating ``# EOF``.
 ``parse_openmetrics`` is the matching (subset) parser, used by the test
-suite for round-trip validation and by ``coma-sim bench`` consumers.
+suite for round-trip validation and by CI's metrics export smoke.
 
 This file is on the DET-lint allowlist (see
 ``repro.analysis.lint.UNRESTRICTED_FILES``): :func:`snapshot_provenance`

@@ -1,9 +1,10 @@
 """Trace capture, storage, replay and synthesis.
 
 The paper uses program-driven simulation; this package adds the classic
-trace-driven alternative: capture the event stream of any workload to a
-compact ``.npz`` file, replay it later against any machine configuration,
-or synthesize parametric reference streams for microbenchmarks and tests.
+trace-driven alternative: capture the event stream of a workload whose
+threads share no computed values to a compact ``.npz`` file, replay it
+later against any machine configuration, or synthesize parametric
+reference streams for microbenchmarks and tests.
 
 Caveat (the usual trace-driven one): a replayed trace fixes the
 interleaving decisions that were made under the capture configuration, so

@@ -30,19 +30,31 @@ class CapturedTrace:
 def capture_trace(workload: Workload, space) -> CapturedTrace:
     """Exhaust every thread generator of an *allocated* workload.
 
-    Note that this runs the threads **sequentially to completion**, so
-    workloads whose control flow depends on cross-thread timing (task
-    queues, locks) record the interleaving a sequential execution would
-    produce.  Barrier-synchronized phase workloads capture faithfully.
+    This runs the threads **sequentially to completion**, so a thread
+    never sees what a later thread writes.  Workloads whose control flow
+    depends on cross-thread timing (task queues, locks) record the
+    interleaving a sequential execution would produce.  Barriers do not
+    help: a workload whose threads read, after a barrier, values other
+    threads computed before it cannot be captured.  Radix is one: its
+    permutation phase indexes the destination array with offsets built
+    from histograms that the later threads have not yet filled.  Such a
+    generator failure is re-raised as a ``ValueError`` naming the
+    workload and the thread.  Workloads whose threads share no computed
+    values, such as ``synth_private``, capture faithfully.
     """
     ops: list[np.ndarray] = []
     args: list[np.ndarray] = []
     for tid in range(workload.n_threads):
         o: list[int] = []
         a: list[int] = []
-        for ev in workload.thread(tid):
-            o.append(OP_CODES[ev[0]])
-            a.append(int(ev[1]))
+        try:
+            for ev in workload.thread(tid):
+                o.append(OP_CODES[ev[0]])
+                a.append(int(ev[1]))
+        except Exception as exc:
+            raise ValueError(
+                f"cannot capture {workload.name} sequentially: thread "
+                f"{tid} failed with {type(exc).__name__}: {exc}") from exc
         ops.append(np.asarray(o, dtype=np.uint8))
         args.append(np.asarray(a, dtype=np.int64))
     return CapturedTrace(

@@ -11,14 +11,21 @@ import time
 
 import pytest
 
-from repro.bench.harness import BENCH_SCHEMA
 from repro.experiments.runner import (
     HistoryRecorder,
     RunSpec,
     run_spec,
     set_history_recorder,
 )
-from repro.obs.diff import diff_runs, diff_sweeps, format_diff, pair_key
+from repro.obs.diff import (
+    SLOWDOWN_GATE,
+    diff_payloads,
+    diff_runs,
+    diff_sweeps,
+    format_diff,
+    format_payload_diff,
+    pair_key,
+)
 from repro.obs.history import (
     HISTORY_SCHEMA,
     HistoryArchive,
@@ -26,7 +33,6 @@ from repro.obs.history import (
     content_hash,
     default_history_path,
     format_history,
-    format_trend,
     history_disabled,
 )
 
@@ -104,20 +110,10 @@ class TestArchive:
         assert a != content_hash(spec_dict(seed=2), result_dict())
         assert a != content_hash(spec_dict(), result_dict(9))
 
-    def test_record_bench_dedups_identical_payloads(self, archive):
-        payload = {"schema": BENCH_SCHEMA, "timestamp": "t0", "quick": True,
-                   "suites": {"l1_hit": {"wall_s": 0.5}}}
-        assert archive.record_bench(payload) == "inserted"
-        # Only the timestamp differs: same content, deduped.
-        assert archive.record_bench({**payload, "timestamp": "t1"}) \
-            == "deduped"
-        assert archive.bench_count() == 1
-        assert archive.record_bench(
-            {**payload, "suites": {"l1_hit": {"wall_s": 0.6}}}) == "inserted"
-
     def test_refuses_newer_schema(self, tmp_path):
         path = tmp_path / "hist.sqlite"
-        HistoryArchive(path).record_bench({"suites": {}})
+        HistoryArchive(path).record_run(
+            key="k1", spec=spec_dict(), result=result_dict())
         con = sqlite3.connect(path)
         con.execute("UPDATE meta SET value = ? WHERE key = 'schema'",
                     (str(HISTORY_SCHEMA + 1),))
@@ -135,58 +131,6 @@ class TestArchive:
         assert not history_disabled()
 
 
-class TestTrend:
-    def bench(self, wall_s: float, stamp: str, quick: bool = True) -> dict:
-        return {"schema": BENCH_SCHEMA, "timestamp": stamp, "quick": quick,
-                "suites": {"l1_hit": {"wall_s": wall_s}}}
-
-    def test_trend_flags_regression_vs_rolling_median(self, archive):
-        for i, wall in enumerate([1.0, 1.02, 0.98, 2.0]):
-            archive.record_bench(self.bench(wall, f"t{i}"))
-        report = archive.trend(last=10)
-        row = report["suites"]["l1_hit"]
-        assert row["status"] == "regression"
-        assert row["median_s"] == 1.0  # median of the three earlier runs
-        assert row["latest_s"] == 2.0
-        assert "REGRESSION" in format_trend(report)
-
-    def test_trend_ok_and_quick_filter(self, archive):
-        archive.record_bench(self.bench(1.0, "t0", quick=True))
-        archive.record_bench(self.bench(5.0, "t1", quick=False))
-        report = archive.trend(last=10, quick=True)
-        assert report["benches"] == 1
-        assert report["suites"]["l1_hit"]["status"] == "ok"
-        assert "PASS" in format_trend(report)
-
-    def test_trend_baseline_is_a_bench_payload(self, archive):
-        """The embedded baseline must satisfy the BENCH file contract so
-        ``bench --compare trend.json`` can gate against it directly."""
-        for i, wall in enumerate([1.0, 1.2, 1.1]):
-            archive.record_bench(self.bench(wall, f"t{i}"))
-        baseline = archive.trend(last=10)["baseline"]
-        assert baseline["schema"] == BENCH_SCHEMA
-        assert baseline["suites"]["l1_hit"]["wall_s"] == 1.1  # full-window
-        assert baseline["suites"]["l1_hit"]["samples"] == 3
-        assert baseline["rolling"]["runs"] == 3
-
-    def test_rolling_baseline_helper(self, archive):
-        from repro.bench.compare import rolling_baseline
-
-        assert rolling_baseline(archive) is None
-        archive.record_bench(self.bench(1.0, "t0"))
-        baseline = rolling_baseline(archive, last=5)
-        assert baseline["suites"]["l1_hit"]["wall_s"] == 1.0
-
-    def test_load_bench_unwraps_trend_report(self, archive, tmp_path):
-        from repro.bench.compare import load_bench
-
-        archive.record_bench(self.bench(1.0, "t0"))
-        report = archive.trend(last=5)
-        path = tmp_path / "trend.json"
-        path.write_text(json.dumps(report))
-        assert load_bench(path)["suites"]["l1_hit"]["wall_s"] == 1.0
-
-
 class TestGc:
     def test_gc_trims_old_revisions(self, archive):
         for elapsed in (1, 2, 3):
@@ -195,8 +139,7 @@ class TestGc:
         archive.record_run(key="k2", spec=spec_dict(seed=2),
                            result=result_dict())
         stats = archive.gc(keep_revisions=1, dry_run=True)
-        assert stats == {"runs_deleted": 2, "benches_deleted": 0,
-                         "dry_run": True}
+        assert stats == {"runs_deleted": 2, "dry_run": True}
         assert archive.run_count() == 4  # dry run deleted nothing
         archive.gc(keep_revisions=1)
         assert archive.run_count() == 2
@@ -204,14 +147,55 @@ class TestGc:
         assert archive.get_run("k1")["result"]["elapsed_ns"] == 3
         assert archive.get_run("k2") is not None
 
-    def test_gc_trims_old_benches(self, archive):
-        for i in range(5):
-            archive.record_bench({"schema": BENCH_SCHEMA, "n": i,
-                                  "suites": {}})
-        stats = archive.gc(keep_benches=2)
-        assert stats["benches_deleted"] == 3
-        assert archive.bench_count() == 2
-        assert archive.list_benches()[0]["payload"]["n"] == 4
+
+class TestParentArchive:
+    """Archives written while bench rows were still recorded carry a
+    ``benches`` table.  They must keep working, and the table must be
+    neither read nor dropped."""
+
+    BENCHES_DDL = """CREATE TABLE IF NOT EXISTS benches (
+        id INTEGER PRIMARY KEY AUTOINCREMENT,
+        content_hash TEXT NOT NULL UNIQUE,
+        recorded_at TEXT,
+        git_rev TEXT,
+        quick INTEGER NOT NULL DEFAULT 0,
+        payload_json TEXT NOT NULL)"""
+
+    BENCH_ROW = ("abc123", "t0", "c9108e7", 1,
+                 '{"schema": 1, "suites": {"l1_hit": {"wall_s": 0.5}}}')
+
+    def bench_rows(self, path):
+        con = sqlite3.connect(path)
+        try:
+            return con.execute(
+                "SELECT content_hash, recorded_at, git_rev, quick, "
+                "payload_json FROM benches").fetchall()
+        finally:
+            con.close()
+
+    def test_runs_and_gc_leave_bench_rows_untouched(self, tmp_path):
+        path = tmp_path / "hist.sqlite"
+        archive = HistoryArchive(path)
+        archive.record_run(key="k1", spec=spec_dict(), result=result_dict(1))
+        con = sqlite3.connect(path)
+        con.execute(self.BENCHES_DDL)
+        con.execute("INSERT INTO benches (content_hash, recorded_at, "
+                    "git_rev, quick, payload_json) VALUES (?, ?, ?, ?, ?)",
+                    self.BENCH_ROW)
+        con.commit()
+        con.close()
+
+        assert archive.record_run(
+            key="k1", spec=spec_dict(), result=result_dict(2)) == "revision"
+        assert archive.record_run(
+            key="k2", spec=spec_dict(seed=2), result=result_dict()) \
+            == "inserted"
+        assert [r["key"] for r in archive.list_runs()] == ["k2", "k1", "k1"]
+        assert archive.get_run("k1")["result"]["elapsed_ns"] == 2
+        assert archive.gc(keep_revisions=1) == {"runs_deleted": 1,
+                                                "dry_run": False}
+        assert archive.run_count() == 2
+        assert self.bench_rows(path) == [self.BENCH_ROW]
 
 
 def _append_same(path, barrier, spec, result):
@@ -446,6 +430,144 @@ class TestDiff:
             asdict(RunSpec(workload="synth_uniform", scale=0.05, seed=502)))
 
 
+def _workload(eps: float = 100_000.0) -> dict:
+    """One traced workload record of a ``run.py --out`` payload:
+    1e5 events, 900 ns/event of layer self time, two observer prices."""
+    def metric(v):
+        return {"value": v, "q1": v, "q3": v, "samples": [v]}
+
+    return {
+        "correct": True, "attempted": 3, "failed": 0,
+        "metrics": {"events_per_s": metric(eps),
+                    "wall_s": metric(1e5 / eps),
+                    "setup_s": metric(0.4), "peak_rss_mb": metric(80.0)},
+        "layers": {"sim.events": 100_000, "sim.self_s": 0.05,
+                   "coma.self_s": 0.03, "bus.self_s": 0.01,
+                   "obs.sanitizer.ns_per_event": 5000.0,
+                   "obs.metrics.ns_per_event": 1000.0,
+                   "obs.share": 0.5},
+    }
+
+
+def _payload(**workloads) -> dict:
+    wl = workloads or {"local_hits": _workload(), "observed": _workload()}
+    return {"seed": 1997, "scale": 0.25, "trace": 1, "correct": True,
+            "attempted": 3 * len(wl), "failed": 0, "workloads": wl}
+
+
+class TestPayloadDiff:
+    """``coma-sim diff A.json B.json`` on synthetic benchmark payloads."""
+
+    def diff_cli(self, a, b, tmp_path, capsys, *extra):
+        from repro.cli import main
+
+        paths = []
+        for name, obj in (("a.json", a), ("b.json", b)):
+            path = tmp_path / name
+            path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+            paths.append(str(path))
+        code = main(["diff", *paths, *extra])
+        return code, capsys.readouterr().out
+
+    def test_planted_coma_slowdown_names_coma(self, tmp_path, capsys):
+        b = _payload()
+        layers = b["workloads"]["observed"]["layers"]
+        layers["coma.self_s"] *= 2      # +300 ns/event
+        layers["sim.self_s"] += 0.01    # +100 ns/event
+        report = diff_payloads(_payload(), b)
+        rows = {r["workload"]: r for r in report["workloads"]}
+        top = rows["observed"]["top_layer"]
+        assert top["layer"] == "coma"
+        assert top["a_ns"] == pytest.approx(300.0)
+        assert top["delta_ns"] == pytest.approx(300.0)
+        assert top["share_pct"] == pytest.approx(75.0)
+        assert rows["local_hits"]["top_layer"] is None  # nothing moved
+        assert report["failures"] == []
+        code, out = self.diff_cli(_payload(), b, tmp_path, capsys)
+        assert code == 0
+        assert "top layer: coma 300.0 -> 600.0 ns/event" in out
+        assert "75.0% of the layer swing" in out
+
+    def test_raised_sanitizer_price_names_sanitizer(self):
+        b = _payload()
+        b["workloads"]["local_hits"]["layers"][
+            "obs.sanitizer.ns_per_event"] = 9000.0
+        b["workloads"]["local_hits"]["layers"][
+            "obs.metrics.ns_per_event"] = 2000.0
+        report = diff_payloads(_payload(), b)
+        top = report["workloads"][0]["top_observer"]
+        assert top["observer"] == "sanitizer"
+        assert top["delta_ns"] == 4000.0
+        assert top["share_pct"] == pytest.approx(80.0)
+        assert "top observer: sanitizer" in format_payload_diff(report)
+
+    @pytest.mark.parametrize("divisor, code", [(SLOWDOWN_GATE, 1), (2.9, 0)])
+    def test_events_per_s_gate(self, divisor, code, tmp_path, capsys):
+        b = _payload()
+        b["workloads"]["observed"]["metrics"]["events_per_s"]["value"] /= \
+            divisor
+        got, out = self.diff_cli(_payload(), b, tmp_path, capsys)
+        assert got == code
+        assert ("FAIL: observed: events_per_s" in out) == (code == 1)
+
+    def test_wall_s_gate(self):
+        b = _payload()
+        b["workloads"]["local_hits"]["metrics"]["wall_s"]["value"] *= \
+            SLOWDOWN_GATE
+        assert diff_payloads(_payload(), b)["failures"] == [
+            "local_hits: wall_s at least 3x A's"]
+
+    def test_missing_workload_fails(self, tmp_path, capsys):
+        b = _payload(local_hits=_workload())
+        code, out = self.diff_cli(_payload(), b, tmp_path, capsys)
+        assert code == 1
+        assert "observed: missing from B" in out
+
+    def test_incorrect_b_fails(self, tmp_path, capsys):
+        b = _payload()
+        b["correct"] = False
+        b["workloads"]["observed"]["correct"] = False
+        code, out = self.diff_cli(_payload(), b, tmp_path, capsys)
+        assert code == 1
+        assert "B is not correct: observed" in out
+
+    def test_untraced_payloads_gate_without_naming_a_layer(
+            self, tmp_path, capsys):
+        a, b = _payload(), _payload()
+        for p in (a, b):
+            for rec in p["workloads"].values():
+                rec["layers"] = {}
+        report = diff_payloads(a, b)
+        assert all(r["top_layer"] is None and r["top_observer"] is None
+                   for r in report["workloads"])
+        code, out = self.diff_cli(a, b, tmp_path, capsys)
+        assert code == 0
+        assert "top layer: (untraced)" in out
+        b["workloads"]["observed"]["metrics"]["events_per_s"]["value"] = 1.0
+        code, _ = self.diff_cli(a, b, tmp_path, capsys)
+        assert code == 1
+
+    @pytest.mark.parametrize("bad", [
+        {"suites": {}},                               # not a payload
+        {"workloads": []},                            # not an object
+        {"workloads": {"x": {"layers": {}}}},         # no metrics
+        {"workloads": {"x": {"metrics": {"wall_s": {}}}}},
+        "{not json",
+    ])
+    def test_malformed_payload_exits_2(self, bad, tmp_path, capsys):
+        code, _ = self.diff_cli(_payload(), bad, tmp_path, capsys)
+        assert code == 2
+
+    def test_json_report(self, tmp_path, capsys):
+        out_path = tmp_path / "diff.json"
+        code, _ = self.diff_cli(_payload(), _payload(), tmp_path, capsys,
+                                "--format", "json", "--out", str(out_path))
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        assert report["slowdown_gate"] == SLOWDOWN_GATE
+        assert report["workloads"][0]["end_to_end"]["wall_s"]["ratio"] == 1
+
+
 class TestCli:
     def run_cli(self, argv, capsys):
         from repro.cli import main
@@ -522,10 +644,3 @@ class TestCli:
             ["history", "gc", "--archive", populated, "--dry-run"], capsys)
         assert code == 0
         assert "would delete 0 run row(s)" in out
-
-    def test_history_trend_cli_empty(self, tmp_path, capsys):
-        path = str(tmp_path / "h.sqlite")
-        code, out = self.run_cli(
-            ["history", "trend", "--archive", path], capsys)
-        assert code == 0
-        assert "0 archived run(s)" in out

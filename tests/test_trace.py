@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.experiments.runner import RunSpec, build_simulation
 from repro.mem.address import AddressSpace
@@ -37,6 +38,14 @@ class TestCapture:
         _, _, tr = captured()
         assert tr.ops[0].dtype == np.uint8
         assert tr.args[0].dtype == np.int64
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    def test_radix_failure_names_workload_and_thread(self, scale):
+        """Sequential capture cannot run radix: thread 0's permutation
+        indexes with prefix sums the later threads have not produced."""
+        with pytest.raises(ValueError, match="radix .* thread 0") as info:
+            captured("radix", scale)
+        assert isinstance(info.value.__cause__, IndexError)
 
 
 class TestStore:
