@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -296,3 +302,285 @@ class TestAttributeBounds:
         assert rc == 0
         out = capsys.readouterr().out
         assert "static bounds:" in out and "B101=0" in out
+
+
+# ---------------------------------------------------------------------------
+# transcript: exit code, stdout and written files of every command
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+TRANSCRIPT = DATA / "cli_transcript.json"
+PARSER_SURFACE = DATA / "cli_parser.json"
+
+_S = ("--scale", "0.05")
+_ARCHIVE = ("--archive", "{fx}/hist.sqlite")
+
+#: name -> argv.  Each case runs in its own empty directory, so every file
+#: it leaves there is one it wrote; ``{fx}`` is the shared fixture
+#: directory (lint fixture, history archive, benchmark payloads).
+TRANSCRIPT_CASES = {
+    "list": ["list"],
+    "thresholds": ["thresholds"],
+    "protocol": ["protocol"],
+    "verify": ["verify", "--nodes", "2", "--no-crosscheck"],
+    "lint_text": ["lint", "{fx}/lint"],
+    "lint_json": ["lint", "{fx}/lint", "--format", "json",
+                  "--out", "lint.json"],
+    "lint_explain": ["lint", "--explain", "DET001"],
+    "run": ["run", "synth_private", *_S],
+    "trace": ["trace", "synth_migratory", *_S, "--jsonl", "t.jsonl",
+              "--chrome", "t.json", "--spans", "--timeline", "tl.json"],
+    "attribute_table": ["attribute", "synth_migratory", *_S,
+                        "--openmetrics", "a.om", "--timeline", "tl.json"],
+    "attribute_json": ["attribute", "synth_migratory", *_S,
+                       "--format", "json", "--out", "a.json"],
+    "bounds_table": ["bounds", "synth_migratory", *_S, "--check"],
+    "bounds_json": ["bounds", "synth_migratory", *_S, "--check",
+                    "--format", "json", "--out", "b.json"],
+    "coverage_table": ["coverage", "--workloads", "synth_migratory",
+                       "--mp", "0.5", *_S],
+    "coverage_json": ["coverage", "--workloads", "synth_migratory",
+                      "--mp", "0.5", *_S, "--format", "json",
+                      "--out", "c.json"],
+    "sanitize": ["sanitize", "synth_migratory", *_S, "--report", "s.json"],
+    "metrics_table": ["metrics", "synth_private", *_S],
+    "metrics_json": ["metrics", "synth_private", *_S, "--format", "json",
+                     "--out", "m.json"],
+    "metrics_openmetrics": ["metrics", "synth_private", *_S,
+                            "--format", "openmetrics"],
+    "explain_line": ["explain", "synth_migratory", *_S, "--line", "0x80"],
+    "explain_busiest": ["explain", "synth_migratory", *_S, "--top", "3"],
+    "explain_slowest": ["explain", "synth_migratory", *_S, "--slowest", "2"],
+    "profile": ["profile", "synth_private", *_S, "--every", "1000"],
+    "figure2": ["figure", "2", *_S, "--workloads", "synth_private"],
+    "figure3": ["figure", "3", *_S, "--workloads", "synth_private"],
+    "figure4": ["figure", "4", *_S, "--workloads", "synth_private"],
+    "figure5": ["figure", "5", *_S, "--workloads", "synth_private"],
+    "figure9": ["figure", "9"],
+    "table1": ["table", "1", *_S],
+    "table2": ["table", "2"],
+    "export_table1_csv": ["export", "table1", *_S],
+    "export_table1_json": ["export", "table1", *_S, "--format", "json"],
+    "export_table1_provenance": ["export", "table1", *_S, "--provenance"],
+    "history_list": ["history", "list", *_ARCHIVE],
+    "history_list_json": ["history", "list", "--batch", "a", "--format",
+                          "json", "--out", "h.json", *_ARCHIVE],
+    "history_show": ["history", "show", "b2", *_ARCHIVE],
+    "history_show_missing": ["history", "show", "zzz", *_ARCHIVE],
+    "history_gc_dry_run": ["history", "gc", "--dry-run", *_ARCHIVE],
+    "diff_keys": ["diff", "a2", "b2", *_ARCHIVE],
+    "diff_keys_json": ["diff", "a2", "b2", "--format", "json", *_ARCHIVE],
+    "diff_sweep": ["diff", "--sweep", "a", "b", *_ARCHIVE],
+    "diff_payloads": ["diff", "{fx}/pa.json", "{fx}/pb.json"],
+    "diff_payloads_json": ["diff", "{fx}/pa.json", "{fx}/pb.json",
+                           "--format", "json", "--out", "d.json"],
+    "history_gc": ["history", "gc", *_ARCHIVE],
+}
+
+#: Text longer than this is recorded by digest instead of verbatim.
+_VERBATIM_LIMIT = 2048
+
+_PROVENANCE_OBJECT = re.compile(
+    r'^(\s*)"(_?provenance)": \{.*?^\1\}', re.MULTILINE | re.DOTALL)
+_HOST_VALUE = re.compile(r'((?:git_rev|timestamp)"?\s*[:=]\s*"?)[^",\s]+')
+
+
+def _mask(text: str, tmp: str) -> str:
+    """Hide what legitimately differs between hosts and runs: the tmp
+    directory, git revisions, timestamps and JSON provenance objects."""
+    text = text.replace(tmp, "<tmp>")
+    text = _PROVENANCE_OBJECT.sub(r'\1"\2": "<masked>"', text)
+    return _HOST_VALUE.sub(r"\1<masked>", text)
+
+
+def _record(text: str):
+    if len(text) <= _VERBATIM_LIMIT:
+        return text
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return f"sha256:{digest} ({len(text)} chars)"
+
+
+def _write_fixtures(fx: Path) -> None:
+    from repro.obs.history import HistoryArchive
+
+    (fx / "lint" / "coma").mkdir(parents=True)
+    (fx / "lint" / "coma" / "mod.py").write_text(
+        "import time\nt = time.time()\ndef f(x=[]):\n    pass\n")
+    archive = HistoryArchive(fx / "hist.sqlite")
+    for batch, slow in (("a", 1000), ("b", 1500)):
+        for seed in (1, 2):
+            spec = {"workload": "fft", "machine": "coma", "seed": seed,
+                    "memory_pressure": 0.5, "procs_per_node": 1,
+                    "scale": 1.0}
+            elapsed = slow if seed == 2 else 1000
+            archive.record_run(
+                key=f"{batch}{seed}", spec=spec, batch=batch,
+                recorded_at="2026-01-01T00:00:00+00:00",
+                result={"elapsed_ns": elapsed,
+                        "counters": {"bus": elapsed // 100}},
+                phases={"bus_arb": elapsed // 10, "fill_dram": 50})
+    archive.record_run(key="a2", spec={"workload": "fft", "seed": 2},
+                       result={"elapsed_ns": 1100}, batch="a")
+
+    def workload(eps):
+        def metric(v):
+            return {"value": v, "q1": v, "q3": v, "samples": [v]}
+
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"events_per_s": metric(eps),
+                            "wall_s": metric(1e5 / eps)},
+                "layers": {"sim.events": 100_000, "sim.self_s": 0.05,
+                           "coma.self_s": 1e5 / eps * 0.4,
+                           "obs.metrics.ns_per_event": 1000.0}}
+
+    for name, eps in (("pa.json", 100_000.0), ("pb.json", 80_000.0)):
+        payload = {"correct": True, "attempted": 3, "failed": 0,
+                   "workloads": {"local_hits": workload(eps)}}
+        (fx / name).write_text(json.dumps(payload))
+
+
+def _artifact_exports() -> dict:
+    """Figures 2-5 through their CSV and JSON exporters, on the
+    single-workload sweeps the figure cases run (a full ``export
+    figureN`` sweeps every application)."""
+    from repro.experiments import export as ex
+    from repro.experiments.figure2 import run_figure2
+    from repro.experiments.figure3 import run_figure3
+    from repro.experiments.figure4 import run_figure4
+    from repro.experiments.figure5 import run_figure5
+
+    kw = {"scale": 0.05, "workloads": ["synth_private"]}
+    exporters = {
+        "figure2": (run_figure2, ex.figure2_csv, ex.figure2_json),
+        "figure3": (run_figure3, ex.traffic_csv, ex.traffic_json),
+        "figure4": (run_figure4, ex.traffic_csv, ex.traffic_json),
+        "figure5": (run_figure5, ex.figure5_csv, ex.figure5_json),
+    }
+    out = {}
+    for name, (run, to_csv, to_json) in exporters.items():
+        data = run(**kw)
+        out[f"export_{name}_csv"] = to_csv(data)
+        out[f"export_{name}_json"] = to_json(data)
+    return out
+
+
+def run_transcript(tmp: Path) -> tuple[dict, dict]:
+    """Run every case; returns (masked transcript, raw written files)."""
+    import contextlib
+    import io
+    import os
+
+    fx = tmp / "fixtures"
+    fx.mkdir()
+    _write_fixtures(fx)
+    transcript, raw = {}, {}
+    cwd = os.getcwd()
+    try:
+        for name, template in TRANSCRIPT_CASES.items():
+            case_dir = tmp / name
+            case_dir.mkdir()
+            os.chdir(case_dir)
+            argv = [a.replace("{fx}", str(fx)) for a in template]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+            files = {p.name: p.read_text() for p in sorted(case_dir.iterdir())}
+            raw[name] = files
+            transcript[name] = {
+                "argv": template,
+                "exit": rc,
+                "stdout": _record(_mask(out.getvalue(), str(tmp))),
+                "files": {f: _record(_mask(text, str(tmp)))
+                          for f, text in files.items()},
+            }
+    finally:
+        os.chdir(cwd)
+    for name, text in _artifact_exports().items():
+        transcript[name] = {"stdout": _record(text)}
+    return transcript, raw
+
+
+def parser_surface() -> dict:
+    """Each subcommand's arguments: option strings, choices, nargs,
+    defaults and type, keyed by dest."""
+    from repro.workloads.registry import workload_names
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for command, sp in sub.choices.items():
+        args = {}
+        for a in sp._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            choices = list(a.choices) if a.choices is not None else None
+            if choices == workload_names():
+                choices = "<workload_names>"
+            args[a.dest] = {
+                "options": a.option_strings,
+                "choices": choices,
+                "nargs": a.nargs,
+                "default": a.default,
+                "type": getattr(a.type, "__name__", None),
+            }
+        surface[command] = args
+    return surface
+
+
+_EXPECTED = json.loads(TRANSCRIPT.read_text()) if TRANSCRIPT.exists() else {}
+
+
+@pytest.fixture(scope="class")
+def transcript_run(tmp_path_factory):
+    return run_transcript(tmp_path_factory.mktemp("transcript"))
+
+
+class TestTranscript:
+    """Every command's observable output, byte for byte, pinned against
+    ``tests/data/cli_transcript.json``; regenerate with
+    ``PYTHONPATH=src python tests/test_cli.py``."""
+
+    def test_same_cases(self, transcript_run):
+        assert sorted(transcript_run[0]) == sorted(_EXPECTED)
+
+    @pytest.mark.parametrize("case", sorted(_EXPECTED))
+    def test_case_matches(self, transcript_run, case):
+        assert transcript_run[0].get(case) == _EXPECTED[case]
+
+    #: Provenance keys of each JSON report: every report carries
+    #: ``repro`` and ``git_rev``, plus what identifies its run.
+    PROVENANCE_KEYS = {
+        ("bounds_json", "b.json"): {"repro", "git_rev", "tool"},
+        ("coverage_json", "c.json"): {"repro", "git_rev", "tool"},
+        ("lint_json", "lint.json"): {"repro", "git_rev", "tool"},
+        ("sanitize", "s.json"): {"repro", "cache_version", "git_rev",
+                                 "spec", "seed"},
+        ("metrics_json", "m.json"): {"repro", "cache_version", "git_rev",
+                                     "timestamp", "spec_key"},
+    }
+
+    @pytest.mark.parametrize("where", sorted(PROVENANCE_KEYS))
+    def test_provenance_keys(self, transcript_run, where):
+        case, name = where
+        prov = json.loads(transcript_run[1][case][name])["provenance"]
+        assert set(prov) == self.PROVENANCE_KEYS[where]
+
+    def test_parser_surface(self):
+        assert parser_surface() == json.loads(PARSER_SURFACE.read_text())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        transcript, _ = run_transcript(Path(tmp))
+    TRANSCRIPT.write_text(json.dumps(transcript, indent=1, sort_keys=True)
+                          + "\n")
+    PARSER_SURFACE.write_text(json.dumps(parser_surface(), indent=1,
+                                         sort_keys=True) + "\n")
+    print(f"wrote {TRANSCRIPT} and {PARSER_SURFACE}")
