@@ -10,16 +10,14 @@ from __future__ import annotations
 
 from benchmarks.conftest import write_result
 from repro.experiments.common import FIGURE3_APPS, MP_SWEEP
-from repro.experiments.figure3 import format_traffic, run_figure3
+from repro.experiments.figure3 import format_figure3, run_figure3
 
 
 def test_figure3(benchmark, bench_scale, results_dir):
     sweep = benchmark.pedantic(
         run_figure3, kwargs={"scale": bench_scale}, rounds=1, iterations=1
     )
-    text = format_traffic(
-        sweep, "Figure 3: traffic for 1 and 4-processor nodes at 6/50/75/81/87% MP"
-    )
+    text = format_figure3(sweep)
     write_result(results_dir, "figure3.txt", text)
     print()
     print(text)

@@ -68,7 +68,6 @@ from repro.analysis.report import (
 )
 from repro.analysis.sanitize import (
     CoherenceSanitizer,
-    build_provenance,
     sanitizer_for,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "ProtocolModel",
     "Step",
     "bound_table",
-    "build_provenance",
     "certify_bounds",
     "check_line_state",
     "check_liveness",

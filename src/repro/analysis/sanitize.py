@@ -89,7 +89,8 @@ class CoherenceSanitizer(TraceSink):
     max_findings:
         recording stops (counting continues) past this many findings.
     provenance:
-        optional dict stamped into the report (see :func:`build_provenance`).
+        optional dict stamped into the report (:func:`sanitizer_for` stamps
+        :func:`repro.obs.manifest.provenance` with the spec and seed).
     """
 
     def __init__(
@@ -475,27 +476,14 @@ def sanitizer_for(sim, spec=None, **kwargs) -> CoherenceSanitizer:
         sharing.update(wl.declared_sharing())
     sharing.setdefault("sync", SHARING_SYNC)
     if spec is not None and "provenance" not in kwargs:
-        kwargs["provenance"] = build_provenance(spec)
+        from dataclasses import asdict
+
+        from repro.obs.manifest import provenance
+
+        kwargs["provenance"] = provenance(spec=asdict(spec), seed=spec.seed)
     return CoherenceSanitizer(
         node_of=config.node_of_proc,
         segments=segments,
         sharing=sharing,
         **kwargs,
     )
-
-
-def build_provenance(spec) -> dict:
-    """Provenance stamp for sanitizer reports (PR-2 manifest vocabulary)."""
-    from dataclasses import asdict
-
-    from repro import __version__
-    from repro.experiments.runner import CACHE_VERSION
-    from repro.obs.manifest import git_revision
-
-    return {
-        "spec": asdict(spec),
-        "seed": spec.seed,
-        "cache_version": CACHE_VERSION,
-        "repro": __version__,
-        "git_rev": git_revision() or "unknown",
-    }

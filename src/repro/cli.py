@@ -12,19 +12,75 @@ Examples::
     coma-sim trace synth_migratory --scale 0.1 --chrome trace.json
     coma-sim explain synth_migratory --scale 0.1 --line 0x80
     coma-sim sanitize fft --mp 0.875 --scale 0.1 --report findings.json
+
+The commands share four pieces: ``_spec_flags``/``_spec`` declare the
+RunSpec flags and build the RunSpec they name; ``_report_flags`` declares
+``--format``/``--out`` and ``_emit`` writes every report and side file;
+:func:`repro.obs.manifest.provenance` stamps every report; ``ARTIFACTS``
+maps the paper's figures and table to their run, format and export
+functions.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
+from contextlib import contextmanager
+from datetime import datetime, timezone
 
-from repro.experiments.runner import RunSpec, run_spec
+from repro.experiments import export as ex
+from repro.experiments.figure2 import format_figure2, run_figure2
+from repro.experiments.figure3 import format_figure3, run_figure3
+from repro.experiments.figure4 import format_figure4, run_figure4
+from repro.experiments.figure5 import format_figure5, run_figure5
+from repro.experiments.runner import RunSpec, build_simulation, run_spec
+from repro.experiments.table1 import format_table1, run_table1
+from repro.obs.manifest import provenance, provenance_header
 from repro.stats.report import render_run_report
 from repro.workloads.registry import paper_workloads, workload_names
 
+#: Paper artifact -> (run, format, csv, json); ``json`` is None when the
+#: artifact has no JSON export.
+ARTIFACTS = {
+    "figure2": (run_figure2, format_figure2, ex.figure2_csv, ex.figure2_json),
+    "figure3": (run_figure3, format_figure3, ex.traffic_csv, ex.traffic_json),
+    "figure4": (run_figure4, format_figure4, ex.traffic_csv, ex.traffic_json),
+    "figure5": (run_figure5, format_figure5, ex.figure5_csv, ex.figure5_json),
+    "table1": (run_table1, format_table1, ex.table1_csv, None),
+}
 
-from contextlib import contextmanager
+_SPEC_FIELDS = frozenset(f.name for f in dataclasses.fields(RunSpec))
+
+
+def _spec(args: argparse.Namespace, **extra) -> RunSpec:
+    """The RunSpec named by every parsed option whose dest is a RunSpec
+    field (see ``_spec_flags``), plus ``extra``."""
+    fields = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
+    return RunSpec(**fields, **extra)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _emit(text: str, path: str | None, pointer: str) -> None:
+    """Write ``text`` to ``path`` and print the ``pointer`` line, or print
+    ``text`` when there is no path.  Every file the CLI writes goes
+    through here."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(pointer)
+    else:
+        print(text, end="")
 
 
 @contextmanager
@@ -53,15 +109,28 @@ def _recording(args: argparse.Namespace, source: str):
         print(rec.summary(), file=sys.stderr)
 
 
+def _timeline(sim, args: argparse.Namespace):
+    """Attach a timeline sampler when ``--timeline`` was given."""
+    if not args.timeline:
+        return None
+    from repro.obs.timeline import TimelineSampler
+
+    tl = TimelineSampler()
+    # Sample every 500 kernel events: dense enough for short traced
+    # runs, and the run itself is already paying for event tracing.
+    sim.attach(tl, every=500)
+    return tl
+
+
+def _emit_timeline(tl, args: argparse.Namespace) -> None:
+    if tl is not None:
+        _emit(_dumps(tl.to_json()), args.timeline,
+              f"timeline: {args.timeline} ({len(tl.t)} samples)")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = RunSpec(
-        workload=args.workload,
-        machine=args.machine,
-        procs_per_node=args.procs_per_node,
-        memory_pressure=args.memory_pressure,
-        am_assoc=args.am_assoc,
-        scale=args.scale,
-        seed=args.seed,
+    spec = _spec(
+        args,
         dram_bandwidth_factor=args.dram_bandwidth,
         bus_bandwidth_factor=args.bus_bandwidth,
         inclusive=not args.non_inclusive,
@@ -72,50 +141,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_spec(args: argparse.Namespace) -> RunSpec:
-    return RunSpec(
-        workload=args.workload,
-        machine=args.machine,
-        procs_per_node=args.procs_per_node,
-        memory_pressure=args.memory_pressure,
-        scale=args.scale,
-        seed=args.seed,
-    )
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.experiments.runner import build_simulation
     from repro.obs import ChromeTraceSink, FlightRecorder, JsonlTraceSink
-    from repro.obs.timeline import TimelineSampler
 
-    sinks = []
     jsonl_path = args.jsonl
     if jsonl_path is None and args.chrome is None:
         jsonl_path = f"{args.workload}.trace.jsonl"
     js = JsonlTraceSink(jsonl_path) if jsonl_path else None
-    if js is not None:
-        sinks.append(js)
     ct = ChromeTraceSink(args.chrome) if args.chrome else None
-    if ct is not None:
-        sinks.append(ct)
     flight = FlightRecorder(capacity=args.flight, dump_path=args.flight_dump)
-    sinks.append(flight)
+    sinks = [s for s in (js, ct) if s is not None] + [flight]
     if args.spans:
         # Opt in per instance: span events flow to every attached sink
         # (trace files grow; goldens without --spans stay byte-identical).
         for s in sinks:
             s.wants_spans = True
 
-    tl = TimelineSampler() if args.timeline else None
-    sim = build_simulation(_trace_spec(args))
+    sim = build_simulation(_spec(args))
     for s in sinks:
         sim.attach(s)
-    if tl is not None:
-        # Sample every 500 kernel events: dense enough for short traced
-        # runs, and the run itself is already paying for event tracing.
-        sim.attach(tl, every=500)
+    tl = _timeline(sim, args)
     try:
         result = sim.run()
         if tl is not None and ct is not None:
@@ -136,37 +181,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if ct is not None:
         print(f"chrome trace: {args.chrome} ({ct.count} events) "
               "— open in https://ui.perfetto.dev")
-    if tl is not None:
-        with open(args.timeline, "w") as fh:
-            _json.dump(tl.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"timeline: {args.timeline} ({len(tl.t)} samples)")
+    _emit_timeline(tl, args)
     return 0
 
 
 def _cmd_attribute(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.experiments.runner import build_simulation
+    from repro.analysis.bounds import BoundsCertifier, envelope_for
     from repro.obs.openmetrics import to_openmetrics
     from repro.obs.spans import (
         StallAttribution,
         format_attribution,
         format_span_tree,
     )
-    from repro.obs.timeline import TimelineSampler
 
-    from repro.analysis.bounds import BoundsCertifier, envelope_for
-
-    spec = _trace_spec(args)
+    spec = _spec(args)
     att = StallAttribution(top_spans=args.top_spans)
-    tl = TimelineSampler() if args.timeline else None
     sim = build_simulation(spec)
     cert = BoundsCertifier(envelope_for(args.machine, sim.machine.config.timing))
     sim.attach(att)
     sim.attach(cert)
-    if tl is not None:
-        sim.attach(tl, every=500)
+    tl = _timeline(sim, args)
     result = sim.run()
     cert.finalize()
     report = att.report(stalls=result.stalls, elapsed_ns=result.elapsed_ns)
@@ -177,7 +211,7 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
         "ok": cert.ok(),
     }
     if args.format == "json":
-        out = _json.dumps(report, indent=2, sort_keys=True) + "\n"
+        out = _dumps(report)
     else:
         out = format_attribution(report) + "\n"
         b = report["bounds"]
@@ -189,22 +223,13 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
         if trees:
             out += f"{len(trees)} slowest access(es), full span trees:\n"
             out += "\n".join(format_span_tree(t) for t in trees) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-        print(f"attribution: {args.out} ({args.format})")
-    else:
-        print(out, end="")
+    _emit(out, args.out, f"attribution: {args.out} ({args.format})")
     if args.openmetrics:
-        with open(args.openmetrics, "w") as fh:
-            fh.write(to_openmetrics(att.registry, exemplars=att.exemplars()))
-        print(f"openmetrics: {args.openmetrics} (latency histograms "
+        _emit(to_openmetrics(att.registry, exemplars=att.exemplars()),
+              args.openmetrics,
+              f"openmetrics: {args.openmetrics} (latency histograms "
               "with tail exemplars)")
-    if tl is not None:
-        with open(args.timeline, "w") as fh:
-            _json.dump(tl.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"timeline: {args.timeline} ({len(tl.t)} samples)")
+    _emit_timeline(tl, args)
     errs = report["conservation_errors"]
     if errs:
         print("conservation violations:", file=sys.stderr)
@@ -220,17 +245,14 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.analysis.bounds import (
         BoundsCertifier,
         bound_table,
         envelope_for,
         format_bounds,
     )
-    from repro.experiments.runner import build_simulation
 
-    spec = _trace_spec(args)
+    spec = _spec(args)
     sim = build_simulation(spec)
     timing = sim.machine.config.timing
     rows = bound_table(args.machine, timing)
@@ -244,30 +266,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         cert.finalize()
 
     if args.format == "json" or args.out:
-        from repro import __version__
-        from repro.obs.manifest import git_revision
-
         payload = {
-            "provenance": {
-                "repro": __version__,
-                "git_rev": git_revision() or "unknown",
-                "tool": "coma-sim bounds",
-            },
+            "provenance": provenance(tool="coma-sim bounds"),
             "machine": args.machine,
             "spec_key": spec.key(),
             "bounds": [r.to_record() for r in rows],
         }
         if cert is not None:
             payload["certification"] = cert.report()
-        text = _json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _dumps(payload)
     else:
         text = format_bounds(rows, args.machine) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"bounds: {args.out} ({args.format})")
-    else:
-        print(text, end="")
+    _emit(text, args.out, f"bounds: {args.out} ({args.format})")
 
     if cert is None:
         return 0
@@ -289,8 +299,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.analysis.coverage import (
         MICRO_RECIPES,
         CoverageAnalysis,
@@ -298,7 +306,6 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         format_coverage,
         run_micro,
     )
-    from repro.experiments.runner import RunSpec, build_simulation
 
     ana = CoverageAnalysis(n_nodes=args.nodes)
     for wl in args.workloads:
@@ -319,28 +326,15 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     report = ana.report()
 
     if args.format == "json" or args.out:
-        from repro import __version__
-        from repro.obs.manifest import git_revision
-
-        payload = {
-            "provenance": {
-                "repro": __version__,
-                "git_rev": git_revision() or "unknown",
-                "tool": "coma-sim coverage",
-            },
+        text = _dumps({
+            "provenance": provenance(tool="coma-sim coverage"),
             "machine": args.machine,
             "scale": args.scale,
             **report,
-        }
-        text = _json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        })
     else:
         text = format_coverage(report) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"coverage: {args.out} ({args.format})")
-    else:
-        print(text, end="")
+    _emit(text, args.out, f"coverage: {args.out} ({args.format})")
 
     if args.min_pct is not None and report["total_pct"] < args.min_pct:
         print(f"coverage FAILED: {report['total_pct']:.2f}% of reachable "
@@ -350,11 +344,10 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import build_simulation
     from repro.obs import LineBiography
 
     bio = LineBiography()
-    sim = build_simulation(_trace_spec(args))
+    sim = build_simulation(_spec(args))
     sim.attach(bio)
     att = None
     if args.slowest:
@@ -376,65 +369,43 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             print(f"  {ln:#x}: {len(bio.history(ln))} event(s)")
         print("re-run with --line <LINE> for one line's full biography")
         return 0
-    line = int(args.line, 0)
-    print(bio.narrate(line))
+    print(bio.narrate(args.line))
+    return 0
+
+
+def _run_artifact(run, args: argparse.Namespace):
+    kwargs = {"scale": args.scale, "jobs": args.jobs}
+    if getattr(args, "workloads", None):
+        kwargs["workloads"] = args.workloads
+    return run(**kwargs)
+
+
+def _show_artifact(name: str, args: argparse.Namespace, missing: str) -> int:
+    """Run one paper artifact and print it the way the paper lays it out."""
+    if name not in ARTIFACTS:
+        print(missing, file=sys.stderr)
+        return 2
+    run, fmt, _, _ = ARTIFACTS[name]
+    with _recording(args, args.command):
+        print(fmt(_run_artifact(run, args)))
+    _print_cache_summary()
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    with _recording(args, "figure"):
-        return _figure_body(args)
+    return _show_artifact(f"figure{args.number}", args,
+                          f"no figure {args.number} in the paper")
 
 
-def _figure_body(args: argparse.Namespace) -> int:
-    kwargs = {"scale": args.scale, "jobs": args.jobs}
-    if args.workloads:
-        kwargs["workloads"] = args.workloads
-    if args.number == 2:
-        from repro.experiments.figure2 import format_figure2, run_figure2
-
-        print(format_figure2(run_figure2(**kwargs)))
-    elif args.number == 3:
-        from repro.experiments.figure3 import format_traffic, run_figure3
-
-        print(
-            format_traffic(
-                run_figure3(**kwargs),
-                "Figure 3: traffic for 1 and 4-processor nodes at "
-                "6/50/75/81/87% MP",
-            )
-        )
-    elif args.number == 4:
-        from repro.experiments.figure4 import format_figure4, run_figure4
-
-        print(format_figure4(run_figure4(**kwargs)))
-    elif args.number == 5:
-        from repro.experiments.figure5 import format_figure5, run_figure5
-
-        print(format_figure5(run_figure5(**kwargs)))
-    else:
-        print(f"no figure {args.number} in the paper", file=sys.stderr)
-        return 2
-    _print_cache_summary()
-    return 0
+def _cmd_table(args: argparse.Namespace) -> int:
+    return _show_artifact(f"table{args.number}", args,
+                          "the paper has one table (Table 1)")
 
 
 def _print_cache_summary() -> None:
     from repro.experiments.runner import format_cache_summary
 
     print(format_cache_summary(), file=sys.stderr)
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    if args.number != 1:
-        print("the paper has one table (Table 1)", file=sys.stderr)
-        return 2
-    from repro.experiments.table1 import format_table1, run_table1
-
-    with _recording(args, "table"):
-        print(format_table1(run_table1(scale=args.scale, jobs=args.jobs)))
-    _print_cache_summary()
-    return 0
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -496,13 +467,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.report import format_findings
     from repro.analysis.sanitize import sanitizer_for
-    from repro.experiments.runner import build_simulation
 
-    spec = _trace_spec(args)
+    spec = _spec(args)
     sim = build_simulation(spec)
     san = sanitizer_for(
         sim,
@@ -533,10 +501,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 for f in report.findings
             ],
         }
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report: {args.report}")
+        _emit(_dumps(payload), args.report, f"report: {args.report}")
     if report.findings:
         print(format_findings(report.findings), file=sys.stderr)
         print(f"sanitize FAILED: {len(report.findings)} finding(s)",
@@ -549,7 +514,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import json
     from pathlib import Path
 
     from repro.analysis.lint import default_root, lint_file, lint_tree
@@ -587,27 +551,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         # Same shape the sanitizer report uses (provenance + stats +
         # findings), so CI consumes both with one parser; lint findings
         # additionally carry a 1-based source line.
-        from repro import __version__
-        from repro.obs.manifest import git_revision
-
-        payload = {
-            "provenance": {
-                "repro": __version__,
-                "git_rev": git_revision() or "unknown",
-                "tool": "coma-sim lint",
-            },
+        text = _dumps({
+            "provenance": provenance(tool="coma-sim lint"),
             "stats": report.stats,
-            "findings": [
-                {"rule": f.rule, "message": f.message, "path": f.path,
-                 "line": f.line, "detail": f.detail}
-                for f in report.findings
-            ],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            "findings": [dataclasses.asdict(f) for f in report.findings],
+        })
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            print(f"report: {args.out}")
+            _emit(text, args.out, f"report: {args.out}")
         if args.format == "json":
             print(text, end="")
     if args.format != "json":
@@ -619,17 +569,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import RunSpec, build_simulation
     from repro.stats.profiler import SharingProfiler, format_profile
 
-    spec = RunSpec(
-        workload=args.workload,
-        procs_per_node=args.procs_per_node,
-        memory_pressure=args.memory_pressure,
-        scale=args.scale,
-    )
     prof = SharingProfiler()
-    sim = build_simulation(spec)
+    sim = build_simulation(_spec(args))
     sim.attach(prof, every=args.every)
     sim.run()
     prof.sample(sim.machine)
@@ -638,16 +581,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import build_simulation, set_experiment_metrics
+    from repro.experiments.runner import set_experiment_metrics
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.openmetrics import (
-        snapshot_provenance,
-        to_json,
-        to_openmetrics,
-        to_table,
-    )
+    from repro.obs.openmetrics import to_json, to_openmetrics, to_table
 
-    spec = _trace_spec(args)
+    spec = _spec(args)
     registry = MetricsRegistry()
     set_experiment_metrics(registry)
     try:
@@ -659,33 +597,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.format == "openmetrics":
         out = to_openmetrics(registry)
     elif args.format == "json":
-        prov = snapshot_provenance()
-        prov["spec_key"] = spec.key()
-        out = to_json(registry, provenance=prov)
+        out = to_json(registry, provenance=provenance(
+            timestamp=_now(), spec_key=spec.key()))
     else:
         out = to_table(registry) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-        print(f"metrics: {args.out} ({args.format})")
-    else:
-        print(out, end="")
+    _emit(out, args.out, f"metrics: {args.out} ({args.format})")
     return 0
 
 
-def _emit(out: str, args: argparse.Namespace, what: str) -> None:
-    """Print ``out`` or write it to ``--out`` (with a pointer line)."""
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(out if out.endswith("\n") else out + "\n")
-        print(f"{what}: {args.out}")
-    else:
-        print(out)
-
-
 def _cmd_history(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.obs.history import (
         HistoryArchive,
         HistoryArchiveError,
@@ -700,8 +620,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
                 batch=args.batch, limit=args.limit,
             )
             if args.format == "json":
-                _emit(_json.dumps(rows, indent=2, sort_keys=True),
-                      args, "history")
+                _emit(_dumps(rows), args.out, f"history: {args.out}")
             else:
                 print(f"history: {len(rows)} of {archive.run_count()} "
                       f"run(s) in {archive.path}")
@@ -718,8 +637,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
                 print(f"history: no run matching key {args.key!r}",
                       file=sys.stderr)
                 return 1
-            _emit(_json.dumps(row, indent=2, sort_keys=True),
-                  args, "history")
+            _emit(_dumps(row), args.out, f"history: {args.out}")
             return 0
         if args.action == "gc":
             stats = archive.gc(
@@ -733,8 +651,13 @@ def _cmd_history(args: argparse.Namespace) -> int:
     return 2  # pragma: no cover - argparse restricts choices
 
 
+def _emit_diff(args: argparse.Namespace, report: dict, format_table) -> None:
+    text = _dumps(report) if args.format == "json" else format_table(report)
+    _emit(text, args.out, f"diff: {args.out}")
+
+
 def _cmd_diff(args: argparse.Namespace) -> int:
-    import json as _json
+    from pathlib import Path
 
     from repro.obs.diff import (
         diff_runs,
@@ -748,27 +671,22 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         print("diff: expected exactly two run keys, two benchmark "
               "payload files, or --sweep A B", file=sys.stderr)
         return 2
-    from pathlib import Path
-
     if not args.sweep and all(Path(k).is_file() for k in args.keys):
         return _diff_payload_files(args)
     archive = HistoryArchive(args.archive)
     try:
         if args.sweep:
-            batch_a, batch_b = args.sweep
-            rows_a = [archive.get_run(r["key"], rev=r["rev"])
-                      for r in archive.list_runs(batch=batch_a, limit=1000)]
-            rows_b = [archive.get_run(r["key"], rev=r["rev"])
-                      for r in archive.list_runs(batch=batch_b, limit=1000)]
+            rows_a, rows_b = (
+                [archive.get_run(r["key"], rev=r["rev"])
+                 for r in archive.list_runs(batch=batch, limit=1000)]
+                for batch in args.sweep)
             if not rows_a or not rows_b:
-                missing = batch_a if not rows_a else batch_b
+                missing = args.sweep[0] if not rows_a else args.sweep[1]
                 print(f"diff: no archived runs in batch {missing!r}",
                       file=sys.stderr)
                 return 1
             report = diff_sweeps(rows_a, rows_b, noise_pct=args.noise)
-            out = (_json.dumps(report, indent=2, sort_keys=True)
-                   if args.format == "json" else format_sweep_diff(report))
-            _emit(out, args, "diff")
+            _emit_diff(args, report, format_sweep_diff)
             worst = report.get("worst_regression")
             return 1 if worst and worst["elapsed"]["change_pct"] > \
                 args.noise else 0
@@ -779,10 +697,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                 print(f"diff: no archived run matching key {key!r}",
                       file=sys.stderr)
                 return 1
-        report = diff_runs(a, b, noise_pct=args.noise)
-        out = (_json.dumps(report, indent=2, sort_keys=True)
-               if args.format == "json" else format_diff(report))
-        _emit(out, args, "diff")
+        _emit_diff(args, diff_runs(a, b, noise_pct=args.noise), format_diff)
         return 0
     except HistoryArchiveError as exc:
         print(f"diff: {exc}", file=sys.stderr)
@@ -792,8 +707,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _diff_payload_files(args: argparse.Namespace) -> int:
     """``diff A.json B.json`` on two benchmark ``run.py --out`` payloads:
     exit 1 when B fails the gate, 2 when a payload is unreadable."""
-    import json as _json
-
     from repro.obs.diff import (
         check_payload,
         diff_payloads,
@@ -804,49 +717,22 @@ def _diff_payload_files(args: argparse.Namespace) -> int:
     for path in args.keys:
         try:
             with open(path) as fh:
-                payloads.append(check_payload(_json.load(fh)))
+                payloads.append(check_payload(json.load(fh)))
         except (OSError, ValueError) as exc:
             print(f"diff: {path}: {exc}", file=sys.stderr)
             return 2
     report = diff_payloads(*payloads)
-    out = (_json.dumps(report, indent=2, sort_keys=True)
-           if args.format == "json" else format_payload_diff(report))
-    _emit(out, args, "diff")
+    _emit_diff(args, report, format_payload_diff)
     return 1 if report["failures"] else 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.experiments import export as ex
-
-    if args.artifact == "figure2":
-        from repro.experiments.figure2 import run_figure2
-
-        rows = run_figure2(scale=args.scale, jobs=args.jobs)
-        out = ex.figure2_json(rows) if args.format == "json" else ex.figure2_csv(rows)
-    elif args.artifact == "figure3":
-        from repro.experiments.figure3 import run_figure3
-
-        sweep = run_figure3(scale=args.scale, jobs=args.jobs)
-        out = ex.traffic_json(sweep) if args.format == "json" else ex.traffic_csv(sweep)
-    elif args.artifact == "figure4":
-        from repro.experiments.figure4 import run_figure4
-
-        sweep = run_figure4(scale=args.scale, jobs=args.jobs)
-        out = ex.traffic_json(sweep) if args.format == "json" else ex.traffic_csv(sweep)
-    elif args.artifact == "figure5":
-        from repro.experiments.figure5 import run_figure5
-
-        bars = run_figure5(scale=args.scale, jobs=args.jobs)
-        out = ex.figure5_json(bars) if args.format == "json" else ex.figure5_csv(bars)
-    elif args.artifact == "table1":
-        from repro.experiments.table1 import run_table1
-
-        if args.format == "json":
-            print("table1 supports csv only", file=sys.stderr)
-            return 2
-        out = ex.table1_csv(run_table1(scale=args.scale, jobs=args.jobs))
-    else:  # pragma: no cover - argparse restricts choices
+    run, _, to_csv, to_json = ARTIFACTS[args.artifact]
+    render = to_json if args.format == "json" else to_csv
+    if render is None:
+        print(f"{args.artifact} supports csv only", file=sys.stderr)
         return 2
+    out = render(_run_artifact(run, args))
     if args.provenance:
         out = _with_provenance(out, args.format)
     print(out, end="")
@@ -860,29 +746,16 @@ def _with_provenance(out: str, fmt: str) -> str:
     CSV gets a ``# provenance:`` comment line; JSON gets a top-level
     ``_provenance`` object (a comment would break parsers).
     """
-    import json
-    from datetime import datetime, timezone
-
-    from repro.obs.manifest import git_revision, provenance_header
-
-    ts = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if fmt == "json":
-        from repro import __version__
-        from repro.experiments.runner import CACHE_VERSION
-
-        obj = json.loads(out)
-        prov = {
-            "repro": __version__,
-            "cache_version": CACHE_VERSION,
-            "git_rev": git_revision() or "unknown",
-            "timestamp": ts,
-        }
-        if isinstance(obj, list):
-            obj = {"_provenance": prov, "data": obj}
-        else:
-            obj["_provenance"] = prov
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    return provenance_header(timestamp=ts) + out
+    ts = _now()
+    if fmt != "json":
+        return provenance_header(timestamp=ts) + out
+    obj = json.loads(out)
+    prov = provenance(timestamp=ts)
+    if isinstance(obj, list):
+        obj = {"_provenance": prov, "data": obj}
+    else:
+        obj["_provenance"] = prov
+    return _dumps(obj)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -915,7 +788,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
     from repro.serve.loadtest import format_report, run_loadtest
 
@@ -926,16 +798,94 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         seed0=args.seed0,
     ))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"loadtest: {args.out}")
+        _emit(_dumps(report), args.out, f"loadtest: {args.out}")
     print(format_report(report))
     if not report["ok"]:
         print("loadtest: coalesced mix ran more than one simulation",
               file=sys.stderr)
         return 1
     return 0
+
+
+# ----------------------------------------------------------------------
+# parser
+# ----------------------------------------------------------------------
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for ``--scale``: a number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _line_number(text: str) -> int:
+    """argparse type for ``--line``: 0x-prefixed hex or decimal."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a line number: {text!r}") from None
+
+
+def _spec_flags(sp: argparse.ArgumentParser,
+                machines: tuple | None = ("coma", "hcoma"),
+                seed: bool = True) -> None:
+    """The flags naming one run.  Each dest is the RunSpec field it sets,
+    so ``_spec(args)`` builds the spec; ``machines=None`` and
+    ``seed=False`` leave those fields at RunSpec's defaults."""
+    sp.add_argument("workload", choices=workload_names())
+    if machines:
+        sp.add_argument("--machine", choices=list(machines), default="coma")
+    sp.add_argument("--procs-per-node", type=int, default=1,
+                    choices=[1, 2, 4, 8, 16])
+    sp.add_argument("--memory-pressure", "--mp", type=float, default=0.5)
+    sp.add_argument("--scale", type=_positive_float, default=1.0)
+    if seed:
+        sp.add_argument("--seed", type=int, default=1997)
+
+
+def _sweep_flags(sp: argparse.ArgumentParser) -> None:
+    """``--scale`` and ``--jobs`` for the paper-artifact sweeps."""
+    sp.add_argument("--scale", type=_positive_float, default=1.0)
+    sp.add_argument(
+        "--jobs", "-j", type=int, default=1, metavar="N",
+        help="worker processes for the sweep (1 = serial, the "
+        "default; -1 = one per CPU)",
+    )
+
+
+def _report_flags(sp: argparse.ArgumentParser, formats: tuple,
+                  default: str | None = None,
+                  out: str | None = "write the report to a file instead "
+                  "of stdout") -> None:
+    """``--format`` (default: the first of ``formats``) and, unless
+    ``out`` is None, ``--out`` with ``out`` as its help."""
+    sp.add_argument("--format", choices=list(formats),
+                    default=default or formats[0])
+    if out:
+        sp.add_argument("--out", metavar="PATH", help=out)
+
+
+def _archive_flag(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument(
+        "--archive", metavar="PATH",
+        help="history archive file (default "
+        "$REPRO_HISTORY_DIR/history.sqlite, .repro_history/)",
+    )
+
+
+def _record_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument(
+        "--record", nargs="?", const="", default=None, metavar="BATCH",
+        help="archive completed runs in the history store, optionally "
+        "tagged with a batch name (see 'coma-sim history')",
+    )
+    _archive_flag(sp)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -947,54 +897,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one simulation")
-    run.add_argument("workload", choices=workload_names())
-    run.add_argument("--machine", choices=["coma", "numa"], default="coma")
-    run.add_argument("--procs-per-node", type=int, default=1, choices=[1, 2, 4, 8, 16])
-    run.add_argument("--memory-pressure", type=float, default=0.5)
+    _spec_flags(run, machines=("coma", "numa"))
     run.add_argument("--am-assoc", type=int, default=4)
-    run.add_argument("--scale", type=float, default=1.0)
-    run.add_argument("--seed", type=int, default=1997)
     run.add_argument("--dram-bandwidth", type=float, default=1.0)
     run.add_argument("--bus-bandwidth", type=float, default=1.0)
     run.add_argument("--non-inclusive", action="store_true")
     run.add_argument("--no-cache", action="store_true")
-    run.set_defaults(func=_cmd_run)
-
-    def _jobs_flag(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--jobs", "-j", type=int, default=1, metavar="N",
-            help="worker processes for the sweep (1 = serial, the "
-            "default; -1 = one per CPU)",
-        )
-
-    def _record_flags(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--record", nargs="?", const="", default=None, metavar="BATCH",
-            help="archive completed runs in the history store, optionally "
-            "tagged with a batch name (see 'coma-sim history')",
-        )
-        sp.add_argument(
-            "--archive", metavar="PATH",
-            help="history archive file (default "
-            "$REPRO_HISTORY_DIR/history.sqlite, .repro_history/)",
-        )
-
     _record_flags(run)
+    run.set_defaults(func=_cmd_run)
 
     fig = sub.add_parser("figure", help="reproduce a paper figure")
     fig.add_argument("number", type=int)
-    fig.add_argument("--scale", type=float, default=1.0)
     fig.add_argument("--workloads", nargs="*", metavar="APP",
                      choices=workload_names(),
                      help="restrict the sweep to these applications")
-    _jobs_flag(fig)
+    _sweep_flags(fig)
     _record_flags(fig)
     fig.set_defaults(func=_cmd_figure)
 
     tab = sub.add_parser("table", help="reproduce a paper table")
     tab.add_argument("number", type=int)
-    tab.add_argument("--scale", type=float, default=1.0)
-    _jobs_flag(tab)
+    _sweep_flags(tab)
     _record_flags(tab)
     tab.set_defaults(func=_cmd_table)
 
@@ -1026,51 +949,31 @@ def build_parser() -> argparse.ArgumentParser:
                     help="files or package roots (default: the repro package)")
     ln.add_argument("--rules", nargs="*", metavar="ID",
                     help="only report these rule IDs")
-    ln.add_argument("--format", choices=["text", "json"], default="text",
-                    help="output format (json mirrors the sanitize "
-                    "report shape)")
-    ln.add_argument("--out", metavar="PATH",
-                    help="also write the JSON report to a file (CI "
-                    "artifact)")
+    _report_flags(ln, ("text", "json"),
+                  out="also write the JSON report (the sanitize report's "
+                  "shape) to a file (CI artifact)")
     ln.add_argument("--explain", metavar="RULE",
                     help="print the documentation for one rule ID (from "
                     "the consolidated registry) and exit")
     ln.set_defaults(func=_cmd_lint)
 
     pf = sub.add_parser("profile", help="sharing/replication profile of a run")
-    pf.add_argument("workload", choices=workload_names())
-    pf.add_argument("--procs-per-node", type=int, default=1)
-    pf.add_argument("--memory-pressure", type=float, default=0.5)
-    pf.add_argument("--scale", type=float, default=1.0)
+    _spec_flags(pf, machines=None, seed=False)
     pf.add_argument("--every", type=int, default=5000)
     pf.set_defaults(func=_cmd_profile)
 
     exp = sub.add_parser("export", help="export figure data as CSV/JSON")
-    exp.add_argument(
-        "artifact",
-        choices=["figure2", "figure3", "figure4", "figure5", "table1"],
-    )
-    exp.add_argument("--format", choices=["csv", "json"], default="csv")
-    exp.add_argument("--scale", type=float, default=1.0)
-    _jobs_flag(exp)
+    exp.add_argument("artifact", choices=list(ARTIFACTS))
+    _report_flags(exp, ("csv", "json"), out=None)
+    _sweep_flags(exp)
     exp.add_argument("--provenance", action="store_true",
                      help="stamp the export with code version / git revision")
     exp.set_defaults(func=_cmd_export)
 
-    def _traced(sp: argparse.ArgumentParser,
-                machines: tuple = ("coma", "hcoma")) -> None:
-        sp.add_argument("workload", choices=workload_names())
-        sp.add_argument("--machine", choices=list(machines), default="coma")
-        sp.add_argument("--procs-per-node", type=int, default=1,
-                        choices=[1, 2, 4, 8, 16])
-        sp.add_argument("--memory-pressure", "--mp", type=float, default=0.5)
-        sp.add_argument("--scale", type=float, default=1.0)
-        sp.add_argument("--seed", type=int, default=1997)
-
     tr = sub.add_parser(
         "trace", help="run one simulation with event tracing enabled"
     )
-    _traced(tr)
+    _spec_flags(tr)
     tr.add_argument("--jsonl", metavar="PATH",
                     help="write a JSONL event trace (default: "
                     "<workload>.trace.jsonl when --chrome is not given)")
@@ -1094,12 +997,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="attribute simulated latency to protocol phases "
         "(busy/read/write/sync/relocation breakdown per processor)",
     )
-    _traced(at)
-    at.add_argument("--format", choices=["table", "json"], default="table")
+    _spec_flags(at)
+    _report_flags(at, ("table", "json"))
     at.add_argument("--top-spans", type=int, default=10, metavar="N",
                     help="keep full span trees for the N slowest accesses")
-    at.add_argument("--out", metavar="PATH",
-                    help="write the report to a file instead of stdout")
     at.add_argument("--openmetrics", metavar="PATH",
                     help="also export latency histograms as OpenMetrics "
                     "with tail exemplars")
@@ -1113,13 +1014,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="static min/max latency bounds per access path, optionally "
         "certified against a run's observed span trees (B101-B103)",
     )
-    _traced(bo, machines=("coma", "hcoma", "numa"))
+    _spec_flags(bo, machines=("coma", "hcoma", "numa"))
     bo.add_argument("--check", action="store_true",
                     help="run the workload and certify every span against "
                     "its static envelope (non-zero exit on violation)")
-    bo.add_argument("--format", choices=["table", "json"], default="table")
-    bo.add_argument("--out", metavar="PATH",
-                    help="write the report to a file instead of stdout")
+    _report_flags(bo, ("table", "json"))
     bo.add_argument("--max-witnesses", type=int, default=25, metavar="N",
                     help="keep at most N violation witnesses")
     bo.set_defaults(func=_cmd_bounds)
@@ -1130,6 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workloads exercise (dead cells, gaps, per-workload %)",
     )
     cv.add_argument("--workloads", nargs="*", metavar="WL",
+                    choices=workload_names(),
                     default=["synth_migratory", "synth_producer_consumer",
                              "fft"],
                     help="workloads to trace (default: two synthetics + fft)")
@@ -1138,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=[0.0625, 0.875], metavar="MP",
                     help="memory pressures to trace each workload at "
                     "(default: the paper's 6.25%% and 87.5%%)")
-    cv.add_argument("--scale", type=float, default=0.1)
+    cv.add_argument("--scale", type=_positive_float, default=0.1)
     cv.add_argument("--nodes", type=int, default=3, choices=[2, 3, 4],
                     help="model-checker configuration for the reachable set")
     cv.add_argument("--micro", action="store_true",
@@ -1147,9 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--min-pct", type=float, metavar="PCT",
                     help="exit non-zero when total coverage of reachable "
                     "cells falls below PCT (CI gate)")
-    cv.add_argument("--format", choices=["table", "json"], default="table")
-    cv.add_argument("--out", metavar="PATH",
-                    help="write the report to a file instead of stdout")
+    _report_flags(cv, ("table", "json"))
     cv.set_defaults(func=_cmd_coverage)
 
     sz = sub.add_parser(
@@ -1157,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one simulation under the coherence sanitizer "
         "(races, stale values, relocation ping-pong)",
     )
-    _traced(sz)
+    _spec_flags(sz)
     sz.add_argument("--window", type=int, default=32, metavar="N",
                     help="trailing events attached to each finding")
     sz.add_argument("--pingpong", type=int, default=24, metavar="N",
@@ -1173,11 +1071,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one simulation with the metrics registry attached and "
         "export it (OpenMetrics/JSON/table)",
     )
-    _traced(mt)
-    mt.add_argument("--format", choices=["openmetrics", "json", "table"],
-                    default="table")
-    mt.add_argument("--out", metavar="PATH",
-                    help="write the export to a file instead of stdout")
+    _spec_flags(mt)
+    _report_flags(mt, ("openmetrics", "json", "table"), default="table",
+                  out="write the export to a file instead of stdout")
     mt.set_defaults(func=_cmd_metrics)
 
     hi = sub.add_parser(
@@ -1188,9 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
     hi.add_argument("key", nargs="?",
                     help="run key (or unique prefix) for 'show'; "
                     "key prefix filter for 'list'")
-    hi.add_argument("--archive", metavar="PATH",
-                    help="history archive file (default "
-                    "$REPRO_HISTORY_DIR/history.sqlite)")
+    _archive_flag(hi)
     hi.add_argument("--workload", metavar="WL",
                     help="list: only runs of this workload")
     hi.add_argument("--batch", metavar="NAME",
@@ -1204,9 +1098,8 @@ def build_parser() -> argparse.ArgumentParser:
     hi.add_argument("--dry-run", action="store_true",
                     help="gc: report what would be deleted, delete "
                     "nothing")
-    hi.add_argument("--format", choices=["table", "json"], default="table")
-    hi.add_argument("--out", metavar="PATH",
-                    help="write JSON output to a file instead of stdout")
+    _report_flags(hi, ("table", "json"),
+                  out="write JSON output to a file instead of stdout")
     hi.set_defaults(func=_cmd_history)
 
     dd = sub.add_parser(
@@ -1225,26 +1118,22 @@ def build_parser() -> argparse.ArgumentParser:
     dd.add_argument("--noise", type=float, default=1.0, metavar="PCT",
                     help="counter changes at or below this are flagged "
                     "as noise (default 1%%)")
-    dd.add_argument("--archive", metavar="PATH",
-                    help="history archive file (default "
-                    "$REPRO_HISTORY_DIR/history.sqlite)")
-    dd.add_argument("--format", choices=["table", "json"], default="table")
-    dd.add_argument("--out", metavar="PATH",
-                    help="write the report to a file instead of stdout")
+    _archive_flag(dd)
+    _report_flags(dd, ("table", "json"))
     dd.set_defaults(func=_cmd_diff)
 
-    ex = sub.add_parser(
+    xp = sub.add_parser(
         "explain", help="narrate one cache line's protocol history"
     )
-    _traced(ex)
-    ex.add_argument("--line", metavar="LINE",
-                    help="line number to narrate (0x-prefixed hex or decimal);"
-                    " omitted: list the busiest lines")
-    ex.add_argument("--top", type=int, default=10,
-                    help="how many busy lines to list without --line")
-    ex.add_argument("--slowest", type=int, default=0, metavar="N",
-                    help="narrate the N slowest accesses as full span trees")
-    ex.set_defaults(func=_cmd_explain)
+    _spec_flags(xp)
+    xp.add_argument("--line", metavar="LINE", type=_line_number,
+                     help="line number to narrate (0x-prefixed hex or "
+                     "decimal); omitted: list the busiest lines")
+    xp.add_argument("--top", type=int, default=10,
+                     help="how many busy lines to list without --line")
+    xp.add_argument("--slowest", type=int, default=0, metavar="N",
+                     help="narrate the N slowest accesses as full span trees")
+    xp.set_defaults(func=_cmd_explain)
 
     sv = sub.add_parser(
         "serve",
@@ -1271,10 +1160,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seconds to wait for in-flight work on shutdown")
     sv.add_argument("--record", action="store_true",
                     help="archive completed simulations in the history "
-                    "store (served at GET /history and GET /diff)")
-    sv.add_argument("--archive", metavar="PATH",
-                    help="history archive file (default "
-                    "$REPRO_HISTORY_DIR/history.sqlite)")
+                    "store (query it with 'coma-sim history' and "
+                    "'coma-sim diff')")
+    _archive_flag(sv)
     sv.set_defaults(func=_cmd_serve)
 
     lt = sub.add_parser(

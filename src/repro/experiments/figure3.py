@@ -144,3 +144,10 @@ def format_traffic(sweep: TrafficSweep, title: str) -> str:
                         f"{stacked_bar(p.traffic_bytes, ref, 48)}"
                     )
     return "\n".join(lines)
+
+
+def format_figure3(sweep: TrafficSweep) -> str:
+    return format_traffic(
+        sweep,
+        "Figure 3: traffic for 1 and 4-processor nodes at 6/50/75/81/87% MP",
+    )

@@ -92,17 +92,25 @@ def provenance_header(
     the wall clock).  Returns comment-prefixed lines ending in a newline,
     ready to prepend to any text file under ``results/``.
     """
+    if timestamp is not None:
+        extra = {"timestamp": timestamp, **(extra or {})}
+    body = ", ".join(f"{k}={v}" for k, v in provenance(**(extra or {})).items())
+    return f"{comment}provenance: {body}\n"
+
+
+def provenance(**extra) -> dict:
+    """The code identity every report, export and header carries —
+    package version, cache version and git revision — followed by the
+    caller's ``extra`` fields (``tool``, ``timestamp``, ``spec``,
+    ``seed``...).  Like the rest of this module it never reads the wall
+    clock: a ``timestamp`` is passed in."""
+    # Imported here: the experiment runner imports this module.
     from repro import __version__
     from repro.experiments.runner import CACHE_VERSION
 
-    fields = {
+    return {
         "repro": __version__,
         "cache_version": CACHE_VERSION,
         "git_rev": git_revision() or "unknown",
+        **extra,
     }
-    if timestamp is not None:
-        fields["timestamp"] = timestamp
-    if extra:
-        fields.update(extra)
-    body = ", ".join(f"{k}={v}" for k, v in fields.items())
-    return f"{comment}provenance: {body}\n"

@@ -8,7 +8,7 @@ exposition format (the Prometheus-compatible superset): ``# TYPE`` /
 suite for round-trip validation and by CI's metrics export smoke.
 
 This file is on the DET-lint allowlist (see
-``repro.analysis.lint.UNRESTRICTED_FILES``): :func:`snapshot_provenance`
+``repro.analysis.lint.UNRESTRICTED_FILES``): :func:`to_json`
 stamps exports with the wall-clock timestamp, exactly like the
 experiment runner stamps manifests — provenance is about the host world,
 not the simulated one, so it lives outside the deterministic core even
@@ -144,27 +144,19 @@ def to_table(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def snapshot_provenance() -> dict:
-    """Host provenance for a metrics/bench export (wall clock allowed
-    here; this module is DET-allowlisted)."""
-    from repro import __version__
-    from repro.experiments.runner import CACHE_VERSION
-    from repro.obs.manifest import git_revision
-
-    return {
-        "repro": __version__,
-        "cache_version": CACHE_VERSION,
-        "git_rev": git_revision() or "unknown",
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-
-
 def to_json(
     registry: MetricsRegistry, provenance: Optional[dict] = None
 ) -> str:
-    """A provenance-stamped JSON snapshot of the registry."""
+    """A provenance-stamped JSON snapshot of the registry (stamped with
+    the code identity and the current time unless ``provenance`` is
+    given)."""
+    if provenance is None:
+        from repro.obs.manifest import provenance as code_provenance
+
+        provenance = code_provenance(timestamp=datetime.now(
+            timezone.utc).isoformat(timespec="seconds"))
     payload = {
-        "provenance": snapshot_provenance() if provenance is None else provenance,
+        "provenance": provenance,
         "families": registry.snapshot(),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -26,8 +26,6 @@ Endpoints::
 
     GET  /healthz     liveness/readiness (503 while draining)
     GET  /metrics     OpenMetrics exposition of the shared registry
-    GET  /history     archived runs (?workload=&key=&batch=&limit=)
-    GET  /diff        differential attribution (?a=KEY&b=KEY&noise=PCT)
     POST /run         one RunSpec -> result JSON (single-flight deduped)
     POST /sweep       {"specs": [...]} -> JSON, or SSE with ?stream=sse
 
@@ -92,8 +90,7 @@ class ServeConfig:
     max_sweep_points: int = 256
     #: Seconds shutdown waits for in-flight requests before closing.
     drain_timeout: float = 10.0
-    #: History archive this instance reads (``GET /history``, ``GET
-    #: /diff``) and — with ``record`` — appends completed runs to.
+    #: History archive that ``record`` appends completed runs to.
     #: ``None`` uses the default archive path.
     history_path: Optional[str] = None
     #: Record completed simulations into the history archive (opt-in:
@@ -174,11 +171,6 @@ class ComaService:
 
     # -- lifecycle ------------------------------------------------------
 
-    def _archive(self):
-        from repro.obs.history import HistoryArchive
-
-        return HistoryArchive(self.config.history_path)
-
     async def start(self) -> None:
         set_experiment_metrics(self.registry)
         if self.config.record:
@@ -186,12 +178,14 @@ class ComaService:
                 HistoryRecorder,
                 set_history_recorder,
             )
+            from repro.obs.history import HistoryArchive
 
             def on_record(outcome: str) -> None:
                 self.instruments.history_records.labels(outcome).inc()
 
             self._recorder = HistoryRecorder(
-                self._archive(), source="serve", on_record=on_record)
+                HistoryArchive(self.config.history_path), source="serve",
+                on_record=on_record)
             set_history_recorder(self._recorder)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
@@ -293,14 +287,6 @@ class ComaService:
                 content_type="application/openmetrics-text; version=1.0.0;"
                 " charset=utf-8",
             ), 200
-        if route == "/history":
-            if method != "GET":
-                raise HttpError(405, "history is GET-only")
-            return self._handle_history(request)
-        if route == "/diff":
-            if method != "GET":
-                raise HttpError(405, "diff is GET-only")
-            return self._handle_diff(request)
         if route == "/run":
             if method != "POST":
                 raise HttpError(405, "run is POST-only")
@@ -310,74 +296,6 @@ class ComaService:
                 raise HttpError(405, "sweep is POST-only")
             return await self._handle_sweep(request, writer)
         raise HttpError(404, f"no route {route!r}")
-
-    # -- /history, /diff ------------------------------------------------
-
-    def _handle_history(self, request: Request) -> tuple[bytes, int]:
-        """Archive listing: ``GET /history?workload=&key=&batch=&limit=``."""
-        from repro.obs.history import HistoryArchiveError
-
-        self.instruments.history_queries.labels("/history").inc()
-
-        def q(name: str) -> Optional[str]:
-            values = request.query.get(name)
-            return values[-1] if values else None
-
-        limit_text = q("limit") or "50"
-        try:
-            limit = min(max(int(limit_text), 1), 1000)
-        except ValueError:
-            raise HttpError(400, f"limit must be an integer, "
-                            f"got {limit_text!r}") from None
-        try:
-            archive = self._archive()
-            rows = archive.list_runs(
-                workload=q("workload"), key=q("key"), batch=q("batch"),
-                limit=limit,
-            )
-            total = archive.run_count()
-        except HistoryArchiveError as exc:
-            raise HttpError(500, f"history archive: {exc}") from exc
-        self.instruments.history_rows.set(total)
-        body = {
-            "archive": str(archive.path),
-            "total": total,
-            "runs": rows,
-            "recording": self._recorder is not None,
-        }
-        return json_response(200, body), 200
-
-    def _handle_diff(self, request: Request) -> tuple[bytes, int]:
-        """Differential attribution: ``GET /diff?a=KEY&b=KEY[&noise=]``."""
-        from repro.obs.diff import diff_runs
-        from repro.obs.history import HistoryArchiveError
-
-        self.instruments.history_queries.labels("/diff").inc()
-
-        def q(name: str) -> Optional[str]:
-            values = request.query.get(name)
-            return values[-1] if values else None
-
-        key_a, key_b = q("a"), q("b")
-        if not key_a or not key_b:
-            raise HttpError(400, "diff requires ?a=KEY&b=KEY")
-        noise_text = q("noise") or "1.0"
-        try:
-            noise = float(noise_text)
-        except ValueError:
-            raise HttpError(400, f"noise must be a number, "
-                            f"got {noise_text!r}") from None
-        try:
-            archive = self._archive()
-            row_a = archive.get_run(key_a)
-            row_b = archive.get_run(key_b)
-        except HistoryArchiveError as exc:
-            raise HttpError(500, f"history archive: {exc}") from exc
-        for key, row in ((key_a, row_a), (key_b, row_b)):
-            if row is None:
-                raise HttpError(404, f"no archived run matching {key!r}")
-        return json_response(
-            200, diff_runs(row_a, row_b, noise_pct=noise)), 200
 
     def _healthz(self) -> tuple[bytes, int]:
         status = 503 if self._draining else 200

@@ -18,8 +18,7 @@ class ServiceInstruments:
 
     __slots__ = (
         "registry", "requests", "latency", "queue_depth", "dedup",
-        "rejected", "inflight_keys", "sse_events", "history_queries",
-        "history_records", "history_rows",
+        "rejected", "inflight_keys", "sse_events", "history_records",
     )
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -55,17 +54,8 @@ class ServiceInstruments:
             "serve_sse_events", "server-sent events emitted, by type",
             labels=("event",),
         )
-        self.history_queries = registry.counter(
-            "serve_history_queries",
-            "run-archive read requests, by route",
-            labels=("route",),
-        )
         self.history_records = registry.counter(
             "serve_history_records",
             "runs recorded into the history archive, by outcome",
             labels=("outcome",),
-        )
-        self.history_rows = registry.gauge(
-            "serve_history_rows",
-            "run rows in the attached history archive",
         )

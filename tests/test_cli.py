@@ -63,6 +63,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["coverage", "--workloads", "nosuch"], "--workloads"),
+        (["explain", "synth_migratory", "--line", "zz"], "--line"),
+        (["profile", "synth_migratory", "--procs-per-node", "3"],
+         "--procs-per-node"),
+        (["run", "synth_private", "--scale", "0"], "--scale"),
+        (["trace", "synth_private", "--scale", "-1"], "--scale"),
+        (["figure", "2", "--scale", "nan"], "--scale"),
+    ])
+    def test_bad_input_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -440,27 +455,17 @@ def _write_fixtures(fx: Path) -> None:
 
 
 def _artifact_exports() -> dict:
-    """Figures 2-5 through their CSV and JSON exporters, on the
-    single-workload sweeps the figure cases run (a full ``export
+    """Figures 2-5 through the artifact table's CSV and JSON exporters,
+    on the single-workload sweeps the figure cases run (a full ``export
     figureN`` sweeps every application)."""
-    from repro.experiments import export as ex
-    from repro.experiments.figure2 import run_figure2
-    from repro.experiments.figure3 import run_figure3
-    from repro.experiments.figure4 import run_figure4
-    from repro.experiments.figure5 import run_figure5
+    from repro.cli import ARTIFACTS
 
-    kw = {"scale": 0.05, "workloads": ["synth_private"]}
-    exporters = {
-        "figure2": (run_figure2, ex.figure2_csv, ex.figure2_json),
-        "figure3": (run_figure3, ex.traffic_csv, ex.traffic_json),
-        "figure4": (run_figure4, ex.traffic_csv, ex.traffic_json),
-        "figure5": (run_figure5, ex.figure5_csv, ex.figure5_json),
-    }
     out = {}
-    for name, (run, to_csv, to_json) in exporters.items():
-        data = run(**kw)
-        out[f"export_{name}_csv"] = to_csv(data)
-        out[f"export_{name}_json"] = to_json(data)
+    for name, (run, _, to_csv, to_json) in ARTIFACTS.items():
+        if name.startswith("figure"):
+            data = run(scale=0.05, workloads=["synth_private"])
+            out[f"export_{name}_csv"] = to_csv(data)
+            out[f"export_{name}_json"] = to_json(data)
     return out
 
 
@@ -552,16 +557,15 @@ class TestTranscript:
     def test_case_matches(self, transcript_run, case):
         assert transcript_run[0].get(case) == _EXPECTED[case]
 
-    #: Provenance keys of each JSON report: every report carries
-    #: ``repro`` and ``git_rev``, plus what identifies its run.
+    #: Provenance keys of each JSON report: the code identity every
+    #: report carries, plus what identifies its run.
+    CODE = {"repro", "cache_version", "git_rev"}
     PROVENANCE_KEYS = {
-        ("bounds_json", "b.json"): {"repro", "git_rev", "tool"},
-        ("coverage_json", "c.json"): {"repro", "git_rev", "tool"},
-        ("lint_json", "lint.json"): {"repro", "git_rev", "tool"},
-        ("sanitize", "s.json"): {"repro", "cache_version", "git_rev",
-                                 "spec", "seed"},
-        ("metrics_json", "m.json"): {"repro", "cache_version", "git_rev",
-                                     "timestamp", "spec_key"},
+        ("bounds_json", "b.json"): CODE | {"tool"},
+        ("coverage_json", "c.json"): CODE | {"tool"},
+        ("lint_json", "lint.json"): CODE | {"tool"},
+        ("sanitize", "s.json"): CODE | {"spec", "seed"},
+        ("metrics_json", "m.json"): CODE | {"timestamp", "spec_key"},
     }
 
     @pytest.mark.parametrize("where", sorted(PROVENANCE_KEYS))

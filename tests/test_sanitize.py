@@ -21,7 +21,6 @@ import pytest
 from repro.analysis.sanitize import (
     DEFAULT_PINGPONG_THRESHOLD,
     CoherenceSanitizer,
-    build_provenance,
     sanitizer_for,
 )
 from repro.obs.events import MemAccess, Replacement, SyncOp, Transition
@@ -491,9 +490,14 @@ class TestWiring:
         assert "R003" in rules(san.finish())
 
     def test_build_provenance_fields(self):
-        from repro.experiments.runner import CACHE_VERSION, RunSpec
+        from repro.experiments.runner import (
+            CACHE_VERSION,
+            RunSpec,
+            build_simulation,
+        )
 
-        prov = build_provenance(RunSpec(workload="fft", seed=7))
+        spec = RunSpec(workload="fft", seed=7, scale=0.05)
+        prov = sanitizer_for(build_simulation(spec), spec=spec).provenance
         assert prov["seed"] == 7
         assert prov["cache_version"] == CACHE_VERSION
         assert prov["git_rev"]

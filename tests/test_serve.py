@@ -371,9 +371,11 @@ class TestServiceBasics:
                 b = await http_request("127.0.0.1", svc.port, "GET", "/run")
                 c = await http_request("127.0.0.1", svc.port, "POST", "/run",
                                        {"workload": "nope"})
-                return a[0], b[0], c[0]
+                d = await http_request(
+                    "127.0.0.1", svc.port, "GET", "/history")
+                return a[0], b[0], c[0], d[0]
 
-        assert asyncio.run(scenario()) == (404, 405, 400)
+        assert asyncio.run(scenario()) == (404, 405, 400, 404)
 
     def test_draining_rejects_new_work(self):
         async def scenario():
@@ -619,12 +621,14 @@ class TestTransportLimits:
 
 
 # ---------------------------------------------------------------------------
-# history archive endpoints
+# history recording
 # ---------------------------------------------------------------------------
 
 
 class TestHistoryEndpoints:
     def test_record_and_list_history(self, tmp_path):
+        from repro.obs.history import HistoryArchive
+
         path = str(tmp_path / "hist.sqlite")
 
         async def scenario():
@@ -632,94 +636,15 @@ class TestHistoryEndpoints:
                 spec = {**SPEC, "seed": 910}
                 await post_run(svc, spec)
                 await post_run(svc, spec)  # memory hit: skipped re-record
-                status, _, body = await http_request(
-                    "127.0.0.1", svc.port, "GET", "/history")
-                recorded = counter_value(
+                return counter_value(
                     svc, "serve_history_records", "inserted")
-                return status, json.loads(body), recorded
 
-        status, listing, recorded = asyncio.run(scenario())
-        assert status == 200
-        assert listing["total"] == 1
-        assert listing["recording"] is True
-        assert listing["runs"][0]["workload"] == "fft"
-        assert listing["runs"][0]["source"] == "serve"
+        recorded = asyncio.run(scenario())
+        runs = HistoryArchive(path).list_runs()
+        assert len(runs) == 1
+        assert runs[0]["workload"] == "fft"
+        assert runs[0]["source"] == "serve"
         assert recorded == 1
-
-    def test_history_filters_and_limit(self, tmp_path):
-        from repro.obs.history import HistoryArchive
-
-        path = tmp_path / "hist.sqlite"
-        archive = HistoryArchive(path)
-        for seed in (1, 2, 3):
-            archive.record_run(
-                key=f"k{seed}",
-                spec={"workload": "fft", "seed": seed},
-                result={"elapsed_ns": seed})
-
-        async def scenario():
-            async with service(history_path=str(path)) as svc:
-                _, _, limited = await http_request(
-                    "127.0.0.1", svc.port, "GET", "/history?limit=2")
-                _, _, keyed = await http_request(
-                    "127.0.0.1", svc.port, "GET", "/history?key=k2")
-                bad = await http_request(
-                    "127.0.0.1", svc.port, "GET", "/history?limit=nope")
-                return json.loads(limited), json.loads(keyed), bad[0]
-
-        limited, keyed, bad_status = asyncio.run(scenario())
-        assert len(limited["runs"]) == 2 and limited["total"] == 3
-        assert limited["recording"] is False
-        assert [r["key"] for r in keyed["runs"]] == ["k2"]
-        assert bad_status == 400
-
-    def test_diff_endpoint(self, tmp_path):
-        from repro.obs.history import HistoryArchive
-
-        path = tmp_path / "hist.sqlite"
-        archive = HistoryArchive(path)
-        spec = {"workload": "fft", "machine": "coma", "seed": 1}
-        archive.record_run(key="aaa1", spec=spec,
-                           result={"elapsed_ns": 1000,
-                                   "counters": {"bus": 10}},
-                           phases={"bus_arb": 100, "fill_dram": 50})
-        archive.record_run(key="bbb2", spec=spec,
-                           result={"elapsed_ns": 1500,
-                                   "counters": {"bus": 20}},
-                           phases={"bus_arb": 500, "fill_dram": 60})
-
-        async def scenario():
-            async with service(history_path=str(path)) as svc:
-                ok = await http_request(
-                    "127.0.0.1", svc.port, "GET", "/diff?a=aaa1&b=bbb2")
-                missing = await http_request(
-                    "127.0.0.1", svc.port, "GET", "/diff?a=aaa1&b=zzz")
-                malformed = await http_request(
-                    "127.0.0.1", svc.port, "GET", "/diff?a=aaa1")
-                queries = counter_value(
-                    svc, "serve_history_queries", "/diff")
-                return ok, missing[0], malformed[0], queries
-
-        (status, _, body), missing, malformed, queries = \
-            asyncio.run(scenario())
-        assert status == 200
-        diff = json.loads(body)
-        assert diff["top_attribution"]["phase"] == "bus_arb"
-        assert diff["elapsed"]["delta_ns"] == 500
-        assert missing == 404 and malformed == 400
-        assert queries == 3
-
-    def test_history_routes_are_get_only(self, tmp_path):
-        async def scenario():
-            async with service(
-                    history_path=str(tmp_path / "h.sqlite")) as svc:
-                a = await http_request(
-                    "127.0.0.1", svc.port, "POST", "/history", {})
-                b = await http_request(
-                    "127.0.0.1", svc.port, "POST", "/diff", {})
-                return a[0], b[0]
-
-        assert asyncio.run(scenario()) == (405, 405)
 
     def test_recorder_removed_on_shutdown(self, tmp_path):
         from repro.experiments.runner import history_recorder
