@@ -861,14 +861,13 @@ def _sweep_flags(sp: argparse.ArgumentParser) -> None:
 
 def _report_flags(sp: argparse.ArgumentParser, formats: tuple,
                   default: str | None = None,
-                  out: str | None = "write the report to a file instead "
-                  "of stdout") -> None:
-    """``--format`` (default: the first of ``formats``) and, unless
-    ``out`` is None, ``--out`` with ``out`` as its help."""
+                  out: str = "write the report to a file instead of "
+                  "stdout") -> None:
+    """``--format`` (default: the first of ``formats``) and ``--out``
+    (written through ``_emit``) with ``out`` as its help."""
     sp.add_argument("--format", choices=list(formats),
                     default=default or formats[0])
-    if out:
-        sp.add_argument("--out", metavar="PATH", help=out)
+    sp.add_argument("--out", metavar="PATH", help=out)
 
 
 def _archive_flag(sp: argparse.ArgumentParser) -> None:
@@ -964,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("export", help="export figure data as CSV/JSON")
     exp.add_argument("artifact", choices=list(ARTIFACTS))
-    _report_flags(exp, ("csv", "json"), out=None)
+    exp.add_argument("--format", choices=["csv", "json"], default="csv")
     _sweep_flags(exp)
     exp.add_argument("--provenance", action="store_true",
                      help="stamp the export with code version / git revision")

@@ -92,9 +92,9 @@ def provenance_header(
     the wall clock).  Returns comment-prefixed lines ending in a newline,
     ready to prepend to any text file under ``results/``.
     """
-    if timestamp is not None:
-        extra = {"timestamp": timestamp, **(extra or {})}
-    body = ", ".join(f"{k}={v}" for k, v in provenance(**(extra or {})).items())
+    stamp = {} if timestamp is None else {"timestamp": timestamp}
+    stamp.update(extra or {})
+    body = ", ".join(f"{k}={v}" for k, v in provenance(**stamp).items())
     return f"{comment}provenance: {body}\n"
 
 

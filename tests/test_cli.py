@@ -579,8 +579,12 @@ class TestTranscript:
 
 
 if __name__ == "__main__":
+    import os
     import tempfile
 
+    # Same environment the test suite runs in (tests/conftest.py).
+    os.environ.setdefault("REPRO_NO_DISK_CACHE", "1")
+    os.environ.setdefault("REPRO_NO_HISTORY", "1")
     with tempfile.TemporaryDirectory() as tmp:
         transcript, _ = run_transcript(Path(tmp))
     TRANSCRIPT.write_text(json.dumps(transcript, indent=1, sort_keys=True)
