@@ -13,6 +13,7 @@ real body positions, so the walk's access stream is genuinely irregular.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional
 
 import numpy as np
@@ -197,18 +198,26 @@ class BarnesWorkload(Workload):
 
     # -- force walk --------------------------------------------------------
 
-    def _walk(self, cell: _Cell, body: int):
-        """Barnes-Hut opening-criterion walk, emitting cell reads."""
-        # Read the cell's center of mass (one line) and children (other line).
-        yield ("r", self._cell_addr(cell.index, 8))
-        d = float(np.linalg.norm(self.pos[body] - cell.com)) + 1e-9
-        if cell.body is not None or cell.size / d < self.theta:
-            yield ("c", 24)  # one body-cell interaction
-            return
-        yield ("r", self._cell_addr(cell.index, 0))
-        for ch in cell.children:
-            if ch is not None:
-                yield from self._walk(ch, body)
+    def _walk(self, body: int):
+        """Barnes-Hut opening-criterion walk from the root, emitting cell
+        reads in preorder (an explicit stack, children in octant order)."""
+        cb = self.cells.base
+        p = self.pos[body]
+        theta = self.theta
+        stack = [self.root]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            cell = pop()
+            # Read the cell's center of mass (one line) and children (other line).
+            a = cb + 8 * (cell.index * _CELL_FIELDS)
+            yield ("r", a + 64)
+            x = p - cell.com
+            d = math.sqrt(x.dot(x)) + 1e-9
+            if cell.body is not None or cell.size / d < theta:
+                yield ("c", 24)  # one body-cell interaction
+                continue
+            yield ("r", a)
+            push([ch for ch in reversed(cell.children) if ch is not None])
 
     # ------------------------------------------------------------------
     def thread(self, tid: int) -> Iterator[tuple]:
@@ -248,7 +257,7 @@ class BarnesWorkload(Workload):
             assert self.root is not None
             for b in mine:
                 yield ("r", self._body_addr(b, 0))
-                yield from self._walk(self.root, b)
+                yield from self._walk(b)
                 yield ("w", self._body_addr(b, 6))  # acc
                 yield ("c", 40)
             yield ("b", 0)

@@ -26,13 +26,15 @@ class SharedArray:
     """A 1-D array living in the simulated shared address space.
 
     Data values are kept in a NumPy array on the Python side (the memory
-    system never sees values); the simulated side is the address range.
-    Hot loops use :meth:`addr` and yield ``("r", addr)`` / ``("w", addr)``
-    tuples directly; :meth:`read` / :meth:`write` are readable generator
-    helpers for cooler code paths (``x = yield from arr.read(i)``).
+    system never sees values); the simulated side is the address range,
+    element ``i`` at ``base + itemsize * i``.  Generators yield
+    ``("r", addr)`` / ``("w", addr)`` tuples, computing the address with
+    :meth:`addr` or, in the hottest loops, inline from :attr:`base`;
+    :meth:`read` / :meth:`write` are readable generator helpers for cooler
+    code paths (``x = yield from arr.read(i)``).
 
-    Indices passed to :meth:`addr` should be plain Python ints in hot
-    loops (NumPy scalars work but are slower as dict keys downstream).
+    Addresses should be plain Python ints (NumPy scalars work but are
+    slower as dict keys downstream).
     """
 
     __slots__ = ("name", "base", "itemsize", "length", "data")

@@ -17,8 +17,11 @@ nearest-neighbour along subgrid borders.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
+
+import numpy as np
 
 from repro.mem.address import AddressSpace
 from repro.workloads.base import SharedArray, Workload
@@ -70,140 +73,195 @@ class _OceanBase(Workload):
         sj, jj = divmod(j, s)
         return ((si * self.pgrid + sj) * s + ii) * s + jj
 
+    @functools.cached_property
+    def tables(self) -> list[tuple[list[int], list[int]]]:
+        """Per grid level, row and column offset tables ``(R, C)`` with
+        element ``(i, j)`` at index ``R[i] + C[j]``: level 0 (psi, vort)
+        follows :meth:`idx`, coarse levels are row-major with indices
+        clamped to the edge.  Built on the first :meth:`thread` call."""
+        g, s, p = self.g, self.sub, self.pgrid
+        if self.contiguous_subgrids:
+            tables = [([((i // s) * p * s + i % s) * s for i in range(g)],
+                       [(j // s) * s * s + j % s for j in range(g)])]
+        else:
+            tables = [([i * g for i in range(g)], list(range(g)))]
+        for lvl in range(1, self.multigrid_levels + 1):
+            e = g >> lvl
+            tables.append(([min(i, e - 1) * e for i in range(e)],
+                           [min(j, e - 1) for j in range(e)]))
+        return tables
+
     def _region(self, tid: int) -> tuple[int, int, int, int]:
         """(i0, i1, j0, j1) of thread ``tid``'s subgrid."""
         si, sj = divmod(tid % (self.pgrid * self.pgrid), self.pgrid)
         s = self.sub
         return si * s, (si + 1) * s, sj * s, (sj + 1) * s
 
+    # -- values: one numpy step per phase ----------------------------------
+    #
+    # Every phase between two barriers writes one grid (one colour of it,
+    # in a relaxation) and reads only cells no thread writes in that phase,
+    # so applying a thread's updates at once gives each cell the value the
+    # per-cell loop would; each expression keeps the per-cell evaluation
+    # order, so the values are bit-for-bit the same.
+
+    @staticmethod
+    def _cells(tables, rows: range, cols: range, color: int):
+        """Indices of the ``color`` cells ((i + j) % 2 == color) in the
+        rectangle ``rows`` x ``cols``, and of their up/down/left/right
+        neighbours."""
+        R, C = np.asarray(tables[0]), np.asarray(tables[1])
+        i = np.arange(rows.start, rows.stop)[:, None]
+        j = np.arange(cols.start, cols.stop)[None, :]
+        i, j = (np.broadcast_to(a, (len(rows), len(cols)))[(i + j) % 2 == color]
+                for a in (i, j))
+        return (R[i] + C[j], R[i - 1] + C[j], R[i + 1] + C[j],
+                R[i] + C[j - 1], R[i] + C[j + 1])
+
+    @staticmethod
+    def _relax(data, other, cells) -> None:
+        """One red/black SOR step on ``data`` coupled to ``other``."""
+        c, up, dn, lf, rt = cells
+        omega = 1.2
+        data[c] = (1 - omega) * data[c] + omega * 0.25 * (
+            data[up] + data[dn] + data[lf] + data[rt] + 0.01 * other[c]
+        )
+
+    @staticmethod
+    def _smooth(data, cells) -> None:
+        """One red/black relaxation step on a coarse grid."""
+        c, up, dn, lf, rt = cells
+        data[c] = 0.25 * (data[up] + data[dn] + data[lf] + data[rt])
+
+    @staticmethod
+    def _transfer(fine_tables, rows: range, cols: range, edge: int):
+        """Per coarse cell (row-major, ``edge`` wide) of ``rows`` x
+        ``cols``: its index and the fine-level indices of its 2x2 patch
+        (di, dj) = (0, 0), (0, 1), (1, 0), (1, 1)."""
+        R, C = np.asarray(fine_tables[0]), np.asarray(fine_tables[1])
+        ci = np.repeat(np.arange(rows.start, rows.stop), len(cols))
+        cj = np.tile(np.arange(cols.start, cols.stop), len(rows))
+        return ci * edge + cj, [R[2 * ci + di] + C[2 * cj + dj]
+                                for di in (0, 1) for dj in (0, 1)]
+
+    def _restrict(self, fine_tables, fine, coarse, rows, cols, edge) -> None:
+        """Full weighting: each coarse point averages its 2x2 fine patch
+        (summed from 0.0 in patch order, as a per-cell accumulator would)."""
+        dst, (s00, s01, s10, s11) = self._transfer(fine_tables, rows, cols, edge)
+        coarse[dst] = 0.25 * ((((0.0 + fine[s00]) + fine[s01]) + fine[s10]) + fine[s11])
+
+    def _prolong(self, fine_tables, fine, coarse, rows, cols, edge) -> None:
+        """Inject the coarse correction into the patch's (0, 0) fine point."""
+        src, (dst, _, _, _) = self._transfer(fine_tables, rows, cols, edge)
+        fine[dst] += 0.05 * coarse[src]
+
     # -- kernel ----------------------------------------------------------
 
-    def _sweep(self, tid: int, arr: SharedArray, other: SharedArray, color: int):
-        """One red/black SOR sweep over the thread's subgrid interior."""
-        g = self.g
-        i0, i1, j0, j1 = self._region(tid)
-        omega = 1.2
-        data = arr.data
-        for i in range(max(1, i0), min(g - 1, i1)):
-            jstart = max(1, j0)
-            if (i + jstart) % 2 != color:
-                jstart += 1
-            for j in range(jstart, min(g - 1, j1), 2):
-                c = self.idx(i, j)
-                up, dn = self.idx(i - 1, j), self.idx(i + 1, j)
-                lf, rt = self.idx(i, j - 1), self.idx(i, j + 1)
-                yield ("r", arr.addr(up))
-                yield ("r", arr.addr(dn))
-                yield ("r", arr.addr(lf))
-                yield ("r", arr.addr(rt))
-                yield ("r", other.addr(c))
-                yield ("r", arr.addr(c))
-                new = (1 - omega) * data[c] + omega * 0.25 * (
-                    data[up] + data[dn] + data[lf] + data[rt] + 0.01 * other.data[c]
-                )
-                data[c] = new
-                yield ("w", arr.addr(c))
-            yield ("c", 12 * (min(g - 1, j1) - jstart) // 2)
-
-    # -- multigrid pieces --------------------------------------------------
-
-    def _coarse_region(self, tid: int, factor: int) -> tuple[int, int, int, int]:
-        i0, i1, j0, j1 = self._region(tid)
-        return i0 // factor, i1 // factor, j0 // factor, j1 // factor
-
-    def _restrict(self, tid: int, fine, coarse, factor: int):
-        """Full-weighting restriction of the thread's subgrid: each coarse
-        point averages a 2x2 fine patch (of the finer level's values)."""
-        edge = self.g // factor
-        i0, i1, j0, j1 = self._coarse_region(tid, factor)
-        for ci in range(i0, i1):
-            for cj in range(j0, j1):
-                fi, fj = 2 * ci, 2 * cj
-                acc = 0.0
-                for di in (0, 1):
-                    for dj in (0, 1):
-                        src = self._fine_index(fine, fi + di, fj + dj, factor // 2)
-                        yield ("r", fine.addr(src))
-                        acc += fine.data[src]
-                coarse.data[ci * edge + cj] = 0.25 * acc
-                yield ("w", coarse.addr(ci * edge + cj))
-            yield ("c", 6 * max(1, j1 - j0))
-
-    def _fine_index(self, arr, i: int, j: int, factor: int) -> int:
-        """Index into a grid: the finest level uses the layout mapping,
-        coarse levels are plain row-major."""
-        if factor <= 1:
-            return self.idx(i, j)
-        edge = self.g // factor
-        return min(i, edge - 1) * edge + min(j, edge - 1)
-
-    def _coarse_sweep(self, tid: int, coarse, factor: int, color: int):
-        """Red/black relaxation on a coarse grid."""
-        edge = self.g // factor
-        i0, i1, j0, j1 = self._coarse_region(tid, factor)
-        data = coarse.data
-        for i in range(max(1, i0), min(edge - 1, i1)):
-            jstart = max(1, j0)
-            if (i + jstart) % 2 != color:
-                jstart += 1
-            for j in range(jstart, min(edge - 1, j1), 2):
-                c = i * edge + j
-                for nb in (c - edge, c + edge, c - 1, c + 1):
-                    yield ("r", coarse.addr(nb))
-                data[c] = 0.25 * (
-                    data[c - edge] + data[c + edge] + data[c - 1] + data[c + 1]
-                )
-                yield ("w", coarse.addr(c))
-            yield ("c", 8 * max(1, (min(edge - 1, j1) - jstart) // 2))
-
-    def _prolong(self, tid: int, coarse, fine, factor: int):
-        """Inject the coarse correction back into the finer level."""
-        edge = self.g // factor
-        i0, i1, j0, j1 = self._coarse_region(tid, factor)
-        for ci in range(i0, i1):
-            for cj in range(j0, j1):
-                src = ci * edge + cj
-                yield ("r", coarse.addr(src))
-                dst = self._fine_index(fine, 2 * ci, 2 * cj, factor // 2)
-                fine.data[dst] += 0.05 * coarse.data[src]
-                yield ("w", fine.addr(dst))
-            yield ("c", 3 * max(1, j1 - j0))
-
-    def _vcycle(self, tid: int):
-        """One multigrid V-cycle on the stream function."""
-        grids = [self.psi] + self.coarse
-        # Down: restrict level by level.
-        for lvl in range(len(self.coarse)):
-            factor = 2 ** (lvl + 1)
-            yield from self._restrict(tid, grids[lvl], grids[lvl + 1], factor)
-            yield ("b", 0)
-        # Relax on the coarsest grid.
-        factor = 2 ** len(self.coarse)
-        for color in (0, 1):
-            yield from self._coarse_sweep(tid, grids[-1], factor, color)
-            yield ("b", 0)
-        # Up: prolong corrections back down the hierarchy.
-        for lvl in range(len(self.coarse) - 1, -1, -1):
-            factor = 2 ** (lvl + 1)
-            yield from self._prolong(tid, grids[lvl + 1], grids[lvl], factor)
-            yield ("b", 0)
-
     def thread(self, tid: int) -> Iterator[tuple]:
-        # First touch: each thread initializes its own subgrid.
+        """Thread ``tid``'s events: first touch, then per iteration four
+        red/black sweeps and one multigrid V-cycle (restrict level by
+        level, relax the coarsest grid, prolong the corrections back)."""
+        tables = self.tables
+        R, C = tables[0]
+        g = self.g
+        grids = [self.psi] + self.coarse
         i0, i1, j0, j1 = self._region(tid)
+        C8 = [8 * c for c in C]
+
+        # First touch: each thread initializes its own subgrid.
+        pb, vb = self.psi.base, self.vort.base
         for i in range(i0, i1):
+            rp, rv = pb + 8 * R[i], vb + 8 * R[i]
             for j in range(j0, j1):
-                yield ("w", self.psi.addr(self.idx(i, j)))
-                yield ("w", self.vort.addr(self.idx(i, j)))
+                yield ("w", rp + C8[j])
+                yield ("w", rv + C8[j])
             yield ("c", 4 * (j1 - j0))
         yield ("b", 0)
+
+        # The sweeps cover the subgrid's interior.
+        rows, jlo, jhi = range(max(1, i0), min(g - 1, i1)), max(1, j0), min(g - 1, j1)
+        # Coarse levels: the thread's region scaled down by 2^level.
+        levels = []
+        for lvl in range(1, len(grids)):
+            f = 1 << lvl
+            levels.append((g // f, range(i0 // f, i1 // f), range(j0 // f, j1 // f)))
+        bedge, crows, ccols = levels[-1]
+        brows = range(max(1, crows.start), min(bedge - 1, crows.stop))
+        bjlo, bjhi = max(1, ccols.start), min(bedge - 1, ccols.stop)
+
         for _ in range(self.iterations):
+            # Red/black SOR sweeps over the two coupled grids.
             for color in (0, 1):
-                yield from self._sweep(tid, self.psi, self.vort, color)
+                for arr, other in ((self.psi, self.vort), (self.vort, self.psi)):
+                    self._relax(arr.data, other.data,
+                                self._cells(tables[0], rows, range(jlo, jhi), color))
+                    ab, ob = arr.base, other.base
+                    for i in rows:
+                        ra, ro = ab + 8 * R[i], ob + 8 * R[i]
+                        ru, rd = ab + 8 * R[i - 1], ab + 8 * R[i + 1]
+                        jstart = jlo if (i + jlo) % 2 == color else jlo + 1
+                        for j in range(jstart, jhi, 2):
+                            cj = C8[j]
+                            yield ("r", ru + cj)
+                            yield ("r", rd + cj)
+                            yield ("r", ra + C8[j - 1])
+                            yield ("r", ra + C8[j + 1])
+                            yield ("r", ro + cj)
+                            yield ("r", ra + cj)
+                            yield ("w", ra + cj)
+                        yield ("c", 12 * (jhi - jstart) // 2)
+                    yield ("b", 0)
+
+            # Down: full-weighting restriction, each coarse point the
+            # average of a 2x2 fine patch.
+            for lvl, (edge, crows, ccols) in enumerate(levels, 1):
+                fine, coarse = grids[lvl - 1], grids[lvl]
+                self._restrict(tables[lvl - 1], fine.data, coarse.data, crows, ccols, edge)
+                FR, FC = tables[lvl - 1]
+                fb, cb = fine.base, coarse.base
+                for ci in crows:
+                    r0, r1 = fb + 8 * FR[2 * ci], fb + 8 * FR[2 * ci + 1]
+                    row = cb + 8 * ci * edge
+                    for cj in ccols:
+                        c0, c1 = 8 * FC[2 * cj], 8 * FC[2 * cj + 1]
+                        yield ("r", r0 + c0)
+                        yield ("r", r0 + c1)
+                        yield ("r", r1 + c0)
+                        yield ("r", r1 + c1)
+                        yield ("w", row + 8 * cj)
+                    yield ("c", 6 * max(1, len(ccols)))
                 yield ("b", 0)
-                yield from self._sweep(tid, self.vort, self.psi, color)
+
+            # Relax on the coarsest grid.
+            data, base = grids[-1].data, grids[-1].base
+            for color in (0, 1):
+                self._smooth(data, self._cells(tables[-1], brows, range(bjlo, bjhi), color))
+                for i in brows:
+                    jstart = bjlo if (i + bjlo) % 2 == color else bjlo + 1
+                    for j in range(jstart, bjhi, 2):
+                        a = base + 8 * (i * bedge + j)
+                        yield ("r", a - 8 * bedge)
+                        yield ("r", a + 8 * bedge)
+                        yield ("r", a - 8)
+                        yield ("r", a + 8)
+                        yield ("w", a)
+                    yield ("c", 8 * max(1, (bjhi - jstart) // 2))
                 yield ("b", 0)
-            yield from self._vcycle(tid)
+
+            # Up: inject the coarse corrections back down the hierarchy.
+            for lvl in range(len(levels), 0, -1):
+                edge, crows, ccols = levels[lvl - 1]
+                fine, coarse = grids[lvl - 1], grids[lvl]
+                self._prolong(tables[lvl - 1], fine.data, coarse.data, crows, ccols, edge)
+                FR, FC = tables[lvl - 1]
+                fb, cb = fine.base, coarse.base
+                for ci in crows:
+                    row, rf = cb + 8 * ci * edge, fb + 8 * FR[2 * ci]
+                    for cj in ccols:
+                        yield ("r", row + 8 * cj)
+                        yield ("w", rf + 8 * FC[2 * cj])
+                    yield ("c", 3 * max(1, len(ccols)))
+                yield ("b", 0)
 
 
 @register

@@ -60,64 +60,79 @@ class RadixWorkload(Workload):
     def _global_idx(self, digit: int) -> int:
         return self.n_threads * self.buckets + digit
 
+    @staticmethod
+    def _slots(digits, offsets):
+        """Each key's destination: its digit's offset plus its rank among
+        the keys with that digit (a stable counting sort)."""
+        order = np.argsort(digits, kind="stable")
+        ranked = digits[order]
+        slots = np.empty_like(order)
+        slots[order] = offsets[ranked] + np.arange(len(order)) - np.searchsorted(
+            ranked, ranked)
+        return slots
+
     def thread(self, tid: int) -> Iterator[tuple]:
-        n, buckets = self.n, self.buckets
+        # Values are computed one numpy step per phase: between two
+        # barriers a phase writes only locations no thread reads in it.
+        n, buckets, nt = self.n, self.buckets, self.n_threads
         mine = self.chunk(n, tid)
+        lo, hi = mine.start, mine.stop
+        hist = self.hist.data
+        own = slice(tid * buckets, (tid + 1) * buckets)  # this thread's histogram
+        hb = self.hist.base
+        row = hb + 8 * own.start
         # First touch of the owned key slices.
+        self.keys.data[lo:hi] = self.init_keys[lo:hi]
+        kb = self.keys.base
         for i in mine:
-            self.keys.data[i] = self.init_keys[i]
-            yield ("w", self.keys.addr(i))
+            yield ("w", kb + 8 * i)
         yield ("c", 2 * len(mine))
         yield ("b", 0)
 
         src, dst = self.keys, self.out
         for p in range(self.passes):
             shift = p * self.radix_bits
-            # Local histogram over the owned slice of the source.
-            local = np.zeros(buckets, dtype=np.int64)
+            sb, db = src.base, dst.base
+            # Local histogram over the owned slice of the source (src is
+            # read-only until the permutation's barrier).
+            keys = src.data[lo:hi]
+            hist[own] = np.bincount((keys >> shift) & (buckets - 1), minlength=buckets)
             for i in mine:
-                yield ("r", src.addr(i))
-                local[(int(src.data[i]) >> shift) & (buckets - 1)] += 1
+                yield ("r", sb + 8 * i)
             yield ("c", 4 * len(mine))
             for d in range(buckets):
-                self.hist.data[self._hist_idx(tid, d)] = local[d]
-                yield ("w", self.hist.addr(self._hist_idx(tid, d)))
+                yield ("w", row + 8 * d)
             yield ("b", 0)
 
             # Thread 0 computes global offsets: rank order is (digit,
             # thread) so each thread's write region is contiguous per digit.
             if tid == 0:
-                offset = 0
+                ranks = hist[:nt * buckets].reshape(nt, buckets).T  # [digit, thread]
+                ranks[:] = (np.cumsum(ranks) - ranks.ravel()).reshape(buckets, nt)
                 for d in range(buckets):
-                    for t in range(self.n_threads):
-                        yield ("r", self.hist.addr(self._hist_idx(t, d)))
-                        cnt = int(self.hist.data[self._hist_idx(t, d)])
-                        self.hist.data[self._hist_idx(t, d)] = offset
-                        yield ("w", self.hist.addr(self._hist_idx(t, d)))
-                        offset += cnt
-                yield ("c", 3 * buckets * self.n_threads)
+                    for t in range(nt):
+                        a = hb + 8 * (t * buckets + d)
+                        yield ("r", a)
+                        yield ("w", a)
+                yield ("c", 3 * buckets * nt)
             yield ("b", 0)
 
             # Permutation: scattered writes into the destination array.
-            cursor = {
-                d: int(self.hist.data[self._hist_idx(tid, d)]) for d in range(buckets)
-            }
+            slots = self._slots((keys >> shift) & (buckets - 1), hist[own])
+            dst.data[slots] = keys
             for d in range(buckets):
-                yield ("r", self.hist.addr(self._hist_idx(tid, d)))
-            for i in mine:
-                yield ("r", src.addr(i))
-                key = int(src.data[i])
-                d = (key >> shift) & (buckets - 1)
-                pos = cursor[d]
-                cursor[d] = pos + 1
-                dst.data[pos] = key
-                yield ("w", dst.addr(pos))
+                yield ("r", row + 8 * d)
+            # A memoryview yields the slots as plain ints, without a copy.
+            for i, pos in zip(mine, memoryview(slots)):
+                yield ("r", sb + 8 * i)
+                yield ("w", db + 8 * pos)
             yield ("c", 6 * len(mine))
             yield ("b", 0)
             src, dst = dst, src
 
         # Verify sortedness of the owned slice (reads, cheap).
+        sb = src.base
         for i in mine[: len(mine) : 8]:
-            yield ("r", src.addr(i))
+            yield ("r", sb + 8 * i)
         yield ("c", len(mine) // 4)
         yield ("b", 0)

@@ -74,6 +74,19 @@ class TestOceanStructure:
         seen = {wl.idx(i, j) for i in range(wl.g) for j in range(wl.g)}
         assert len(seen) == wl.g * wl.g
 
+    @pytest.mark.parametrize("name", ["ocean_contig", "ocean_noncontig"])
+    def test_layout_tables_match_idx(self, name):
+        wl = allocated(name, scale=0.3)
+        assert "tables" not in vars(wl), "tables are built by thread(), not allocate"
+        R, C = wl.tables[0]
+        for i in range(wl.g):
+            for j in range(wl.g):
+                assert wl.idx(i, j) == R[i] + C[j], (i, j)
+        for lvl, (R, C) in enumerate(wl.tables[1:], 1):
+            e = wl.g >> lvl
+            assert len(wl.coarse[lvl - 1]) == e * e
+            assert [R[i] + C[j] for i in range(e) for j in range(e)] == list(range(e * e))
+
     def test_regions_tile_the_grid(self):
         wl = allocated("ocean_contig", scale=0.3)
         cells = set()
