@@ -47,6 +47,10 @@ PRESSURES = (1 / 16, 14 / 16)
 STREAM_PRESSURE = PRESSURES[0]
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _recorded(program, sink: list):
     for ev in program:
         sink.append(ev)
@@ -70,10 +74,6 @@ def _run(workload: str, machine: str, pressure: float,
     result = sim.run().to_dict()
     digests = tuple(_sha("".join(f"{op} {arg}\n" for op, arg in ev)) for ev in streams)
     return digests, _sha(json.dumps(result, sort_keys=True))
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def stream_digests(workload: str, seed: int) -> list[str]:
