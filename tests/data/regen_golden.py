@@ -23,6 +23,26 @@ SPECS = {
         inclusive=False,
     ),
     "hotspot_hcoma": RunSpec(workload="synth_hotspot", scale=0.3, machine="hcoma"),
+    "fft_2p_sc": RunSpec(
+        workload="fft", scale=0.25, procs_per_node=2, consistency="sc"
+    ),
+    "fft_2p_wb_coalescing": RunSpec(
+        workload="fft", scale=0.25, procs_per_node=2, write_buffer_coalescing=True
+    ),
+    "fft_2p_87_am_lru": RunSpec(
+        workload="fft",
+        scale=0.25,
+        procs_per_node=2,
+        memory_pressure=14 / 16,
+        am_victim_policy="lru",
+    ),
+    "fft_2p_87_random_receiver": RunSpec(
+        workload="fft",
+        scale=0.25,
+        procs_per_node=2,
+        memory_pressure=14 / 16,
+        replacement_receiver_policy="random",
+    ),
 }
 
 
