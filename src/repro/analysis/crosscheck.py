@@ -64,11 +64,7 @@ def _machine(
 
 def _am_states(m: ComaMachine, line: int) -> tuple[int, ...]:
     """Per-node attraction-memory state of ``line`` (I when absent)."""
-    out = []
-    for node in m.nodes:
-        e = node.am.lookup(line)
-        out.append(e.state if e is not None else INVALID)
-    return tuple(out)
+    return tuple(node.am.state_of(line) for node in m.nodes)
 
 
 # ----------------------------------------------------------------------

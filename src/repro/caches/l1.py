@@ -2,94 +2,62 @@
 
 The paper fixes the L1 at 4 KB direct-mapped; we keep it direct-mapped and
 scale the capacity with the working set (DESIGN.md section 2).  Because it
-is write-through into the SLC, evictions are always silent.
+is write-through into the SLC, evictions are always silent, and a write
+has no L1 state to change: the machines never probe the L1 on a write.
 
-With the default direct-mapped geometry the way number *is* the set
-index, so probes compile down to one modulo and one tag compare on the
-flat arrays — no dict, no object.  A configured associativity above 1
-falls back to the generic indexed path.
+The whole cache is one tag vector: ``tags[line % nsets]`` is the line
+held by that set, -1 when empty.  A probe is one modulo and one compare;
+the machines and the kernel's fused hit path open it in line on
+``tags``.
 """
 
 from __future__ import annotations
 
 from repro.common.config import CacheGeometry
+from repro.common.errors import ConfigError
 from repro.common.hotpath import hotpath
-from repro.mem.soa import VICTIM_LRU, LineArray
-
-#: L1 lines have no coherence role of their own; a single valid state.
-_PRESENT = 1
 
 
 class L1Cache:
-    """Direct-mapped (or configurably associative) first-level cache."""
+    """Direct-mapped first-level cache."""
 
-    __slots__ = ("array", "_direct", "_nsets")
+    __slots__ = ("tags", "nsets")
 
     def __init__(self, geometry: CacheGeometry) -> None:
-        self.array = LineArray(geometry)
-        self._direct = geometry.assoc == 1
-        self._nsets = geometry.num_sets
+        if geometry.assoc != 1:
+            raise ConfigError(f"the L1 is direct-mapped, got assoc {geometry.assoc}")
+        self.nsets = geometry.num_sets
+        #: Line held by each set, or -1.
+        self.tags = [-1] * geometry.num_sets
 
     @hotpath
     def lookup(self, line: int) -> bool:
-        """Read probe; refreshes LRU on hit."""
-        a = self.array
-        if self._direct:
-            w = line % self._nsets
-            if a.line_a[w] != line or not a.state_a[w]:
-                return False
-        else:
-            wi = a.index.get(line)
-            if wi is None:
-                return False
-            w = wi
-        a.tick += 1
-        a.lru_a[w] = a.tick
-        return True
+        """Read probe."""
+        return self.tags[line % self.nsets] == line
 
     @hotpath
     def fill(self, line: int) -> None:
-        """Bring ``line`` in, silently displacing the victim way."""
-        a = self.array
-        if self._direct:
-            w = line % self._nsets
-            if a.state_a[w]:
-                old = a.line_a[w]
-                if old == line:
-                    return
-                del a.index[old]
-            a.line_a[w] = line
-            a.state_a[w] = _PRESENT
-            a.index[line] = w
-            a.tick += 1
-            a.lru_a[w] = a.tick
-            return
-        if line in a.index:
-            return
-        set_idx = line % self._nsets
-        w = a.free_way_idx(set_idx)
-        if w < 0:
-            w = a.victim_way(set_idx, VICTIM_LRU)
-        a.fill_way(w, line, _PRESENT)
-
-    def write_hit(self, line: int) -> bool:
-        """Write probe (write-through, no-write-allocate): update on hit,
-        never allocate on miss.  Returns whether the line was present."""
-        return self.lookup(line)
+        """Bring ``line`` in, silently displacing the set's occupant."""
+        self.tags[line % self.nsets] = line
 
     @hotpath
     def invalidate(self, line: int) -> bool:
-        a = self.array
-        w = a.index.get(line)
-        if w is None:
+        """Drop ``line`` if present; returns True if it was."""
+        tags = self.tags
+        w = line % self.nsets
+        if tags[w] != line:
             return False
-        a.line_a[w] = -1
-        a.state_a[w] = 0
-        a.dirty_a[w] = 0
-        a.aux_a[w] = 0
-        del a.index[line]
+        tags[w] = -1
         return True
 
-    @property
-    def occupancy(self) -> int:
-        return self.array.occupancy
+    def check_consistency(self, slc_index: dict[int, int]) -> None:
+        """Every tag sits in the set its line maps to and is held by the
+        SLC below (``slc_index``: its line -> way dict)."""
+        nsets = self.nsets
+        for w, line in enumerate(self.tags):
+            if line == -1:
+                continue
+            assert line % nsets == w, (
+                f"L1 line {line:#x} held in set {w}, maps to {line % nsets}"
+            )
+            assert line in slc_index, f"L1 holds {line:#x} not in SLC"

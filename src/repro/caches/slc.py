@@ -12,11 +12,9 @@ victim report costs no allocation on the hot path.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.common.config import CacheGeometry
 from repro.common.hotpath import hotpath
-from repro.mem.soa import LineArray, WayRef
+from repro.mem.soa import LineArray
 
 _PRESENT = 1
 
@@ -35,14 +33,15 @@ class SecondLevelCache:
         self.index = self.array.index
         self._nsets = geometry.num_sets
 
-    def lookup(self, line: int) -> Optional[WayRef]:
+    def lookup(self, line: int) -> bool:
+        """Read probe; refreshes LRU on hit."""
         w = self.index.get(line)
         if w is None:
-            return None
+            return False
         a = self.array
         a.tick += 1
         a.lru_a[w] = a.tick
-        return a.refs[w]
+        return True
 
     def __contains__(self, line: int) -> bool:
         return line in self.index

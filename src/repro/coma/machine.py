@@ -70,9 +70,9 @@ LEVEL_REMOTE = "remote"
 class HitPath(NamedTuple):
     """What the simulation kernel's fused hit path needs, pre-bound.
 
-    ``procs[p]`` is processor ``p``'s tuple ``(l1, l1_line, l1_state,
-    l1_lru, slc, slc_index, slc_dirty, slc_lru, slc_port, am, am_index,
-    am_state, am_lru, shadow)``: the L1, SLC and node-AM line arrays with
+    ``procs[p]`` is processor ``p``'s tuple ``(l1_tags, slc, slc_index,
+    slc_dirty, slc_lru, slc_port, am, am_index, am_state, am_lru,
+    shadow)``: the L1 tag vector, the SLC and node-AM line arrays with
     their raw buffers, the SLC's :class:`Resource` and the node's shadow
     tags (or None).  See :meth:`ComaMachine.hit_path`.
     """
@@ -145,11 +145,10 @@ class ComaMachine:
         self.repl = ReplacementEngine(self)
         self._shift = config.line_shift
         self._node_of = [config.node_of_proc(p) for p in range(config.n_processors)]
-        #: Direct-mapped L1 probes are opened in line in read()/write():
-        #: the backing arrays are pre-bound per processor.
-        self._l1_direct = l1_geom.assoc == 1
+        #: L1 probes are opened in line: the tag vectors are pre-bound
+        #: per processor.
         self._l1_nsets = l1_geom.num_sets
-        self._l1_arrays = [l1.array for l1 in self.l1s]
+        self._l1_tags = [l1.tags for l1 in self.l1s]
         #: Time of the operation currently being processed; used by
         #: background actions (back-invalidations, relocations) so they
         #: charge resource occupancy at a sensible instant.
@@ -172,24 +171,23 @@ class ComaMachine:
         not run.
 
         With them the kernel retires two events without calling
-        :meth:`read` or :meth:`write`: a read that hits the direct-mapped
-        L1, and a posted write to a line that is EXCLUSIVE in the node's
-        AM and present in the writer's SLC.  Both have exactly the effects
-        the full methods would have (``tests/test_fastpath.py`` runs them
-        in lockstep).  None when the L1 is associative, or when an
-        observer holds the ``obs`` slot — every access must then reach
-        it.  Call it after the last observer is attached.
+        :meth:`read` or :meth:`write`: a read that hits the L1, and a
+        posted write to a line that is EXCLUSIVE in the node's AM and
+        present in the writer's SLC.  Both have exactly the effects the
+        full methods would have (``tests/test_fastpath.py`` runs them in
+        lockstep).  None when an observer holds the ``obs`` slot — every
+        access must then reach it.  Call it after the last observer is
+        attached.
         """
-        if not self._l1_direct or self.obs is not None:
+        if self.obs is not None:
             return None
         procs = []
         for p in range(self.config.n_processors):
-            l1 = self._l1_arrays[p]
             slc = self.slcs[p].array
             node = self.nodes[self._node_of[p]]
             am = node.am
             procs.append((
-                l1, l1.line_a, l1.state_a, l1.lru_a,
+                self._l1_tags[p],
                 slc, slc.index, slc.dirty_a, slc.lru_a, self.slc_res[p],
                 am, am.index, am.state_a, am.lru_a, node.shadow,
             ))
@@ -216,18 +214,7 @@ class ComaMachine:
         if (addr // self._page_size) not in self._page_home:
             self._materialize_page(addr, self.nodes[self._node_of[proc]], now)
 
-        if self._l1_direct:
-            a = self._l1_arrays[proc]
-            w = line % self._l1_nsets
-            if a.line_a[w] == line and a.state_a[w]:
-                a.tick += 1
-                a.lru_a[w] = a.tick
-                hit = True
-            else:
-                hit = False
-        else:
-            hit = self.l1s[proc].lookup(line)
-        if hit:
+        if self._l1_tags[proc][line % self._l1_nsets] == line:
             c.l1_read_hits += 1
             done = now + self._t_l1
             if obs is not None:
@@ -254,19 +241,7 @@ class ComaMachine:
             sa.tick += 1
             sa.lru_a[sw] = sa.tick
             c.slc_read_hits += 1
-            if self._l1_direct:
-                a = self._l1_arrays[proc]
-                w = line % self._l1_nsets
-                if a.line_a[w] != line or not a.state_a[w]:
-                    if a.state_a[w]:
-                        del a.index[a.line_a[w]]
-                    a.line_a[w] = line
-                    a.state_a[w] = 1
-                    a.index[line] = w
-                    a.tick += 1
-                    a.lru_a[w] = a.tick
-            else:
-                self.l1s[proc].fill(line)
+            self._l1_tags[proc][line % self._l1_nsets] = line
             done = start + self._t_slc
             if obs is not None:
                 obs.phase("slc_wait", start)
@@ -404,15 +379,7 @@ class ComaMachine:
         if (addr // self._page_size) not in self._page_home:
             self._materialize_page(addr, self.nodes[self._node_of[proc]], now)
 
-        # Write-through, no-write-allocate L1 probe.
-        if self._l1_direct:
-            a = self._l1_arrays[proc]
-            w = line % self._l1_nsets
-            if a.line_a[w] == line and a.state_a[w]:
-                a.tick += 1
-                a.lru_a[w] = a.tick
-        else:
-            self.l1s[proc].write_hit(line)
+        # The write-through, no-write-allocate L1 has nothing to update.
         node = self.nodes[self._node_of[proc]]
         shadow = node.shadow
         slc = self.slcs[proc]
@@ -694,19 +661,7 @@ class ComaMachine:
         if packed >= 0:
             self._handle_slc_victim(proc, node, packed)
         if line in slc.index:
-            if self._l1_direct:
-                a = self._l1_arrays[proc]
-                w = line % self._l1_nsets
-                if a.line_a[w] != line or not a.state_a[w]:
-                    if a.state_a[w]:
-                        del a.index[a.line_a[w]]
-                    a.line_a[w] = line
-                    a.state_a[w] = 1
-                    a.index[line] = w
-                    a.tick += 1
-                    a.lru_a[w] = a.tick
-            else:
-                self.l1s[proc].fill(line)
+            self._l1_tags[proc][line % self._l1_nsets] = line
 
     @hotpath
     def _fill_slc_resident(
@@ -735,15 +690,10 @@ class ComaMachine:
         """
         line = packed >> 1
         bit = 1 << (proc % self._ppn)
-        if self._l1_direct:
-            a = self._l1_arrays[proc]
-            w = line % self._l1_nsets
-            if a.line_a[w] == line and a.state_a[w]:
-                a.line_a[w] = -1
-                a.state_a[w] = 0
-                del a.index[line]
-        else:
-            self.l1s[proc].invalidate(line)
+        tags = self._l1_tags[proc]
+        w = line % self._l1_nsets
+        if tags[w] == line:
+            tags[w] = -1
         am = node.am
         vw = am.index.get(line)
         if vw is not None:
@@ -1005,22 +955,25 @@ class ComaMachine:
     def check_consistency(self) -> None:
         """Machine-wide invariant check (used heavily by the test suite).
 
-        Verifies the line table against the per-node arrays, the single-
-        owner invariant, sharer bookkeeping, and inclusion (every SLC line
-        present in its node's AM with the aux bit set; every L1 line in
-        the SLC).
+        Verifies each cache array's own index and set mapping, the line
+        table against the per-node arrays, the single-owner invariant,
+        sharer bookkeeping, and inclusion (every L1 line in the SLC; every
+        SLC line present in its node's AM with the aux bit set).
         """
         for node in self.nodes:
             node.am.check_consistency()
+        for slc, l1 in zip(self.slcs, self.l1s):
+            slc.array.check_consistency()
+            l1.check_consistency(slc.index)
         for line, info in self.lines.items():
             onode = self.nodes[info.owner_node]
             if info.owner_loc == LOC_AM:
-                e = onode.am.lookup(line)
-                assert e is not None and is_owning(e.state), (
+                st = onode.am.state_of(line)
+                assert is_owning(st), (
                     f"line {line:#x}: owner copy missing in node {onode.id}"
                 )
                 if info.sharers:
-                    assert e.state == OWNER, f"line {line:#x}: E with sharers"
+                    assert st == OWNER, f"line {line:#x}: E with sharers"
             elif info.owner_loc == LOC_OVERFLOW:
                 assert line in onode.overflow, (
                     f"line {line:#x}: overflow owner missing in node {onode.id}"
@@ -1032,9 +985,9 @@ class ComaMachine:
                 )
             for sid in info.sharers:
                 n = self.nodes[sid]
-                se = n.am.lookup(line)
-                if se is not None:
-                    assert se.state == SHARED, (
+                st = n.am.state_of(line)
+                if st != INVALID:
+                    assert st == SHARED, (
                         f"line {line:#x}: sharer {sid} inconsistent"
                     )
                 else:
@@ -1044,10 +997,11 @@ class ComaMachine:
                     )
         # Reverse direction: every valid AM entry is registered.
         for node in self.nodes:
-            for e in node.am.valid_entries():
-                info = self.lines.maybe(e.line)
-                assert info is not None, f"unregistered line {e.line:#x}"
-                if e.state == SHARED:
+            state_a = node.am.state_a
+            for line, w in node.am.index.items():
+                info = self.lines.maybe(line)
+                assert info is not None, f"unregistered line {line:#x}"
+                if state_a[w] == SHARED:
                     assert node.id in info.sharers
                 else:
                     assert info.owner_node == node.id and info.owner_loc == LOC_AM
@@ -1063,26 +1017,23 @@ class ComaMachine:
         ppn = self.config.procs_per_node
         for p in range(self.config.n_processors):
             node = self.nodes[self._node_of[p]]
+            am = node.am
             bit = 1 << (p % ppn)
-            for se in self.slcs[p].array.valid_entries():
-                ae = node.am.lookup(se.line)
-                if ae is not None:
-                    assert ae.aux & bit, (
-                        f"aux bit missing for SLC{p} line {se.line:#x}"
+            for line in self.slcs[p].index:
+                aw = am.index.get(line)
+                if aw is not None:
+                    assert am.aux_a[aw] & bit, (
+                        f"aux bit missing for SLC{p} line {line:#x}"
                     )
                 elif self.config.inclusive:
                     raise AssertionError(
-                        f"inclusion violated: SLC{p} holds {se.line:#x} not in AM"
+                        f"inclusion violated: SLC{p} holds {line:#x} not in AM"
                     )
                 else:
-                    sr = node.slc_resident.get(se.line)
+                    sr = node.slc_resident.get(line)
                     assert sr is not None and sr[0] & bit, (
-                        f"SLC{p} line {se.line:#x} untracked at node level"
+                        f"SLC{p} line {line:#x} untracked at node level"
                     )
-            for le in self.l1s[p].array.valid_entries():
-                assert le.line in self.slcs[p], (
-                    f"L1{p} holds {le.line:#x} not in SLC"
-                )
 
     # ------------------------------------------------------------------
     def owned_line_count(self) -> int:

@@ -167,7 +167,6 @@ class MachineConfig:
     page_size: int = 2048
     am_assoc: int = 4
     slc_assoc: int = 4
-    l1_assoc: int = 1
     memory_pressure: Fraction = Fraction(8, 16)
     slc_ws_fraction: Fraction = Fraction(1, 128)
     l1_ws_fraction: Fraction = Fraction(1, 512)
@@ -280,7 +279,8 @@ class MachineConfig:
     def l1_geometry(self) -> CacheGeometry:
         self._require_sized()
         assert self.l1_bytes is not None
-        return CacheGeometry.from_size(self.l1_bytes, self.l1_assoc, self.line_size)
+        # Direct-mapped, as in the paper.
+        return CacheGeometry.from_size(self.l1_bytes, 1, self.line_size)
 
     def node_of_proc(self, proc_id: int) -> int:
         """Node that processor ``proc_id`` belongs to.

@@ -1,8 +1,8 @@
-"""Memory primitives: simulated address space, set-associative arrays,
+"""Memory primitives: simulated address space, the tag array, and
 fully-associative shadow tags for miss classification."""
 
 from repro.mem.address import AddressSpace, Segment
-from repro.mem.setassoc import Entry, SetAssocArray
 from repro.mem.shadow import ShadowTags
+from repro.mem.soa import LineArray
 
-__all__ = ["AddressSpace", "Segment", "Entry", "SetAssocArray", "ShadowTags"]
+__all__ = ["AddressSpace", "Segment", "LineArray", "ShadowTags"]

@@ -1,24 +1,18 @@
 """Arrays-of-structs line storage (the compiled tag array).
 
-:class:`LineArray` stores what :class:`~repro.mem.setassoc.SetAssocArray`
-stored in per-line ``Entry`` objects — tag, state, LRU stamp, dirty bit,
-auxiliary mask — as five parallel ``array`` buffers indexed by a flat
-*way number* (``set_idx * assoc + k``).  The hot paths of the machine
-address ways as plain ints and read the buffers directly: no per-line
-object, no attribute descriptor, one dict probe per lookup.
+:class:`LineArray` stores each way's tag, state, LRU stamp, dirty bit and
+auxiliary mask in five parallel ``array`` buffers indexed by a flat *way
+number* (``set_idx * assoc + k``), plus one dict mapping each resident
+line to its way.  A way is addressed only by its number: the hot paths
+read and write the raw ``*_a`` buffers directly, with no per-line object
+and one dict probe per lookup.  The victim-selection policies are
+interned to small ints (:data:`VICTIM_LRU`, :data:`VICTIM_SHARED_FIRST`,
+:data:`VICTIM_NONINCLUSIVE`) so selection is branchy integer code
+instead of a key-function callback.  Cold callers (consistency checks,
+the cross-checker, tests) read a line's state with :meth:`LineArray.state_of`.
 
-Two APIs coexist on the same storage:
-
-* the **way-int API** (``way_of`` / ``fill_way`` / ``victim_way`` / the
-  raw ``*_a`` buffers) used by compiled hot paths — the victim-selection
-  policies are interned to small ints (:data:`VICTIM_LRU`,
-  :data:`VICTIM_SHARED_FIRST`, :data:`VICTIM_NONINCLUSIVE`) so selection
-  is branchy integer code instead of a key-function callback;
-* the **Entry-compatible API** (``lookup`` / ``fill`` / ``find_victim``
-  with a priority callable / ``valid_entries``) kept for tests, the
-  cross-checker and other cold introspection.  It hands out
-  :class:`WayRef` views — one preallocated per way, stable identity —
-  that read and write through to the buffers.
+``aux`` is cache-specific: the attraction memory stores the bitmask of
+local processors whose SLC holds the line; the SLC stores nothing.
 
 State values are opaque small ints with ``0 == INVALID`` by convention;
 the interned victim policies additionally rely on the E/O/S/I encoding of
@@ -31,7 +25,6 @@ still loading).
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterator, Optional
 
 from repro.common.config import CacheGeometry
 from repro.common.hotpath import hotpath
@@ -49,82 +42,6 @@ VICTIM_SHARED_FIRST = 1    # Shared ways before owner ways, ties by LRU
 VICTIM_NONINCLUSIVE = 2    # Shared, then SLC-backed owners, then bare owners
 
 
-class WayRef:
-    """Entry-compatible view of one way of a :class:`LineArray`.
-
-    Exactly one ref exists per way (preallocated), so identity is stable:
-    two lookups of the same resident line return the same object.  All
-    fields read and write through to the backing arrays.
-
-    ``aux`` is cache-specific: the attraction memory stores the bitmask of
-    local processors whose SLC holds the line; the SLC stores nothing.
-    """
-
-    __slots__ = ("_line_a", "_state_a", "_lru_a", "_aux_a", "_dirty_a",
-                 "way", "set_idx")
-
-    def __init__(self, arr: "LineArray", way: int, set_idx: int) -> None:
-        # The buffers, not the array: the array holds its refs, so a
-        # back-reference would make a cycle only the cyclic collector frees.
-        self._line_a = arr.line_a
-        self._state_a = arr.state_a
-        self._lru_a = arr.lru_a
-        self._aux_a = arr.aux_a
-        self._dirty_a = arr.dirty_a
-        self.way = way
-        self.set_idx = set_idx
-
-    @property
-    def line(self) -> int:
-        return self._line_a[self.way]
-
-    @line.setter
-    def line(self, v: int) -> None:
-        self._line_a[self.way] = v
-
-    @property
-    def state(self) -> int:
-        return self._state_a[self.way]
-
-    @state.setter
-    def state(self, v: int) -> None:
-        self._state_a[self.way] = v
-
-    @property
-    def lru(self) -> int:
-        return self._lru_a[self.way]
-
-    @lru.setter
-    def lru(self, v: int) -> None:
-        self._lru_a[self.way] = v
-
-    @property
-    def dirty(self) -> bool:
-        return self._dirty_a[self.way] != 0
-
-    @dirty.setter
-    def dirty(self, v: bool) -> None:
-        self._dirty_a[self.way] = 1 if v else 0
-
-    @property
-    def aux(self) -> int:
-        return self._aux_a[self.way]
-
-    @aux.setter
-    def aux(self, v: int) -> None:
-        self._aux_a[self.way] = v
-
-    @property
-    def valid(self) -> bool:
-        return self._state_a[self.way] != INVALID
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"WayRef(set={self.set_idx}, line={self.line:#x}, "
-            f"state={self.state}, dirty={self.dirty})"
-        )
-
-
 class LineArray:
     """Tag array: ``geometry.num_sets`` sets x ``geometry.assoc`` ways,
     stored as parallel buffers.  Set counts need not be powers of two
@@ -133,7 +50,7 @@ class LineArray:
     __slots__ = (
         "geometry", "num_sets", "assoc",
         "line_a", "state_a", "lru_a", "aux_a", "dirty_a",
-        "index", "refs", "tick",
+        "index", "tick",
     )
 
     def __init__(self, geometry: CacheGeometry) -> None:
@@ -148,26 +65,7 @@ class LineArray:
         self.dirty_a = array("b", [0]) * n
         #: line -> way number of the valid way holding it.
         self.index: dict[int, int] = {}
-        self.refs = [
-            WayRef(self, w, w // geometry.assoc) for w in range(n)
-        ]
         self.tick = 0
-
-    # ------------------------------------------------------------------
-    # way-int API (compiled hot paths)
-    # ------------------------------------------------------------------
-
-    @hotpath
-    def way_of(self, line: int) -> int:
-        """Way holding ``line``, or -1."""
-        w = self.index.get(line)
-        return -1 if w is None else w
-
-    @hotpath
-    def touch_way(self, way: int) -> None:
-        """Mark ``way`` most-recently-used."""
-        self.tick += 1
-        self.lru_a[way] = self.tick
 
     @hotpath
     def fill_way(self, way: int, line: int, state: int) -> None:
@@ -176,8 +74,7 @@ class LineArray:
         The caller must already have dealt with any victim occupying the
         way (writeback, relocation, ...); a still-valid way is simply
         dropped from the index here.  Set mapping is the caller's
-        contract (checked in the Entry-compatible ``fill`` and by
-        :meth:`check_consistency`, not per call here).
+        contract (checked by :meth:`check_consistency`, not per call).
         """
         if self.state_a[way] != INVALID:
             del self.index[self.line_a[way]]
@@ -215,10 +112,9 @@ class LineArray:
     def victim_way(self, set_idx: int, mode: int) -> int:
         """Pick the way to displace in ``set_idx`` under interned ``mode``.
 
-        Replicates the SetAssocArray selection exactly: lower victim class
-        wins, ties broken by LRU stamp, first minimum in way order.
-        ``VICTIM_LRU`` additionally returns the first invalid way
-        outright (the state-blind default policy).
+        Lower victim class wins, ties broken by LRU stamp, first minimum
+        in way order.  ``VICTIM_LRU`` additionally returns the first
+        invalid way outright (the state-blind default policy).
         """
         assoc = self.assoc
         base = set_idx * assoc
@@ -267,67 +163,8 @@ class LineArray:
             w += 1
         return best
 
-    # ------------------------------------------------------------------
-    # Entry-compatible API (tests, cross-checks, cold introspection)
-    # ------------------------------------------------------------------
-
-    def lookup(self, line: int) -> Optional[WayRef]:
-        """Return the (stable-identity) ref of the valid way holding
-        ``line``, or None."""
-        w = self.index.get(line)
-        return None if w is None else self.refs[w]
-
     def __contains__(self, line: int) -> bool:
         return line in self.index
-
-    def set_index(self, line: int) -> int:
-        return line % self.num_sets
-
-    def ways(self, set_idx: int) -> list[WayRef]:
-        base = set_idx * self.assoc
-        return self.refs[base:base + self.assoc]
-
-    def touch(self, entry: WayRef) -> None:
-        """Mark ``entry`` most-recently-used."""
-        self.tick += 1
-        self.lru_a[entry.way] = self.tick
-
-    def find_victim(
-        self,
-        set_idx: int,
-        priority: Optional[Callable[[WayRef], int]] = None,
-    ) -> WayRef:
-        """Pick the entry to displace in ``set_idx``.
-
-        ``priority`` maps an entry to a class number; lower classes are
-        displaced first, ties broken by LRU.  The default prefers invalid
-        entries, then plain LRU (== ``victim_way(set_idx, VICTIM_LRU)``).
-        """
-        if priority is None:
-            return self.refs[self.victim_way(set_idx, VICTIM_LRU)]
-        ways = self.ways(set_idx)
-        best = ways[0]
-        best_key = (priority(best), best.lru)
-        for e in ways[1:]:
-            key = (priority(e), e.lru)
-            if key < best_key:
-                best, best_key = e, key
-        return best
-
-    def free_way(self, set_idx: int) -> Optional[WayRef]:
-        """Return an invalid way in ``set_idx`` if one exists."""
-        w = self.free_way_idx(set_idx)
-        return None if w < 0 else self.refs[w]
-
-    def fill(self, entry: WayRef, line: int, state: int) -> None:
-        assert state != INVALID, "fill with INVALID makes no sense"
-        assert entry.way // self.assoc == line % self.num_sets, (
-            f"line {line:#x} does not map to set {entry.way // self.assoc}"
-        )
-        self.fill_way(entry.way, line, state)
-
-    def invalidate(self, entry: WayRef) -> None:
-        self.invalidate_way(entry.way)
 
     def invalidate_line(self, line: int) -> bool:
         """Invalidate ``line`` if present; returns True if it was."""
@@ -339,9 +176,10 @@ class LineArray:
 
     # -- introspection ---------------------------------------------------
 
-    def valid_entries(self) -> Iterator[WayRef]:
-        refs = self.refs
-        return (refs[w] for w in self.index.values())
+    def state_of(self, line: int) -> int:
+        """State of ``line``, or INVALID when it is absent."""
+        w = self.index.get(line)
+        return INVALID if w is None else self.state_a[w]
 
     def count_state(self, state: int) -> int:
         state_a = self.state_a
@@ -364,5 +202,8 @@ class LineArray:
                 assert self.index.get(line) == w, (
                     f"index out of sync for line {line:#x}"
                 )
-                assert line % self.num_sets == s
+                assert line % self.num_sets == s, (
+                    f"line {line:#x} held in set {s}, maps to "
+                    f"{line % self.num_sets}"
+                )
         assert seen == len(self.index), "index size mismatch"

@@ -132,7 +132,7 @@ class NumaMachine:
                 obs.access(now, proc, "r", line, LEVEL_L1, done - now, addr)
             return done, LEVEL_L1
         start = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._bg)
-        if self.slcs[proc].lookup(line) is not None:
+        if self.slcs[proc].lookup(line):
             c.slc_read_hits += 1
             self.l1s[proc].fill(line)
             done = start + self.timing.slc_hit_ns
@@ -207,7 +207,6 @@ class NumaMachine:
         line = addr >> self._shift
         node = self._node_of[proc]
         self._ensure_page(addr, node)
-        self.l1s[proc].write_hit(line)
         home = self._home_node(addr)
         e = self.directory.entry(line)
         slc_hit = line in self.slcs[proc]
@@ -278,9 +277,11 @@ class NumaMachine:
     def check_consistency(self) -> None:
         """Directory vs cache cross-check (tests)."""
         cached: dict[int, set[int]] = {}
-        for p, slc in enumerate(self.slcs):
-            for entry in slc.array.valid_entries():
-                cached.setdefault(entry.line, set()).add(p)
+        for p, (slc, l1) in enumerate(zip(self.slcs, self.l1s)):
+            slc.array.check_consistency()
+            l1.check_consistency(slc.index)
+            for line in slc.index:
+                cached.setdefault(line, set()).add(p)
         for line, e in self.directory.items():
             assert e.sharers.issuperset(cached.get(line, set())), (
                 f"line {line:#x}: cached copies missing from directory"
@@ -289,6 +290,3 @@ class NumaMachine:
                 assert e.owner in e.sharers or line not in cached, (
                     f"line {line:#x}: owner {e.owner} not a sharer"
                 )
-        for p in range(self.config.n_processors):
-            for le in self.l1s[p].array.valid_entries():
-                assert le.line in self.slcs[p], f"L1{p} not subset of SLC"

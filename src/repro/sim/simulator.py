@@ -178,9 +178,7 @@ class Simulation:
         shift = self._shift
         wb_inline = not self._sc and not m.config.write_buffer_coalescing
         fused = hp is not None
-        if hp is None:
-            l1_sets = 1
-        else:
+        if hp is not None:
             l1_sets = hp.l1_sets
             t_l1 = hp.l1_ns
             t_slc = hp.slc_ns
@@ -199,9 +197,8 @@ class Simulation:
                 if p.done or p.blocked or p.clock != clock:
                     continue  # stale entry
                 if fused:
-                    (l1, l1_line, l1_state, l1_lru, slc, slc_index, slc_dirty,
-                     slc_lru, slc_port, am, am_index, am_state, am_lru,
-                     shadow) = fast
+                    (l1_tags, slc, slc_index, slc_dirty, slc_lru, slc_port,
+                     am, am_index, am_state, am_lru, shadow) = fast
                 limit = heap[0][0] if heap else NEVER
                 while True:
                     try:
@@ -222,11 +219,7 @@ class Simulation:
                     op, arg = ev
                     if op == EV_READ:
                         line = arg >> shift
-                        w = line % l1_sets
-                        if fused and l1_line[w] == line and l1_state[w]:
-                            tick = l1.tick + 1
-                            l1.tick = tick
-                            l1_lru[w] = tick
+                        if fused and l1_tags[line % l1_sets] == line:
                             n_l1 += 1
                             m.now = clock
                             if not t_l1:
@@ -262,11 +255,6 @@ class Simulation:
                         if way >= 0 and am_state[way] == excl:
                             # Exactly ComaMachine.write's local-hit path.
                             m.now = now
-                            w = line % l1_sets
-                            if l1_line[w] == line and l1_state[w]:
-                                tick = l1.tick + 1
-                                l1.tick = tick
-                                l1_lru[w] = tick
                             if shadow is not None:
                                 shadow.access(line)
                             tick = am.tick + 1

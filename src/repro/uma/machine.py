@@ -85,7 +85,7 @@ class UmaMachine:
             c.l1_read_hits += 1
             return now + self.timing.l1_hit_ns, LEVEL_L1
         start = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._bg)
-        if self.slcs[proc].lookup(line) is not None:
+        if self.slcs[proc].lookup(line):
             c.slc_read_hits += 1
             self.l1s[proc].fill(line)
             return start + self.timing.slc_hit_ns, LEVEL_SLC
@@ -122,7 +122,6 @@ class UmaMachine:
         c = self.counters
         line = addr >> self._shift
         self._ensure_page(addr, self.config.node_of_proc(proc))
-        self.l1s[proc].write_hit(line)
         e = self.directory.entry(line)
         slc_hit = line in self.slcs[proc]
         if e.owner == proc and slc_hit:
@@ -174,11 +173,10 @@ class UmaMachine:
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
         cached: dict[int, set[int]] = {}
-        for p, slc in enumerate(self.slcs):
-            for entry in slc.array.valid_entries():
-                cached.setdefault(entry.line, set()).add(p)
+        for p, (slc, l1) in enumerate(zip(self.slcs, self.l1s)):
+            slc.array.check_consistency()
+            l1.check_consistency(slc.index)
+            for line in slc.index:
+                cached.setdefault(line, set()).add(p)
         for line, e in self.directory.items():
             assert e.sharers.issuperset(cached.get(line, set()))
-        for p in range(self.config.n_processors):
-            for le in self.l1s[p].array.valid_entries():
-                assert le.line in self.slcs[p]

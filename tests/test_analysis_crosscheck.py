@@ -87,7 +87,7 @@ class TestMachineMutationsAreCaught:
             am = src.am
             line, state = am.line_a[src_way], am.state_a[src_way]
             original(self, src, src_way, dst, dst_way, now, *args)
-            dst.am.lookup(line).state = state
+            dst.am.state_a[dst.am.index[line]] = state
 
         monkeypatch.setattr(
             ReplacementEngine, "_transfer", transfer_preserving_state

@@ -99,8 +99,6 @@ class TestComaNode:
 
     def test_owned_lines_in_am(self):
         n = self._node()
-        e = n.am.free_way(0)
-        n.am.fill(e, 0, EXCLUSIVE)
-        e2 = n.am.free_way(1)
-        n.am.fill(e2, 1, SHARED)
+        n.am.fill_way(n.am.free_way_idx(0), 0, EXCLUSIVE)
+        n.am.fill_way(n.am.free_way_idx(1), 1, SHARED)
         assert n.owned_lines_in_am() == 1

@@ -11,6 +11,8 @@ from repro.mem.address import AddressSpace
 from repro.coma.machine import ComaMachine
 from repro.coma.node import REMOVED_INVALIDATED
 from tests.conftest import make_machine
+from tests.test_numa import make_numa
+from tests.test_uma import make_uma
 
 LINE = 64
 
@@ -53,8 +55,7 @@ class TestProtocolSelfChecks:
         consistency check must catch it too."""
         machine.read(0, 0, 0)
         machine.read(2, 0, 1000)  # node 1 shares line 0
-        entry = machine.nodes[1].am.lookup(0)
-        machine.nodes[1].am.invalidate(entry)  # bypass the protocol
+        machine.nodes[1].am.invalidate_line(0)  # bypass the protocol
         with pytest.raises(AssertionError):
             machine.check_consistency()
         with pytest.raises(ProtocolError, match="sharer"):
@@ -63,8 +64,7 @@ class TestProtocolSelfChecks:
     def test_lost_owner_detected(self, machine):
         machine.read(0, 0, 0)
         machine.read(2, 0, 1000)
-        entry = machine.nodes[0].am.lookup(0)
-        machine.nodes[0].am.invalidate(entry)  # drop the owner copy
+        machine.nodes[0].am.invalidate_line(0)  # drop the owner copy
         with pytest.raises(AssertionError):
             machine.check_consistency()
 
@@ -82,6 +82,33 @@ class TestProtocolSelfChecks:
         machine.read(2, 0, 1000)
         machine.write(0, 0, 2000)
         assert machine.nodes[1].removal_reason[0] == REMOVED_INVALIDATED
+
+
+MACHINES = {"coma": make_machine, "numa": make_numa, "uma": make_uma}
+
+
+class TestCacheArrayChecks:
+    """Every machine's consistency check covers each cache array's own
+    bookkeeping, not only the relations between levels."""
+
+    @pytest.mark.parametrize("kind", sorted(MACHINES))
+    def test_slc_index_desync_detected(self, kind):
+        m = MACHINES[kind]()
+        m.read(0, 0, 0)
+        m.check_consistency()
+        arr = m.slcs[0].array
+        arr.index[0] = arr.free_way_idx(0)  # points at an empty way
+        with pytest.raises(AssertionError, match="index out of sync"):
+            m.check_consistency()
+
+    @pytest.mark.parametrize("kind", sorted(MACHINES))
+    def test_misplaced_l1_tag_detected(self, kind):
+        m = MACHINES[kind]()
+        m.read(0, 0, 0)
+        m.check_consistency()
+        m.l1s[0].tags[1] = 0  # line 0 belongs in set 0
+        with pytest.raises(AssertionError, match="maps to 0"):
+            m.check_consistency()
 
 
 class TestSimulationGuards:

@@ -67,8 +67,7 @@ def unfused(m) -> None:
 def snapshot(sim: Simulation, result) -> dict:
     """Everything the fused path could disturb, in comparable form."""
     m = sim.machine
-    arrays = [l1.array for l1 in m.l1s] + [s.array for s in m.slcs]
-    arrays += [n.am for n in m.nodes]
+    arrays = [s.array for s in m.slcs] + [n.am for n in m.nodes]
     resources = list(m.slc_res) + [m.bus.resource]
     resources += [gb.resource for gb in getattr(m, "group_buses", ())]
     for n in m.nodes:
@@ -77,6 +76,7 @@ def snapshot(sim: Simulation, result) -> dict:
         "result": result.to_dict(),
         "events": sim.events_processed,
         "now": m.now,
+        "l1_tags": [list(l1.tags) for l1 in m.l1s],
         "arrays": [
             (a.line_a.tolist(), a.state_a.tolist(), a.lru_a.tolist(),
              a.aux_a.tolist(), a.dirty_a.tolist(), dict(a.index), a.tick)

@@ -15,8 +15,7 @@ class TestReadPath:
         assert level == "am", "first toucher finds the page in its own AM"
         node0 = machine.nodes[0]
         for line in range(4):
-            e = node0.am.lookup(line)
-            assert e is not None and e.state == EXCLUSIVE
+            assert node0.am.state_of(line) == EXCLUSIVE
         assert machine.counters.pages_allocated == 1
 
     def test_am_hit_latency_is_148ns(self, machine):
@@ -52,8 +51,8 @@ class TestReadPath:
     def test_remote_read_creates_shared_copy(self, machine):
         machine.read(0, 0, 0)
         machine.read(2, 0, 10_000)
-        assert machine.nodes[1].am.lookup(0).state == SHARED
-        assert machine.nodes[0].am.lookup(0).state == OWNER, "owner E -> O"
+        assert machine.nodes[1].am.state_of(0) == SHARED
+        assert machine.nodes[0].am.state_of(0) == OWNER, "owner E -> O"
         info = machine.lines.get(0)
         assert info.owner_node == 0
         assert info.sharers == {1}
@@ -101,14 +100,15 @@ class TestWritePath:
     def test_write_marks_slc_dirty(self, machine):
         machine.read(0, 0, 0)
         machine.write(0, 0, 1000)
-        assert machine.slcs[0].array.lookup(0).dirty is True
+        slc = machine.slcs[0]
+        assert slc.array.dirty_a[slc.index[0]] == 1
 
     def test_upgrade_invalidates_sharers(self, machine):
         machine.read(0, 0, 0)
         machine.read(2, 0, 1000)      # node 1 shares
         machine.write(0, 0, 2000)     # node 0 upgrades O -> E
-        assert machine.nodes[1].am.lookup(0) is None
-        assert machine.nodes[0].am.lookup(0).state == EXCLUSIVE
+        assert 0 not in machine.nodes[1].am
+        assert machine.nodes[0].am.state_of(0) == EXCLUSIVE
         assert machine.lines.get(0).sharers == set()
         assert machine.counters.invalidations_sent == 1
         machine.check_consistency()
@@ -119,8 +119,8 @@ class TestWritePath:
         machine.write(2, 0, 2000)      # sharer writes: takes ownership
         info = machine.lines.get(0)
         assert info.owner_node == 1
-        assert machine.nodes[1].am.lookup(0).state == EXCLUSIVE
-        assert machine.nodes[0].am.lookup(0) is None, "old owner erased"
+        assert machine.nodes[1].am.state_of(0) == EXCLUSIVE
+        assert 0 not in machine.nodes[0].am, "old owner erased"
         machine.check_consistency()
 
     def test_write_miss_read_exclusive(self, machine):
@@ -131,7 +131,7 @@ class TestWritePath:
         assert c.read_exclusive == 1
         info = machine.lines.get(0)
         assert info.owner_node == 1
-        assert machine.nodes[0].am.lookup(0) is None
+        assert 0 not in machine.nodes[0].am
         assert machine.bus.traffic_breakdown()["write"] == 72
         machine.check_consistency()
 

@@ -1,4 +1,4 @@
-"""Unit tests for repro.mem: address space, set-assoc arrays, shadow tags."""
+"""Unit tests for repro.mem: address space, tag arrays, shadow tags."""
 
 from __future__ import annotations
 
@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.mem.address import AddressSpace
-from repro.mem.setassoc import INVALID, SetAssocArray
+from repro.mem.soa import (
+    INVALID,
+    VICTIM_LRU,
+    VICTIM_NONINCLUSIVE,
+    VICTIM_SHARED_FIRST,
+    LineArray,
+)
 from repro.mem.shadow import ShadowMemory, ShadowTags
 
 
@@ -70,60 +76,101 @@ def _geometry(sets=4, assoc=2):
     return CacheGeometry(num_sets=sets, assoc=assoc, line_size=64)
 
 
+def _touch(arr: LineArray, line: int) -> None:
+    """Mark ``line`` most-recently-used, as the machine's hot paths do."""
+    arr.tick += 1
+    arr.lru_a[arr.index[line]] = arr.tick
+
+
+def _reference_victim(arr: LineArray, set_idx: int, mode: int) -> int:
+    """``min((class, lru, way))`` over the set: Shared ways are class 0;
+    under VICTIM_NONINCLUSIVE other ways with an aux mask are class 1 and
+    bare ones class 2, otherwise every non-Shared way is class 1."""
+    def key(w: int) -> tuple:
+        if arr.state_a[w] == 1:  # repro.coma.states.SHARED
+            cls = 0
+        elif mode == VICTIM_NONINCLUSIVE:
+            cls = 1 if arr.aux_a[w] else 2
+        else:
+            cls = 1
+        return (cls, arr.lru_a[w], w)
+
+    base = set_idx * arr.assoc
+    return min(range(base, base + arr.assoc), key=key)
+
+
 class TestSetAssocArray:
+    """The set-associative tag array, :class:`LineArray`, addressed by
+    way number."""
+
     def test_fill_and_lookup(self):
-        arr = SetAssocArray(_geometry())
-        e = arr.free_way(arr.set_index(42))
-        arr.fill(e, 42, state=1)
-        assert arr.lookup(42) is e
+        arr = LineArray(_geometry())
+        w = arr.free_way_idx(42 % arr.num_sets)
+        arr.fill_way(w, 42, state=1)
+        assert arr.index[42] == w
+        assert arr.state_of(42) == 1
         assert 42 in arr
         assert arr.occupancy == 1
 
     def test_fill_wrong_set_asserts(self):
-        arr = SetAssocArray(_geometry())
-        e = arr.free_way(0)
-        with pytest.raises(AssertionError):
-            arr.fill(e, 1, state=1)  # line 1 maps to set 1, not 0
+        arr = LineArray(_geometry())
+        arr.fill_way(arr.free_way_idx(0), 1, state=1)  # line 1 maps to set 1
+        with pytest.raises(AssertionError, match="maps to 1"):
+            arr.check_consistency()
 
     def test_invalidate(self):
-        arr = SetAssocArray(_geometry())
-        e = arr.free_way(2)
-        arr.fill(e, 2, state=1)
+        arr = LineArray(_geometry())
+        arr.fill_way(arr.free_way_idx(2), 2, state=1)
         assert arr.invalidate_line(2) is True
-        assert arr.lookup(2) is None
+        assert arr.state_of(2) == INVALID
+        assert 2 not in arr
         assert arr.invalidate_line(2) is False
 
     def test_lru_victim(self):
-        arr = SetAssocArray(_geometry(sets=1, assoc=3))
+        arr = LineArray(_geometry(sets=1, assoc=3))
         for line in (0, 1, 2):
-            arr.fill(arr.free_way(0), line * 1, state=1)  # all map to set 0
-        arr.touch(arr.lookup(0))  # 0 most recent; 1 is now LRU
-        victim = arr.find_victim(0)
-        assert victim.line == 1
+            arr.fill_way(arr.free_way_idx(0), line, state=1)  # all in set 0
+        _touch(arr, 0)  # 0 most recent; 1 is now LRU
+        assert arr.free_way_idx(0) == -1
+        assert arr.line_a[arr.victim_way(0, VICTIM_LRU)] == 1
+        arr.invalidate_line(2)
+        assert arr.victim_way(0, VICTIM_LRU) == 2, "invalid way first"
 
-    def test_priority_victim(self):
-        arr = SetAssocArray(_geometry(sets=1, assoc=3))
-        for line, state in ((0, 2), (1, 1), (2, 2)):
-            e = arr.free_way(0)
-            arr.fill(e, line, state)
-        victim = arr.find_victim(0, priority=lambda e: 0 if e.state == 1 else 1)
-        assert victim.line == 1, "state-1 entries are preferred victims"
+    @given(
+        ways=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 4)),
+            min_size=4, max_size=4,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_priority_victim(self, ways):
+        """Property: the interned state-aware policies pick the
+        ``min((class, lru, way))`` way."""
+        arr = LineArray(_geometry(sets=2, assoc=4))
+        for k, (state, aux, lru) in enumerate(ways):
+            w = 4 + k  # set 1
+            if state:
+                arr.fill_way(w, 1 + 2 * k, state)
+            arr.aux_a[w] = aux
+            arr.lru_a[w] = lru
+        for mode in (VICTIM_SHARED_FIRST, VICTIM_NONINCLUSIVE):
+            assert arr.victim_way(1, mode) == _reference_victim(arr, 1, mode)
 
     def test_count_state(self):
-        arr = SetAssocArray(_geometry())
-        arr.fill(arr.free_way(0), 0, state=1)
-        arr.fill(arr.free_way(1), 1, state=2)
+        arr = LineArray(_geometry())
+        arr.fill_way(arr.free_way_idx(0), 0, state=1)
+        arr.fill_way(arr.free_way_idx(1), 1, state=2)
         assert arr.count_state(1) == 1
         assert arr.count_state(2) == 1
         assert arr.count_state(INVALID) == 0
 
     def test_refill_valid_entry_updates_index(self):
-        arr = SetAssocArray(_geometry(sets=1, assoc=1))
-        e = arr.free_way(0)
-        arr.fill(e, 0, state=1)
-        arr.fill(e, 1, state=1)  # displaces line 0 in place
-        assert arr.lookup(0) is None
-        assert arr.lookup(1) is e
+        arr = LineArray(_geometry(sets=1, assoc=1))
+        w = arr.free_way_idx(0)
+        arr.fill_way(w, 0, state=1)
+        arr.fill_way(w, 1, state=1)  # displaces line 0 in place
+        assert 0 not in arr
+        assert arr.index[1] == w
         arr.check_consistency()
 
     @given(
@@ -134,24 +181,30 @@ class TestSetAssocArray:
     )
     @settings(max_examples=50, deadline=None)
     def test_index_matches_reference_model(self, ops):
-        """Property: the dict index always mirrors the 2-D array."""
-        arr = SetAssocArray(_geometry(sets=3, assoc=2))
-        model: set[int] = set()
-        for op, line in ops:
+        """Property: the dict index always mirrors the buffers, and the
+        LRU victim is the least recently filled or touched line."""
+        arr = LineArray(_geometry(sets=3, assoc=2))
+        model: dict[int, int] = {}  # resident line -> last use
+        for step, (op, line) in enumerate(ops):
             if op == "fill" and line not in arr:
-                s = arr.set_index(line)
-                e = arr.free_way(s) or arr.find_victim(s)
-                if e.valid:
-                    model.discard(e.line)
-                arr.fill(e, line, state=1)
-                model.add(line)
+                s = line % arr.num_sets
+                w = arr.free_way_idx(s)
+                if w < 0:
+                    w = arr.victim_way(s, VICTIM_LRU)
+                    lru = min((x for x in model if x % arr.num_sets == s),
+                              key=model.__getitem__)
+                    assert arr.line_a[w] == lru
+                    del model[lru]
+                arr.fill_way(w, line, state=1)
+                model[line] = step
             elif op == "inv":
                 arr.invalidate_line(line)
-                model.discard(line)
+                model.pop(line, None)
             elif op == "touch" and line in arr:
-                arr.touch(arr.lookup(line))
+                _touch(arr, line)
+                model[line] = step
         arr.check_consistency()
-        assert {e.line for e in arr.valid_entries()} == model
+        assert set(arr.index) == set(model)
 
 
 class TestShadowTags:

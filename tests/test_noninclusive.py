@@ -32,7 +32,7 @@ class TestOwnershipFallsBackToSlc:
         m.read(0, 0, 0)          # node 0 owns line 0, cached in SLC0
         m.read(0, LINE, 1000)    # line 1 displaces line 0 from the AM way
         node0 = m.nodes[0]
-        assert node0.am.lookup(0) is None
+        assert 0 not in node0.am
         assert 0 in node0.slc_resident, "ownership fell back to the SLC"
         assert m.lines.get(0).owner_loc == LOC_SLC
         assert m.counters.replace_to_slc == 1
@@ -84,7 +84,7 @@ class TestSlcResidentAccess:
         m.read(0, LINE, 1000)
         done, level = m.read(2, 0, 2000)  # proc 2 = node 1
         assert level == "remote"
-        assert m.nodes[1].am.lookup(0).state == SHARED
+        assert m.nodes[1].am.state_of(0) == SHARED
         assert m.nodes[0].slc_resident[0][1] == OWNER, "E -> O in the SLC"
         m.check_consistency()
 
@@ -93,7 +93,8 @@ class TestSlcResidentAccess:
         m.read(0, 0, 0)
         m.read(0, LINE, 1000)
         m.write(0, 0, 2000)
-        assert m.slcs[0].array.lookup(0).dirty
+        slc = m.slcs[0]
+        assert slc.array.dirty_a[slc.index[0]]
         m.check_consistency()
 
 

@@ -179,8 +179,7 @@ class TestMachineMatchesTable:
     """Drive the machine through each table row and check the state."""
 
     def _state_of(self, m, node_id: int, line: int) -> int:
-        e = m.nodes[node_id].am.lookup(line)
-        return e.state if e is not None else INVALID
+        return m.nodes[node_id].am.state_of(line)
 
     def test_invalid_local_read(self, machine):
         machine.read(0, 0, 0)          # materializes E in node 0
@@ -243,5 +242,4 @@ class TestMachineMatchesTable:
         m.write(0, 0, 0)
         m.read(1, 0, 100)              # node 1: S
         m.write(0, LINE, 200)          # node 0 evicts line 0 -> takeover
-        e = m.nodes[1].am.lookup(0)
-        assert e is not None and e.state in (OWNER, EXCLUSIVE)
+        assert m.nodes[1].am.state_of(0) in (OWNER, EXCLUSIVE)

@@ -30,10 +30,10 @@ class TestVictimPriority:
         m.read(1, 0, 0)          # node 1 owns page 0 (line 0)
         m.read(0, LINE, 100)     # node 0 owns page 1 (line 1)
         m.read(0, 0, 200)        # node 0 caches line 0 Shared
-        assert m.nodes[0].am.lookup(0).state == SHARED
+        assert m.nodes[0].am.state_of(0) == SHARED
         m.read(0, 2 * LINE, 300)  # new page: set full -> drop the S copy
-        assert m.nodes[0].am.lookup(0) is None, "Shared victim dropped"
-        assert m.nodes[0].am.lookup(1) is not None, "owner kept"
+        assert 0 not in m.nodes[0].am, "Shared victim dropped"
+        assert 1 in m.nodes[0].am, "owner kept"
         assert m.counters.shared_drops == 1
         assert m.lines.get(0).sharers == set()
         m.check_consistency()
@@ -57,7 +57,7 @@ class TestRelocation:
         m.write(0, LINE, 1000)      # displaces it
         assert m.counters.replacements == 1
         assert m.counters.replace_to_invalid == 1
-        assert m.nodes[1].am.lookup(0).state == EXCLUSIVE
+        assert m.nodes[1].am.state_of(0) == EXCLUSIVE
         assert m.lines.get(0).owner_node == 1
         assert m.bus.traffic_breakdown()["replace"] == 72 + 8
         m.check_consistency()
@@ -72,8 +72,8 @@ class TestRelocation:
         m.write(0, 2 * LINE, 300)  # node 0 must relocate line 0
         assert m.counters.replace_to_invalid == 1
         assert m.counters.replace_to_shared == 0
-        assert m.nodes[3].am.lookup(0) is not None, "invalid way accepted it"
-        assert m.nodes[2].am.lookup(1).state == SHARED, "S copy untouched"
+        assert 0 in m.nodes[3].am, "invalid way accepted it"
+        assert m.nodes[2].am.state_of(1) == SHARED, "S copy untouched"
         m.check_consistency()
 
     def test_sharer_takeover_without_data_transfer(self):
@@ -87,7 +87,7 @@ class TestRelocation:
         assert m.counters.replace_to_sharer == 1
         info = m.lines.get(0)
         assert info.owner_node == 1
-        assert m.nodes[1].am.lookup(0).state == EXCLUSIVE, "sole copy now"
+        assert m.nodes[1].am.state_of(0) == EXCLUSIVE, "sole copy now"
         # Only a probe (8 bytes), no 64-byte data transfer.
         assert m.bus.traffic_breakdown()["replace"] == replace_data_before + 8
         m.check_consistency()
@@ -142,7 +142,7 @@ class TestOverflowAndUncached:
         m.write(1, LINE, 100)     # node 1 owns line 1
         m.read(0, LINE, 200)      # node 0 reads node 1's line
         assert m.counters.uncached_reads == 1
-        assert m.nodes[0].am.lookup(1) is None, "no S copy allocated"
+        assert 1 not in m.nodes[0].am, "no S copy allocated"
         assert m.lines.get(1).sharers == set()
         # The read is repeatable (stays uncached, keeps costing traffic).
         m.read(0, LINE, 300)
