@@ -107,7 +107,3 @@ class SecondLevelCache:
         discarded is safe: the AM's copy is made authoritative by the
         caller before the line leaves the node."""
         return self.array.invalidate_line(line)
-
-    @property
-    def occupancy(self) -> int:
-        return self.array.occupancy

@@ -48,13 +48,12 @@ class LineArray:
     (indexing is modulo), so the paper's "odd cache sizes" are exact."""
 
     __slots__ = (
-        "geometry", "num_sets", "assoc",
+        "num_sets", "assoc",
         "line_a", "state_a", "lru_a", "aux_a", "dirty_a",
         "index", "tick",
     )
 
     def __init__(self, geometry: CacheGeometry) -> None:
-        self.geometry = geometry
         self.num_sets = geometry.num_sets
         self.assoc = geometry.assoc
         n = geometry.num_sets * geometry.assoc
