@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -19,6 +20,11 @@ from repro.sim.simulator import Simulation
 from repro.sync.primitives import SyncSpace
 
 SPEC = RunSpec(workload="synth_migratory", scale=0.05, n_processors=4)
+
+#: sha256 of the flight-recorder dump of the lock-misuse run in
+#: ``TestFlightRecorder.test_dumps_on_simulation_error``.
+ROGUE_DUMP_SHA256 = (
+    "12d0f00c5c9580c55d3974abe68851b71d2bcbda618f905245650d950ea5e815")
 
 
 def _trace_jsonl(spec: RunSpec) -> str:
@@ -94,6 +100,8 @@ class TestFlightRecorder:
         assert "releasing lock" in err.value.flight_dump
         assert fr.last_dump == err.value.flight_dump
         assert "flight recorder dump" in dump_path.read_text()
+        assert (hashlib.sha256(err.value.flight_dump.encode()).hexdigest()
+                == ROGUE_DUMP_SHA256)
 
     def test_no_sink_attached_still_raises_cleanly(self):
         m = make_machine()

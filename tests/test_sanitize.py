@@ -16,8 +16,11 @@ Two layers:
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.analysis.report import format_findings
 from repro.analysis.sanitize import (
     DEFAULT_PINGPONG_THRESHOLD,
     CoherenceSanitizer,
@@ -358,6 +361,12 @@ def _run_mutated(mutate, workload="synth_migratory", mp=0.5, scale=0.25):
     return san.finish()
 
 
+#: sha256 of the dropped-release-edge run's rendered findings, windows
+#: included.  A change here is a change in what the sanitizer reports.
+DROPPED_RELEASE_FINDINGS_SHA256 = (
+    "a64f3f5fa6e817eadaa6d877c460aaf24ddb86db9cdf2c907c63bec61159be4d")
+
+
 class TestSeededDefects:
     def test_clean_run_stays_clean(self):
         report = _run_mutated(lambda ev: (ev,))
@@ -376,6 +385,9 @@ class TestSeededDefects:
         report = _run_mutated(drop_releases, workload="barnes", scale=0.1)
         fired = set(rules(report))
         assert fired and fired <= {"R001", "R002"}
+        text = format_findings(report.findings)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == DROPPED_RELEASE_FINDINGS_SHA256)
 
     def test_missed_invalidations_seed_stale_reads(self):
         # Emulate a machine that forgets to invalidate replicas: the
