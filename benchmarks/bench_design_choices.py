@@ -8,7 +8,7 @@ from benchmarks.conftest import write_result
 from repro.analytic.replication import max_replication_degree
 from repro.experiments.ablations import run_replacement_policy_ablation
 from repro.experiments.runner import RunSpec, build_simulation
-from repro.stats.profiler import SharingProfiler, format_profile
+from repro.obs import SharingProfiler, format_profile
 
 POLICY_APPS = ["barnes", "cholesky", "radix"]
 
@@ -51,8 +51,7 @@ def _profile(mp: float, scale: float):
     sim = build_simulation(
         RunSpec(workload="synth_hotspot", memory_pressure=mp, scale=scale)
     )
-    sim.profiler = prof
-    sim.profile_every = 2000
+    sim.attach(prof, every=2000)
     sim.run()
     prof.sample(sim.machine)
     return prof.report(), sim.machine.config

@@ -14,7 +14,6 @@ non-inclusive-hierarchy fix.
 import sys
 
 from repro import RunSpec, run_spec
-from repro.stats.metrics import time_breakdown_figure5
 
 MPS = [("6%", 1 / 16), ("50%", 8 / 16), ("81%", 13 / 16), ("87%", 14 / 16)]
 
@@ -62,10 +61,10 @@ def main() -> None:
     e50 = run_spec(base.with_(memory_pressure=8 / 16))
     e81 = run_spec(base.with_(memory_pressure=13 / 16))
     c81 = run_spec(base.with_(memory_pressure=13 / 16, procs_per_node=4))
-    ref = sum(time_breakdown_figure5(e50).values())
+    ref = sum(e50.figure5_breakdown.values())
     print("\nFigure 5 — execution time (normalized to 1p @ 50% MP):")
     for label, r in (("1p 50%", e50), ("1p 81%", e81), ("4p 81%", c81)):
-        bd = time_breakdown_figure5(r)
+        bd = r.figure5_breakdown
         total = sum(bd.values())
         print(
             f"  {label:7s} {100 * total / ref:6.1f}%   "

@@ -15,8 +15,7 @@ multigrid dips.
 import sys
 
 from repro.experiments.runner import RunSpec, build_simulation
-from repro.obs.timeline import TimelineSampler
-from repro.stats.profiler import SharingProfiler, format_profile
+from repro.obs import SharingProfiler, TimelineSampler, format_profile
 
 
 def main() -> None:

@@ -16,8 +16,7 @@ What it shows
 """
 
 from repro import RunSpec, run_spec
-from repro.stats.metrics import time_breakdown_figure5
-from repro.stats.report import render_run_report
+from repro.sim.results import render_run_report
 
 
 def main() -> None:
@@ -36,7 +35,7 @@ def main() -> None:
     print(f"traffic  1 proc/node : {result.total_traffic_bytes / 1024:8.1f} KiB")
     print(f"traffic  4 proc/node : {clustered.total_traffic_bytes / 1024:8.1f} KiB")
 
-    bd = time_breakdown_figure5(clustered)
+    bd = clustered.figure5_breakdown
     total = sum(bd.values())
     print("time split (4 proc/node): " + ", ".join(
         f"{k} {100 * v / total:.1f}%" for k, v in bd.items()

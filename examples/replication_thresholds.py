@@ -21,7 +21,7 @@ from repro.analytic.replication import (
     replication_threshold,
 )
 from repro.experiments.runner import RunSpec, build_simulation
-from repro.stats.profiler import SharingProfiler
+from repro.obs import SharingProfiler
 
 
 def main() -> None:
@@ -42,8 +42,7 @@ def main() -> None:
         sim = build_simulation(
             RunSpec(workload="synth_hotspot", memory_pressure=mp, scale=0.75)
         )
-        sim.profiler = prof
-        sim.profile_every = 2000
+        sim.attach(prof, every=2000)
         sim.run()
         prof.sample(sim.machine)
         rep = prof.report()

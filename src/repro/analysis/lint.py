@@ -66,12 +66,12 @@ RULES = {
 
 #: Subsystems whose results feed simulated time / coherence decisions.
 #: ``obs`` is included because trace files must be deterministic: sinks
-#: take timestamps as parameters, never from the wall clock.  ``trace``
-#: and ``workloads`` generate the reference streams every figure is
-#: computed from, so they are held to the same standard: all randomness
+#: take timestamps as parameters, never from the wall clock.
+#: ``workloads`` generates the reference streams every figure is
+#: computed from, so it is held to the same standard: all randomness
 #: must flow through the seeded per-purpose RNGs.
 RESTRICTED_SUBSYSTEMS = frozenset({
-    "sim", "coma", "bus", "timing", "obs", "trace", "workloads",
+    "sim", "coma", "bus", "timing", "obs", "workloads",
 })
 
 #: Files *inside* restricted subsystems that are explicitly exempt from

@@ -38,7 +38,7 @@ from repro.experiments.figure5 import format_figure5, run_figure5
 from repro.experiments.runner import RunSpec, build_simulation, run_spec
 from repro.experiments.table1 import format_table1, run_table1
 from repro.obs.manifest import provenance, provenance_header
-from repro.stats.report import render_run_report
+from repro.sim.results import render_run_report
 from repro.workloads.registry import paper_workloads, workload_names
 
 #: Paper artifact -> (run, format, csv, json); ``json`` is None when the
@@ -569,7 +569,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.stats.profiler import SharingProfiler, format_profile
+    from repro.obs.profiler import SharingProfiler, format_profile
 
     prof = SharingProfiler()
     sim = build_simulation(_spec(args))
@@ -1025,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv = sub.add_parser(
         "coverage",
         help="protocol-table coverage: reachable cells vs cells the "
-        "workloads exercise (dead cells, gaps, per-workload %)",
+        "workloads exercise (dead cells, gaps, per-workload %%)",
     )
     cv.add_argument("--workloads", nargs="*", metavar="WL",
                     choices=workload_names(),

@@ -57,7 +57,7 @@ from repro.common.config import MachineConfig
 from repro.common.errors import ProtocolError
 from repro.common.hotpath import hotpath
 from repro.mem.address import AddressSpace
-from repro.stats.counters import Counters
+from repro.timing.accounting import Counters
 from repro.timing.resource import Resource
 
 #: Levels reported to the processor model for stall accounting.

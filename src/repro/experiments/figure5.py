@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.experiments.common import stacked_bar
 from repro.experiments.parallel import run_specs
 from repro.experiments.runner import RunSpec
-from repro.stats.metrics import time_breakdown_figure5
 from repro.workloads.registry import paper_workloads
 
 #: The three bars per application: (procs_per_node, memory pressure).
@@ -64,7 +63,7 @@ def run_figure5(
     ]
     results = run_specs(specs, jobs=jobs, use_cache=use_cache)
     return [
-        Figure5Bar(app, label, time_breakdown_figure5(r))
+        Figure5Bar(app, label, r.figure5_breakdown)
         for (app, label), r in zip(meta, results)
     ]
 

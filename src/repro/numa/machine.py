@@ -27,7 +27,7 @@ from repro.common.config import MachineConfig
 from repro.common.errors import ProtocolError
 from repro.mem.address import AddressSpace
 from repro.numa.directory import Directory
-from repro.stats.counters import Counters
+from repro.timing.accounting import Counters
 from repro.timing.resource import Resource
 
 LEVEL_L1 = "l1"

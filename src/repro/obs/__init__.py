@@ -1,9 +1,11 @@
-"""repro.obs — structured event tracing, flight recorder and provenance.
+"""repro.obs — structured event tracing, samplers, flight recorder and
+provenance.
 
-The simulator's end-of-run aggregates (:class:`repro.stats.counters.Counters`,
+The simulator's end-of-run aggregates (:class:`repro.timing.accounting.Counters`,
 :class:`repro.sim.results.SimulationResult`) say *how much* happened; this
-package records *what* happened, event by event, so every figure is
-explainable:
+package records *what* happened, event by event or sample by sample, so
+every figure is explainable.  Everything here enters a run through
+``Simulation.attach``:
 
 * :mod:`repro.obs.events`      — the typed event taxonomy;
 * :mod:`repro.obs.sink`        — the :class:`TraceSink` receiver interface:
@@ -36,7 +38,9 @@ explainable:
   between two end-to-end benchmark payloads, naming the host-time
   layer and observer whose ns/event moved most;
 * :mod:`repro.obs.timeline`    — :class:`TimelineSampler` columnar
-  metric series over simulated time (JSON / Perfetto counter tracks).
+  metric series over simulated time (JSON / Perfetto counter tracks);
+* :mod:`repro.obs.profiler`    — :class:`SharingProfiler` replication
+  degree, owner migrations and AM composition (``coma-sim profile``).
 
 This package is part of the deterministic core (see the DET lint rules):
 it never reads the wall clock — timestamps are simulated nanoseconds, and
@@ -68,6 +72,7 @@ from repro.obs.metrics import (
     MetricsSink,
 )
 from repro.obs.openmetrics import parse_openmetrics, to_openmetrics
+from repro.obs.profiler import SharingProfiler, format_profile
 from repro.obs.sink import CollectorSink, TeeSink, TraceSink
 from repro.obs.spans import (
     SpanBuilder,
@@ -93,6 +98,7 @@ __all__ = [
     "MetricsSink",
     "Replacement",
     "RunManifest",
+    "SharingProfiler",
     "SpanBuilder",
     "SpanEvent",
     "StallAttribution",
@@ -108,6 +114,7 @@ __all__ = [
     "format_attribution",
     "format_diff",
     "format_event",
+    "format_profile",
     "format_span_tree",
     "git_revision",
     "parse_openmetrics",

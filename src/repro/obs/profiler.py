@@ -15,7 +15,9 @@ the analytic threshold ``(W - n + 1)/W`` the observed maximum degree
 drops toward the closed-form cap from
 :func:`repro.analytic.replication.max_replication_degree`.
 
-Attach via ``Simulation(..., profiler=SharingProfiler(), profile_every=N)``.
+Attach via ``sim.attach(SharingProfiler(), every=N)``: like
+:class:`~repro.obs.timeline.TimelineSampler` it rides the kernel's
+profiler hook, sampling every ``N`` events.
 """
 
 from __future__ import annotations

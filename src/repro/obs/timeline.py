@@ -4,10 +4,9 @@ The metrics registry (PR 5) aggregates whole-run totals; the figures in
 the paper, though, hinge on *when* the cycles go — transpose bursts,
 permutation storms, the widening bus queues as memory pressure rises.
 :class:`TimelineSampler` closes that gap: it rides the simulation
-kernel's profiler hook (``Simulation.attach(sampler)`` or the
-``profiler=``/``profile_every=`` constructor arguments) and snapshots
-machine state into a **columnar series** keyed by simulated time —
-cheap, mergeable, and exportable three ways:
+kernel's profiler hook (``Simulation.attach(sampler, every=N)``) and
+snapshots machine state into a **columnar series** keyed by simulated
+time — cheap, mergeable, and exportable three ways:
 
 * :meth:`TimelineSampler.to_json` — the columnar series plus derived
   per-window rates (bus utilization, miss rate, bandwidth);

@@ -1,7 +1,11 @@
-"""Result container for one simulation run.
+"""Result container for one simulation run, its derived metrics and its
+plain-text report.
 
 Everything the experiment harness needs is serializable to/from plain
 dicts so runs can be cached on disk (see ``repro.experiments.runner``).
+The paper's per-run quantities are properties of the result: RNMr
+(Figure 2), traffic by class (Figures 3-4) and the Busy/SLC/AM/Remote
+time split (Figure 5).
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.common.units import fmt_bytes, fmt_time
 from repro.timing.accounting import STALL_CATEGORIES
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,6 +107,25 @@ class SimulationResult:
         }
 
     @property
+    def figure5_breakdown(self) -> dict[str, float]:
+        """Execution time split Busy / SLC / AM / Remote (Figure 5), in ns
+        averaged over processors.
+
+        The paper's four categories subsume everything: its spin loops
+        execute instructions (Busy) and its release-consistency write
+        stalls are negligible.  This view therefore folds the separately
+        tracked ``sync`` and ``write`` categories into Busy; the raw
+        six-way split is :attr:`mean_stalls`.
+        """
+        m = self.mean_stalls
+        return {
+            "busy": m["busy"] + m["sync"] + m["write"],
+            "slc": m["slc"],
+            "am": m["am"],
+            "remote": m["remote"],
+        }
+
+    @property
     def miss_class_fractions(self) -> dict[str, float]:
         total = max(
             1,
@@ -132,3 +156,44 @@ class SimulationResult:
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationResult":
         return cls(**d)
+
+
+def render_run_report(result: SimulationResult) -> str:
+    """Human-readable summary of one simulation run."""
+    cfg = result.config_summary
+    c = result.counters
+    lines = [
+        "=== simulation run ===",
+        f"machine      : {cfg.get('n_processors')} processors, "
+        f"{cfg.get('procs_per_node')} per node, "
+        f"MP {100 * float(cfg.get('memory_pressure', 0)):.1f}%, "
+        f"AM {cfg.get('am_assoc')}-way"
+        + ("" if cfg.get("inclusive", True) else ", non-inclusive"),
+        f"working set  : {fmt_bytes(result.allocated_bytes)} allocated, "
+        f"{fmt_bytes(result.touched_bytes)} touched",
+        f"exec time    : {fmt_time(result.elapsed_ns)}",
+        f"reads        : {c['reads']} "
+        f"(L1 {c['l1_read_hits']}, SLC {c['slc_read_hits']}, "
+        f"AM {c['am_read_hits']}, node misses {c['node_read_misses']})",
+        f"RNMr         : {100 * result.read_node_miss_rate:.2f}%",
+        f"writes       : {c['writes']} (node misses {c['node_write_misses']}, "
+        f"upgrades {c['upgrades']})",
+        "miss classes : "
+        + ", ".join(
+            f"{k} {100 * v:.1f}%" for k, v in result.miss_class_fractions.items()
+        ),
+        "traffic      : "
+        + ", ".join(f"{k} {fmt_bytes(v)}" for k, v in result.traffic_bytes.items())
+        + f" (bus util {100 * result.bus_utilization:.1f}%)",
+        f"replacements : {c['replacements']} "
+        f"(to sharer {c['replace_to_sharer']}, to invalid {c['replace_to_invalid']}, "
+        f"to shared {c['replace_to_shared']}, forced hops {c['replace_forced_hops']}, "
+        f"overflow {c['overflow_parks']})",
+    ]
+    bd = result.figure5_breakdown
+    total = sum(bd.values()) or 1
+    lines.append(
+        "time split   : "
+        + ", ".join(f"{k} {100 * v / total:.1f}%" for k, v in bd.items())
+    )
+    return "\n".join(lines)

@@ -48,11 +48,6 @@ class Simulation:
         machine: "ComaMachine",
         programs: Sequence[Iterator],
         sync: Optional[SyncSpace] = None,
-        max_events: int = 200_000_000,
-        check_every: int = 0,
-        profiler=None,
-        profile_every: int = 5000,
-        observers: Sequence = (),
     ) -> None:
         if len(programs) > machine.config.n_processors:
             raise SimulationError(
@@ -63,19 +58,20 @@ class Simulation:
         #: Set by the runner; lets attached analyses (the coherence
         #: sanitizer) read the workload's sharing declarations.
         self.workload = None
-        self.max_events = max_events
-        self.check_every = check_every
+        #: Event budget: a run past it raises (a runaway workload).
+        self.max_events = 200_000_000
+        #: Run ``machine.check_consistency()`` every this many events
+        #: (0 = never).
+        self.check_every = 0
+        #: The sampler slot (see :meth:`attach`) and its interval in
+        #: events.
         self.profiler = None
-        self.profile_every = profile_every
+        self.profile_every = 5000
         #: The observation slot shared with the machine and its buses:
         #: None keeps the kernel allocation-free (see :meth:`attach`).
         self.obs = None
         #: Every attached trace sink, composed (before span wrapping).
         self._sinks = None
-        if profiler is not None:
-            self.attach(profiler, every=profile_every)
-        for observer in observers:
-            self.attach(observer)
         timing = machine.config.timing
         coalesce = machine.config.write_buffer_coalescing
         self.procs = [

@@ -21,7 +21,7 @@ from repro.caches.slc import SecondLevelCache
 from repro.common.config import MachineConfig
 from repro.mem.address import AddressSpace
 from repro.numa.directory import Directory
-from repro.stats.counters import Counters
+from repro.timing.accounting import Counters
 from repro.timing.resource import Resource
 
 LEVEL_L1 = "l1"
@@ -53,6 +53,10 @@ class UmaMachine:
         self._shift = config.line_shift
         self.now = 0
         self._bg = False  # posted-write background port selector
+        #: The observation slot, as on the COMA machine: None or the
+        #: sink ``Simulation.attach`` composed; one ``if`` per site.
+        self.obs = None
+        self.buses = (self.bus,)
 
     def hit_path(self) -> None:
         """No fused kernel hit path: every access goes through
@@ -80,15 +84,25 @@ class UmaMachine:
         c = self.counters
         c.reads += 1
         line = addr >> self._shift
+        obs = self.obs
+        if obs is not None:
+            obs.begin(now, proc, "r", line, addr)
         self._ensure_page(addr, self.config.node_of_proc(proc))
         if self.l1s[proc].lookup(line):
             c.l1_read_hits += 1
-            return now + self.timing.l1_hit_ns, LEVEL_L1
+            done = now + self.timing.l1_hit_ns
+            if obs is not None:
+                obs.access(now, proc, "r", line, LEVEL_L1, done - now, addr)
+            return done, LEVEL_L1
         start = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._bg)
         if self.slcs[proc].lookup(line):
             c.slc_read_hits += 1
             self.l1s[proc].fill(line)
-            return start + self.timing.slc_hit_ns, LEVEL_SLC
+            done = start + self.timing.slc_hit_ns
+            if obs is not None:
+                obs.phase("slc_wait", start)
+                obs.access(now, proc, "r", line, LEVEL_SLC, done - now, addr)
+            return done, LEVEL_SLC
         e = self.directory.entry(line)
         if e.owner is not None and e.owner != proc:
             e.owner = None  # dirty copy flushed by the snoop
@@ -97,25 +111,45 @@ class UmaMachine:
         done = self._memory_access(line, now)
         e.sharers.add(proc)
         self._fill(proc, line)
+        if obs is not None:
+            obs.access(now, proc, "r", line, LEVEL_REMOTE, done - now, addr)
         return done, LEVEL_REMOTE
 
     def write(self, proc: int, addr: int, now: int) -> int:
         self.counters.writes += 1
+        obs = self.obs
+        if obs is not None:
+            obs.begin(now, proc, "w", addr >> self._shift, addr)
         self._bg = True
         try:
-            done, _ = self._write_access(proc, addr, now)
+            done, level = self._write_access(proc, addr, now)
         finally:
             self._bg = False
+        if obs is not None:
+            obs.access(now, proc, "w", addr >> self._shift, level,
+                       done - now, addr)
         return done
 
     def rmw(self, proc: int, addr: int, now: int) -> tuple[int, str]:
         self.counters.atomics += 1
-        return self._write_access(proc, addr, now)
+        return self._stalling(proc, addr, now, "rmw")
 
     def write_stalling(self, proc: int, addr: int, now: int) -> tuple[int, str]:
         """A write the processor waits for (sequential-consistency mode)."""
         self.counters.writes += 1
-        return self._write_access(proc, addr, now)
+        return self._stalling(proc, addr, now, "w")
+
+    def _stalling(self, proc: int, addr: int, now: int,
+                  op: str) -> tuple[int, str]:
+        """A write-class access the processor waits for, observed."""
+        obs = self.obs
+        if obs is not None:
+            obs.begin(now, proc, op, addr >> self._shift, addr)
+        done, level = self._write_access(proc, addr, now)
+        if obs is not None:
+            obs.access(now, proc, op, addr >> self._shift, level,
+                       done - now, addr)
+        return done, level
 
     def _write_access(self, proc: int, addr: int, now: int) -> tuple[int, str]:
         self.now = now

@@ -26,10 +26,10 @@ from repro.workloads import (  # noqa: F401  (registration side effects)
     radiosity,
     radix,
     raytrace,
+    synth,
     volrend,
     water,
 )
-from repro.trace import synth  # noqa: F401  (synthetic workload registration)
 
 __all__ = [
     "SharedArray",

@@ -196,9 +196,10 @@ class TestTreeScoping:
 
     def test_trace_and_workloads_are_restricted(self, tmp_path):
         # The reference access streams feed every figure: the generators
-        # are held to the deterministic-core rules too.
+        # are held to the deterministic-core rules too, as is the run
+        # accounting (stall time and counters) under timing/.
         bad = "import time\nt = time.time()\n"
-        for sub in ("trace", "workloads"):
+        for sub in ("timing", "workloads"):
             (tmp_path / sub).mkdir()
             (tmp_path / sub / "mod.py").write_text(bad)
         report = lint_tree(tmp_path)

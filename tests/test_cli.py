@@ -13,6 +13,17 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _help_argvs(parser: argparse.ArgumentParser,
+                prefix: tuple[str, ...] = ()) -> list[list[str]]:
+    """``[..., "--help"]`` for the parser and every (nested) subcommand."""
+    argvs = [[*prefix, "--help"]]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sp in action.choices.items():
+                argvs += _help_argvs(sp, (*prefix, name))
+    return argvs
+
+
 class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "fft"])
@@ -62,6 +73,16 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize(
+        "argv", _help_argvs(build_parser()), ids=" ".join)
+    def test_help_exits_zero(self, argv, capsys):
+        """Every help screen renders: a stray ``%`` in a help string
+        makes argparse's formatter raise instead."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, flag", [
         (["coverage", "--workloads", "nosuch"], "--workloads"),

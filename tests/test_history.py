@@ -294,6 +294,19 @@ class TestRecorder:
         assert row["top_spans"] and row["top_spans"][0][0]["name"] == "access"
         assert "recorded" in recorder.summary()
 
+    def test_uma_miss_recorded_with_attribution(self, recorder):
+        """The recorder attaches span attribution to every miss, so a
+        machine without an observation slot could not be recorded."""
+        spec = SPEC.with_(machine="uma")
+        result = run_spec(spec, use_cache=False)
+        assert recorder.outcomes["inserted"] == 1
+        row = recorder.archive.get_run(spec.key())
+        assert row["spec"]["machine"] == "uma"
+        assert row["elapsed_ns"] == result.elapsed_ns
+        assert row["top_spans"] and row["top_spans"][0][0]["name"] == "access"
+        set_history_recorder(None)
+        assert run_spec(spec, use_cache=False).to_dict() == result.to_dict()
+
     def test_memory_hit_skipped_after_miss(self, recorder):
         run_spec(SPEC)
         run_spec(SPEC)  # memory hit on a key we already recorded

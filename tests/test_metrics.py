@@ -211,8 +211,8 @@ class TestZeroOverheadOff:
 
 class TestAttachPath:
     def test_attach_profiler_and_registry_and_sink(self):
+        from repro.obs.profiler import SharingProfiler
         from repro.obs.sink import CollectorSink
-        from repro.stats.profiler import SharingProfiler
 
         registry = MetricsRegistry()
         prof = SharingProfiler()
@@ -228,9 +228,9 @@ class TestAttachPath:
         assert registry.snapshot()["sim_events_processed"]["series"][""] > 0
 
     def test_attach_second_profiler_composes(self):
+        from repro.obs.profiler import SharingProfiler
         from repro.obs.sink import TeeSink
         from repro.obs.timeline import TimelineSampler
-        from repro.stats.profiler import SharingProfiler
 
         sim = build_simulation(SPEC)
         prof, tl = SharingProfiler(), TimelineSampler()
@@ -254,16 +254,6 @@ class TestAttachPath:
         assert sim.obs is sim.machine.obs is sim.machine.bus.obs
         sim.run()
         assert len(a.events) == len(b.events) > 0
-
-    def test_attach_kwarg_still_routes(self):
-        from repro.sim.simulator import Simulation
-        from repro.stats.profiler import SharingProfiler
-
-        prof = SharingProfiler()
-        base = build_simulation(SPEC)
-        sim = Simulation(base.machine, [iter(())], base.sync,
-                         profiler=prof, profile_every=123)
-        assert sim.profiler is prof and sim.profile_every == 123
 
     def test_attach_rejects_unknown_observer(self):
         from repro.common.errors import SimulationError

@@ -20,10 +20,11 @@ Two nets under every change to the observation path:
     attached in that order, pinned as the OpenMetrics text followed by
     the attribution report.
 
-* **Observer invariance.**  Over coma, hcoma and numa at 6.25 % and
+* **Observer invariance.**  Over coma, hcoma, numa and uma at 6.25 % and
   87.5 % memory pressure, on one synthetic and one SPLASH-2 workload,
   ``SimulationResult.to_dict()`` with each observer attached equals the
-  bare run's.
+  bare run's (uma skips the bounds certifier, which has no UMA
+  envelope).
 
 Select with ``-k observe``.
 """
@@ -212,7 +213,7 @@ def _attach(kind: str, sim, spec: RunSpec) -> None:
 OBSERVERS = ("metrics", "attribution", "sanitizer", "bounds", "timeline")
 GRID = [
     (machine, workload, mp)
-    for machine in ("coma", "hcoma", "numa")
+    for machine in ("coma", "hcoma", "numa", "uma")
     for workload in ("synth_migratory", "fft")
     for mp in (0.0625, 0.875)
 ]
@@ -223,6 +224,8 @@ def test_observers_never_change_the_result(machine, workload, mp):
     spec = _spec(machine, workload, mp)
     bare = build_simulation(spec).run().to_dict()
     for kind in OBSERVERS:
+        if kind == "bounds" and machine == "uma":
+            continue  # envelope_for has no UMA flavour
         sim = build_simulation(spec)
         _attach(kind, sim, spec)
         assert sim.run().to_dict() == bare, kind

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analytic.replication import max_replication_degree
 from repro.experiments.runner import RunSpec, build_simulation
-from repro.stats.profiler import SharingProfiler, format_profile
+from repro.obs import SharingProfiler, format_profile
 from tests.conftest import make_machine
 
 LINE = 64
@@ -72,8 +72,7 @@ class TestProfiledSimulation:
                 scale=0.5,
             )
         )
-        sim.profiler = prof
-        sim.profile_every = 2000
+        sim.attach(prof, every=2000)
         sim.run()
         prof.sample(sim.machine)  # final snapshot
         return prof.report(), sim.machine.config

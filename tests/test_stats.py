@@ -4,31 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.figure2 import Figure2Row
 from repro.experiments.runner import RunSpec, build_simulation
-from repro.sim.results import SimulationResult
-from repro.stats.counters import Counters
-from repro.stats.metrics import (
-    normalized_breakdown,
-    relative_rnmr,
-    time_breakdown_figure5,
-    traffic_by_class,
-)
-from repro.stats.report import render_run_report
+from repro.sim.results import SimulationResult, render_run_report
+from repro.timing.accounting import Counters
 
 
 class TestCounters:
     def test_start_at_zero(self):
         c = Counters()
         assert all(v == 0 for v in c.as_dict().values())
-
-    def test_merged(self):
-        a, b = Counters(), Counters()
-        a.reads = 5
-        b.reads = 7
-        b.upgrades = 2
-        m = a.merged(b)
-        assert m.reads == 12 and m.upgrades == 2
-        assert a.reads == 5
 
     def test_as_dict_keys_sorted(self):
         keys = list(Counters().as_dict())
@@ -83,22 +68,19 @@ class TestResults:
 
 class TestMetrics:
     def test_relative_rnmr(self, small_result):
-        assert relative_rnmr(small_result, small_result) == pytest.approx(1.0)
-
-    def test_traffic_by_class_normalization(self, small_result):
-        t = traffic_by_class(small_result, normalize_to=small_result.total_traffic_bytes)
-        assert sum(t.values()) == pytest.approx(100.0)
+        """Figure 2's relative RNMr lives on ``Figure2Row``: a run against
+        itself is 1.0, and a zero base reads as no change."""
+        rnmr = small_result.read_node_miss_rate
+        row = Figure2Row("synth_private", rnmr, rnmr, rnmr)
+        assert row.relative_2 == pytest.approx(1.0)
+        assert row.relative_4 == pytest.approx(1.0)
+        assert Figure2Row("x", 0.0, 0.5, 0.0).relative_2 == 1.0
 
     def test_figure5_breakdown_folds_sync_into_busy(self, small_result):
-        bd = time_breakdown_figure5(small_result)
+        bd = small_result.figure5_breakdown
         m = small_result.mean_stalls
         assert bd["busy"] == pytest.approx(m["busy"] + m["sync"] + m["write"])
         assert set(bd) == {"busy", "slc", "am", "remote"}
-
-    def test_normalized_breakdown(self):
-        out = normalized_breakdown({"a": 50.0, "b": 50.0}, reference_total=200.0)
-        assert out == {"a": 25.0, "b": 25.0}
-        assert normalized_breakdown({"a": 1.0}, 0) == {"a": 0.0}
 
 
 class TestReport:

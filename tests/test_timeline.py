@@ -2,36 +2,13 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 from tests.conftest import make_machine
 
 from repro.experiments.runner import RunSpec, build_simulation
+from repro.obs.profiler import SharingProfiler
 from repro.obs.sink import TeeSink
 from repro.obs.timeline import TimelineSampler, format_timeline_series
-from repro.stats.profiler import SharingProfiler
-
-
-class TestModuleDeprecation:
-    def test_package_import_does_not_warn(self):
-        """Importing repro.stats is silent and carries no legacy
-        traffic timeline (repro.obs.timeline is the one timeline)."""
-        import importlib
-        import sys
-
-        saved = sys.modules.pop("repro.stats", None)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                importlib.import_module("repro.stats")
-            dep = [w for w in caught
-                   if issubclass(w.category, DeprecationWarning)]
-            assert dep == []
-            assert not hasattr(sys.modules["repro.stats"], "TrafficTimeline")
-        finally:
-            if saved is not None:
-                sys.modules["repro.stats"] = saved
 
 
 def _sampler(t, busy, nbytes, accesses=None, misses=None) -> TimelineSampler:

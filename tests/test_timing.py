@@ -5,7 +5,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.timing.accounting import STALL_CATEGORIES, StallAccounting, TimeBreakdown
+from repro.sim.results import SimulationResult
+from repro.timing.accounting import STALL_CATEGORIES, StallAccounting
 from repro.timing.resource import Resource
 
 
@@ -89,15 +90,13 @@ class TestStallAccounting:
         a = StallAccounting()
         assert set(a.as_dict()) == set(STALL_CATEGORIES)
 
-    def test_merged(self):
-        a = StallAccounting(busy=1, am=2)
-        b = StallAccounting(busy=3, slc=4)
-        m = a.merged(b)
-        assert m.busy == 4 and m.am == 2 and m.slc == 4
-        assert a.busy == 1, "merge does not mutate"
-
     def test_time_breakdown_average(self):
-        accts = [StallAccounting(busy=10), StallAccounting(busy=30)]
-        bd = TimeBreakdown.from_processors(accts, elapsed_ns=100)
-        assert bd.per_category["busy"] == 20
-        assert bd.elapsed_ns == 100
+        """``SimulationResult.mean_stalls`` averages each category over
+        the processors' accounts."""
+        accts = [StallAccounting(busy=10), StallAccounting(busy=30, am=4)]
+        result = SimulationResult(
+            elapsed_ns=100, counters={}, traffic_bytes={}, traffic_counts={},
+            stalls=[a.as_dict() for a in accts], allocated_bytes=0,
+            touched_bytes=0, bus_utilization=0.0)
+        assert result.mean_stalls["busy"] == 20
+        assert result.mean_stalls["am"] == 2
