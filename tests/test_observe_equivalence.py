@@ -3,17 +3,18 @@
 Two nets under every change to the observation path:
 
 * **Pinned outputs.**  One small spec per machine flavour (coma, hcoma,
-  numa) runs under each observer configuration below, and the sha256 of
-  what the observer produced must equal the digest recorded here:
+  numa, uma) runs under each observer configuration below, and the
+  sha256 of what the observer produced must equal the digest recorded
+  here:
 
   - the :class:`JsonlTraceSink` bytes on their own (flat events only);
   - the JSONL bytes when teed with :class:`StallAttribution` (span
     events then ride the same stream);
-  - the ``to_openmetrics`` text of a :class:`MetricsRegistry`
-    (coma and hcoma);
+  - the ``to_openmetrics`` text of a :class:`MetricsRegistry`;
   - the :class:`StallAttribution` JSON report and its OpenMetrics
     exemplars;
-  - the :class:`BoundsCertifier` report with its ``checked`` count;
+  - the :class:`BoundsCertifier` report with its ``checked`` count
+    (not on uma, which has no bounds envelope);
   - the :class:`ChromeTraceSink` output with span drawing on;
   - the benchmark's ``observed`` pair on a tiny fft spec: a
     :class:`MetricsRegistry` and ``StallAttribution(top_spans=4)``
@@ -135,8 +136,9 @@ def _chrome(machine: str) -> str:
 
 #: Digests recorded before the observation channels were merged (the
 #: exemplar, bounds and observed-pair digests: before span trees were
-#: delivered whole); any change here is a change in what an observer
-#: sees.
+#: delivered whole; the uma digests and the numa/uma metrics digests:
+#: before UMA became a NUMA subclass); any change here is a change in
+#: what an observer sees.
 PINNED = {
     "coma": {
         "jsonl": "d8f17754dd82159881a1037b6a712fffae4626a742a0e99626c3f95e36735ae2",
@@ -166,6 +168,16 @@ PINNED = {
         "bounds": "0e06a6b1a81c832973da2440c3e9eb8fdffde085c425fef07d9766b0fbd6b8b8",
         "observed": "ef6259061d93d7a40b9b3df59dc0d01a3c1f0d2df344f1c65fb498207ca636ad",
         "chrome": "7e1c2513dca2e67d40b6f529f0921d11af8afec3e0624b7dadfc2fac32475528",
+        "metrics": "f3566e8cfc3acc52fa4145e837870c72e40b158d9b4f44cf724f3e55a9ece132",
+    },
+    "uma": {
+        "jsonl": "0b5ed805e4a78de7aeece3a0f2702f76aae7ee1b531724891a211d88d60f621a",
+        "jsonl+attribution": "eb3d74b52e38e739acbddd3a6c72c81d4b7375f2020282bbe7bc5ee5900c7997",
+        "attribution": "21037e6ff06ba53c5ba4ab2560649cb3fe16a6138778ac689c5aeac42ea38d88",
+        "metrics": "a578cf45ec04a0135b40c3b19002fc67312b2ebedddee4ed348077a7b4aad0dd",
+        "exemplars": "0b96506178305de4476c39771019476db62a98d58b5ea9204e15050d6ab99837",
+        "observed": "76ee33d521cc6ead8719a2db568c07f527f6da5cec5e4324eaf86cb58151e052",
+        "chrome": "546c63cc92af28113b12eb36d7e97847d1a451a3152bc0d85955e3d92f02d9a0",
     },
 }
 
@@ -178,12 +190,13 @@ def _digests(machine: str) -> dict[str, str]:
         "jsonl+attribution": _sha(teed),
         "attribution": _sha(report),
         "exemplars": _sha(exemplars),
-        "bounds": _sha(_bounds(machine)),
         "observed": _sha(_observed(machine)),
         "chrome": _sha(_chrome(machine)),
     }
     if "metrics" in PINNED[machine]:
         out["metrics"] = _sha(_metrics(machine))
+    if "bounds" in PINNED[machine]:
+        out["bounds"] = _sha(_bounds(machine))
     return out
 
 

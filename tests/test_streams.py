@@ -10,15 +10,19 @@ Two nets under every change to a workload generator or the machine:
   The streams are captured inside a real simulated run (not by running
   threads one after another), so barrier- and lock-ordered workloads
   such as radix are captured as they execute.
-* **Result fingerprints.**  For the workloads whose generators are
-  hand-optimized (both ocean layouts, barnes, radix), the sha256 of
-  ``SimulationResult.to_dict()`` on every machine flavour at 6.25 % and
-  87.5 % memory pressure must equal the stored one.
+* **Result fingerprints.**  The sha256 of ``SimulationResult.to_dict()``
+  at 6.25 % and 87.5 % memory pressure must equal the stored one for
+  every workload on ``coma``, ``numa`` and ``uma``, and for the
+  workloads whose generators are hand-optimized (both ocean layouts,
+  barnes, radix) on ``hcoma``.
 
 Both tables are stamped with ``CACHE_VERSION``.  A pin may change only
 with a deliberate version bump; then regenerate them with::
 
     PYTHONPATH=src python tests/data/regen_streams.py
+
+The same script adds new grid points under an unchanged version, as long
+as every pin already stored is reproduced exactly.
 
 Select with ``-k streams`` (or ``-m streams``).
 """
@@ -41,8 +45,10 @@ DATA = Path(__file__).parent / "data" / "streams.json"
 
 SCALE = 0.05
 SEEDS = (1997, 4242)
-FINGERPRINT_WORKLOADS = ("ocean_contig", "ocean_noncontig", "barnes", "radix")
-MACHINES = ("coma", "hcoma", "numa", "uma")
+#: Machines fingerprinted on every workload.
+FLAT_MACHINES = ("coma", "numa", "uma")
+#: The hierarchical machine is fingerprinted on these workloads only.
+HCOMA_WORKLOADS = ("ocean_contig", "ocean_noncontig", "barnes", "radix")
 PRESSURES = (1 / 16, 14 / 16)
 STREAM_PRESSURE = PRESSURES[0]
 
@@ -91,8 +97,10 @@ def stream_keys() -> list[tuple[str, int]]:
 
 
 def fingerprint_keys() -> list[tuple[str, str, float]]:
-    return [(w, m, p) for w in FINGERPRINT_WORKLOADS for m in MACHINES
+    keys = [(w, m, p) for w in workload_names() for m in FLAT_MACHINES
             for p in PRESSURES]
+    keys += [(w, "hcoma", p) for w in HCOMA_WORKLOADS for p in PRESSURES]
+    return keys
 
 
 def fingerprint_key(workload: str, machine: str, pressure: float) -> str:
