@@ -11,6 +11,10 @@ three entry points:
 * :meth:`ComaMachine.write` — one write drained from a write buffer;
 * :meth:`ComaMachine.rmw`   — atomic read-modify-write (lock/barrier ops).
 
+``write`` and ``rmw`` are inherited from
+:class:`repro.common.machine.WriteFront`, which every machine shares;
+this module supplies the ``_write_access`` they bracket.
+
 :meth:`ComaMachine.hit_path` hands the kernel the arrays it needs to
 retire L1 read hits and writes to owned SLC-resident lines itself,
 without calling :meth:`read`/:meth:`write`.
@@ -56,6 +60,7 @@ from repro.coma.states import (
 from repro.common.config import MachineConfig
 from repro.common.errors import ProtocolError
 from repro.common.hotpath import hotpath
+from repro.common.machine import WriteFront
 from repro.mem.address import AddressSpace
 from repro.timing.accounting import Counters
 from repro.timing.resource import Resource
@@ -86,7 +91,7 @@ class HitPath(NamedTuple):
     exclusive: int
 
 
-class ComaMachine:
+class ComaMachine(WriteFront):
     """A 16-processor (configurable) cluster-based COMA memory system."""
 
     def __init__(self, config: MachineConfig, space: AddressSpace) -> None:
@@ -318,53 +323,6 @@ class ComaMachine:
             obs.phase("fill_dram", s + self._t_dram_lat)
             obs.access(now, proc, "r", line, LEVEL_REMOTE, done - now, addr)
         return done, LEVEL_REMOTE
-
-    def write(self, proc: int, addr: int, now: int) -> int:
-        """One write drained from ``proc``'s write buffer at ``now``.
-
-        Returns the completion time; under release consistency the
-        processor does not wait for it unless the buffer is full or a
-        release is pending.
-        """
-        self.counters.writes += 1
-        obs = self.obs
-        if obs is not None:
-            obs.begin(now, proc, "w", addr >> self._shift, addr)
-        self._bg = True
-        try:
-            done, level = self._write_access(proc, addr, now)
-        finally:
-            self._bg = False
-        if obs is not None:
-            obs.access(now, proc, "w", addr >> self._shift, level,
-                       done - now, addr)
-        return done
-
-    def rmw(self, proc: int, addr: int, now: int) -> tuple[int, str]:
-        """Atomic read-modify-write (synchronization accesses).
-
-        The processor stalls for it (acquire semantics); returns
-        ``(completion_time, level)`` for stall accounting.
-        """
-        self.counters.atomics += 1
-        return self._stalling(proc, addr, now, "rmw")
-
-    def write_stalling(self, proc: int, addr: int, now: int) -> tuple[int, str]:
-        """A write the processor waits for (sequential-consistency mode)."""
-        self.counters.writes += 1
-        return self._stalling(proc, addr, now, "w")
-
-    def _stalling(self, proc: int, addr: int, now: int,
-                  op: str) -> tuple[int, str]:
-        """A write-class access the processor waits for, observed."""
-        obs = self.obs
-        if obs is not None:
-            obs.begin(now, proc, op, addr >> self._shift, addr)
-        done, level = self._write_access(proc, addr, now)
-        if obs is not None:
-            obs.access(now, proc, op, addr >> self._shift, level,
-                       done - now, addr)
-        return done, level
 
     # ------------------------------------------------------------------
     # write machinery

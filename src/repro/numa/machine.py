@@ -13,8 +13,15 @@ an invalidation MSI protocol tracked by a full-map directory at the home.
 A read that misses the SLC costs a local memory access (148 ns) when the
 home is the local node, or a remote access (332 ns) otherwise; dirty
 remote data is fetched via the owner with the same remote timing.  It
-exposes the same ``read``/``write``/``rmw`` interface as ``ComaMachine``,
-so :class:`repro.sim.Simulation` drives both.
+exposes the same ``read``/``write``/``rmw`` interface as ``ComaMachine``
+(``write`` and ``rmw`` come from the shared
+:class:`repro.common.machine.WriteFront`), so
+:class:`repro.sim.Simulation` drives both.
+
+:class:`repro.uma.machine.UmaMachine` is this machine with central
+memory: it overrides the three home-policy hooks, :meth:`_miss`,
+:meth:`_upgrade_hop` and :meth:`_write_back`, and shares every other
+line of the access paths and the consistency check.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from repro.caches.l1 import L1Cache
 from repro.caches.slc import SecondLevelCache
 from repro.common.config import MachineConfig
 from repro.common.errors import ProtocolError
+from repro.common.machine import WriteFront
 from repro.mem.address import AddressSpace
 from repro.numa.directory import Directory
 from repro.timing.accounting import Counters
@@ -36,7 +44,7 @@ LEVEL_AM = "am"       # local memory (reported in the AM slot for comparability)
 LEVEL_REMOTE = "remote"
 
 
-class NumaMachine:
+class NumaMachine(WriteFront):
     """Home-based CC-NUMA memory system."""
 
     def __init__(self, config: MachineConfig, space: AddressSpace) -> None:
@@ -114,6 +122,50 @@ class NumaMachine:
             obs.phase("fill_dram", s + tm.nc_ns + tm.dram_latency_ns)
         return s + tm.nc_ns + tm.dram_latency_ns + tm.remote_overhead_ns
 
+    # -- home-policy hooks (overridden by the UMA machine) ---------------
+
+    def _miss(self, node: int, line: int, addr: int, now: int, kind: TxKind,
+              owner: int | None) -> tuple[int, str]:
+        """Serve an SLC miss from memory; ``owner`` is the processor
+        holding the line dirty elsewhere (reads only), else None.
+
+        Dirty data is fetched through the owner's node; otherwise the
+        page's home serves it, from local DRAM or across the bus.
+        """
+        if owner is not None:
+            home = self._node_of[owner]
+        else:
+            home = self._home_node(addr)
+            if home == node:
+                return self._memory_access(node, now), LEVEL_AM
+        done = self._remote_access(node, home, now)
+        self.bus.record(kind)
+        return done, LEVEL_REMOTE
+
+    def _upgrade_hop(self, node: int, now: int) -> int:
+        """The invalidation round's trip out through the node controller
+        and across the bus; returns when it completes."""
+        tm = self.timing
+        s = self.nc[node].acquire(now, tm.nc_busy_ns, self._bg)
+        now = self.bus.phase(s + tm.nc_ns, self._bg)
+        if self.obs is not None:
+            self.obs.phase("nc_out", s + tm.nc_ns)
+            self.obs.phase("upgrade_bus", now)
+        return now
+
+    def _write_back(self, proc: int, vline: int) -> None:
+        """A dirty SLC victim travels to its home's DRAM, across the bus
+        when the home is remote."""
+        vhome = self.space.page_home.get(
+            vline * self.config.line_size // self.space.page_size
+        )
+        if vhome is not None and vhome != self._node_of[proc]:
+            self.bus.record(TxKind.REPLACE_DATA)
+            self.bus.phase(self.now, self._bg)
+            self.counters.replacements += 1
+        self.dram[vhome if vhome is not None else 0].acquire(
+            self.now, self.timing.dram_busy_ns, self._bg)
+
     # ------------------------------------------------------------------
     def read(self, proc: int, addr: int, now: int) -> tuple[int, str]:
         self.now = now
@@ -140,65 +192,22 @@ class NumaMachine:
                 obs.phase("slc_wait", start)
                 obs.access(now, proc, "r", line, LEVEL_SLC, done - now, addr)
             return done, LEVEL_SLC
-        home = self._home_node(addr)
         e = self.directory.entry(line)
-        if e.owner is not None and e.owner != proc:
-            # Dirty elsewhere: fetch through the owner (remote timing) and
-            # leave both copies shared/clean at the home.
-            done = self._remote_access(node, self._node_of[e.owner], now)
-            self.bus.record(TxKind.READ_DATA)
-            c.node_read_misses += 1
+        owner = e.owner
+        if owner is not None and owner != proc:
+            # Dirty elsewhere: both copies end shared/clean at the home.
             e.owner = None
-            level = LEVEL_REMOTE
-        elif home == node:
-            done = self._memory_access(node, now)
-            c.am_read_hits += 1
-            level = LEVEL_AM
         else:
-            done = self._remote_access(node, home, now)
-            self.bus.record(TxKind.READ_DATA)
+            owner = None
+        done, level = self._miss(node, line, addr, now, TxKind.READ_DATA, owner)
+        if level == LEVEL_AM:
+            c.am_read_hits += 1
+        else:
             c.node_read_misses += 1
-            level = LEVEL_REMOTE
         e.sharers.add(proc)
         self._fill(proc, line)
         if obs is not None:
             obs.access(now, proc, "r", line, level, done - now, addr)
-        return done, level
-
-    def write(self, proc: int, addr: int, now: int) -> int:
-        self.counters.writes += 1
-        obs = self.obs
-        if obs is not None:
-            obs.begin(now, proc, "w", addr >> self._shift, addr)
-        self._bg = True
-        try:
-            done, level = self._write_access(proc, addr, now)
-        finally:
-            self._bg = False
-        if obs is not None:
-            obs.access(now, proc, "w", addr >> self._shift, level,
-                       done - now, addr)
-        return done
-
-    def rmw(self, proc: int, addr: int, now: int) -> tuple[int, str]:
-        self.counters.atomics += 1
-        return self._stalling(proc, addr, now, "rmw")
-
-    def write_stalling(self, proc: int, addr: int, now: int) -> tuple[int, str]:
-        """A write the processor waits for (sequential-consistency mode)."""
-        self.counters.writes += 1
-        return self._stalling(proc, addr, now, "w")
-
-    def _stalling(self, proc: int, addr: int, now: int,
-                  op: str) -> tuple[int, str]:
-        """A write-class access the processor waits for, observed."""
-        obs = self.obs
-        if obs is not None:
-            obs.begin(now, proc, op, addr >> self._shift, addr)
-        done, level = self._write_access(proc, addr, now)
-        if obs is not None:
-            obs.access(now, proc, op, addr >> self._shift, level,
-                       done - now, addr)
         return done, level
 
     def _write_access(self, proc: int, addr: int, now: int) -> tuple[int, str]:
@@ -207,7 +216,6 @@ class NumaMachine:
         line = addr >> self._shift
         node = self._node_of[proc]
         self._ensure_page(addr, node)
-        home = self._home_node(addr)
         e = self.directory.entry(line)
         slc_hit = line in self.slcs[proc]
 
@@ -220,11 +228,7 @@ class NumaMachine:
         others = [p for p in e.sharers if p != proc]
         if others or (e.owner is not None and e.owner != proc):
             self.bus.record(TxKind.UPGRADE)
-            s = self.nc[node].acquire(now, self.timing.nc_busy_ns, self._bg)
-            now = self.bus.phase(s + self.timing.nc_ns, self._bg)
-            if self.obs is not None:
-                self.obs.phase("nc_out", s + self.timing.nc_ns)
-                self.obs.phase("upgrade_bus", now)
+            now = self._upgrade_hop(node, now)
             for p in others:
                 self.slcs[p].invalidate(line)
                 self.l1s[p].invalidate(line)
@@ -237,13 +241,7 @@ class NumaMachine:
             self.slcs[proc].mark_dirty(line)
             return s + self.timing.slc_hit_ns, LEVEL_SLC
         c.node_write_misses += 1
-        if home == node:
-            done = self._memory_access(node, now)
-            level = LEVEL_AM
-        else:
-            done = self._remote_access(node, home, now)
-            self.bus.record(TxKind.READ_EXCL)
-            level = LEVEL_REMOTE
+        done, level = self._miss(node, line, addr, now, TxKind.READ_EXCL, None)
         self._fill(proc, line)
         self.slcs[proc].mark_dirty(line)
         return done, level
@@ -259,17 +257,7 @@ class NumaMachine:
                 ve.sharers.discard(proc)
                 if ve.owner == proc:
                     ve.owner = None
-                    # Dirty write-back travels to the line's home.
-                    vhome = self.space.page_home.get(
-                        vline * self.config.line_size // self.space.page_size
-                    )
-                    if vhome is not None and vhome != self._node_of[proc]:
-                        self.bus.record(TxKind.REPLACE_DATA)
-                        self.bus.phase(self.now, self._bg)
-                        self.counters.replacements += 1
-                    self.dram[vhome if vhome is not None else 0].acquire(
-                        self.now, self.timing.dram_busy_ns
-                    , self._bg)
+                    self._write_back(proc, vline)
                     self.counters.slc_writebacks += 1
         self.l1s[proc].fill(line)
 
