@@ -119,10 +119,6 @@ class Expr:
     def __repr__(self) -> str:
         return f"Expr({self.render()!r})"
 
-    @property
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self.terms
-
     def render(self) -> str:
         parts: list[str] = []
         for p in PARAMS:

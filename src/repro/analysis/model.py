@@ -27,9 +27,9 @@ invariants are genuinely per-line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from repro.coma.protocol import EVENTS, STATES, TRANSITIONS, Transition
+from repro.coma.protocol import TRANSITIONS, Transition
 from repro.coma.states import EXCLUSIVE, INVALID, SHARED, state_name
 
 #: Events a node can trigger on its own; the remaining events in
@@ -183,16 +183,3 @@ class ProtocolModel:
             row = self._row(ls[node], remote_event)
             if row is not None and row.next_state is not None:
                 ls[node] = row.next_state
-
-
-def table_from(
-    transitions: Iterable[Transition],
-) -> dict[tuple[int, str], Transition]:
-    """Index a transition sequence by (state, event), last row winning —
-    handy for building mutated tables in tests."""
-    return {(t.state, t.event): t for t in transitions}
-
-
-def all_pairs() -> list[tuple[int, str]]:
-    """Every (state, event) pair the table must cover."""
-    return [(s, e) for s in STATES for e in EVENTS]

@@ -204,10 +204,6 @@ class SseWriter:
         self._writer.write(frame.encode())
         await self._writer.drain()
 
-    @property
-    def started(self) -> bool:
-        return self._started
-
 
 def parse_sse(text: str) -> list[tuple[str, str]]:
     """Parse an SSE stream into ``(event, data)`` pairs (test/client aid).

@@ -61,11 +61,6 @@ class SharedArray:
         """Byte address of element ``i`` (unchecked, hot path)."""
         return self.base + i * self.itemsize
 
-    def addr_checked(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"{self.name}[{i}] out of range ({self.length})")
-        return self.base + i * self.itemsize
-
     def read(self, i: int):
         """Generator helper: emit the load and return the value."""
         yield ("r", self.base + i * self.itemsize)

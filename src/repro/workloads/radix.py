@@ -57,9 +57,6 @@ class RadixWorkload(Workload):
     def _hist_idx(self, tid: int, digit: int) -> int:
         return tid * self.buckets + digit
 
-    def _global_idx(self, digit: int) -> int:
-        return self.n_threads * self.buckets + digit
-
     @staticmethod
     def _slots(digits, offsets):
         """Each key's destination: its digit's offset plus its rank among
