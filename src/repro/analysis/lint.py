@@ -3,8 +3,8 @@
 The simulator's results must be bit-reproducible (the golden tests and
 the result cache depend on it), so a handful of Python constructs are
 banned outright in the deterministic core — the ``sim``, ``coma``,
-``bus``, ``timing``, ``obs``, ``trace`` and ``workloads`` subsystems —
-and a few more are banned everywhere:
+``numa``, ``uma``, ``bus``, ``timing``, ``obs``, ``workloads`` and
+``common`` subsystems — and a few more are banned everywhere:
 
 =======  ==============================================================
 rule     meaning
@@ -69,9 +69,12 @@ RULES = {
 #: take timestamps as parameters, never from the wall clock.
 #: ``workloads`` generates the reference streams every figure is
 #: computed from, so it is held to the same standard: all randomness
-#: must flow through the seeded per-purpose RNGs.
+#: must flow through the seeded per-purpose RNGs.  ``numa`` and ``uma``
+#: are the baseline machines, and ``common`` holds the write front every
+#: machine shares: all three decide pinned results as ``coma`` does.
 RESTRICTED_SUBSYSTEMS = frozenset({
-    "sim", "coma", "bus", "timing", "obs", "workloads",
+    "sim", "coma", "numa", "uma", "bus", "timing", "obs", "workloads",
+    "common",
 })
 
 #: Files *inside* restricted subsystems that are explicitly exempt from

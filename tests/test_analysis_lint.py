@@ -4,6 +4,7 @@ exact ID and line, suppression works, and the real tree is clean."""
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,18 @@ class TestTreeScoping:
             (tmp_path / sub / "mod.py").write_text(bad)
         report = lint_tree(tmp_path)
         assert sorted(f.rule for f in report.findings) == ["DET001", "DET001"]
+
+    def test_baseline_machines_and_write_front_are_restricted(self, tmp_path):
+        # numa, uma and the shared write front in common/ decide pinned
+        # results just as coma/ does.
+        bad = "import time\nt = time.time()\n"
+        for sub in ("numa", "uma", "common"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "machine.py").write_text(bad)
+        report = lint_tree(tmp_path)
+        assert sorted((f.rule, Path(f.path).parent.name)
+                      for f in report.findings) == [
+            ("DET001", "common"), ("DET001", "numa"), ("DET001", "uma")]
 
     def test_mutation_fixture_caught_with_exact_location(self, tmp_path):
         """The ISSUE's mutation test: inject a time.time() call into a
