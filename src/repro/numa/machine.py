@@ -139,7 +139,7 @@ class NumaMachine(WriteFront):
             if home == node:
                 return self._memory_access(node, now), LEVEL_AM
         done = self._remote_access(node, home, now)
-        self.bus.record(kind)
+        self.bus.record(kind, self.now, node, line)
         return done, LEVEL_REMOTE
 
     def _upgrade_hop(self, node: int, now: int) -> int:
@@ -160,7 +160,8 @@ class NumaMachine(WriteFront):
             vline * self.config.line_size // self.space.page_size
         )
         if vhome is not None and vhome != self._node_of[proc]:
-            self.bus.record(TxKind.REPLACE_DATA)
+            self.bus.record(TxKind.REPLACE_DATA, self.now, self._node_of[proc],
+                            vline)
             self.bus.phase(self.now, self._bg)
             self.counters.replacements += 1
         self.dram[vhome if vhome is not None else 0].acquire(
@@ -227,7 +228,7 @@ class NumaMachine(WriteFront):
         # Need exclusivity: invalidate every other cached copy.
         others = [p for p in e.sharers if p != proc]
         if others or (e.owner is not None and e.owner != proc):
-            self.bus.record(TxKind.UPGRADE)
+            self.bus.record(TxKind.UPGRADE, now, node, line)
             now = self._upgrade_hop(node, now)
             for p in others:
                 self.slcs[p].invalidate(line)

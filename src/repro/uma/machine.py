@@ -41,7 +41,7 @@ class UmaMachine(NumaMachine):
         in another cache is flushed by the snoop, so ``owner`` costs
         nothing extra."""
         tm = self.timing
-        self.bus.record(kind)
+        self.bus.record(kind, self.now, node, line)
         t = self.bus.phase(now, self._bg)
         s = self.banks[line % N_BANKS].acquire(t, tm.dram_busy_ns, self._bg)
         t = self.bus.phase(s + tm.dram_latency_ns, self._bg)
@@ -53,7 +53,7 @@ class UmaMachine(NumaMachine):
 
     def _write_back(self, proc: int, vline: int) -> None:
         """A dirty SLC victim crosses the bus to its central bank."""
-        self.bus.record(TxKind.REPLACE_DATA)
+        self.bus.record(TxKind.REPLACE_DATA, self.now, self._node_of[proc], vline)
         t = self.bus.phase(self.now, self._bg)
         self.banks[vline % N_BANKS].acquire(t, self.timing.dram_busy_ns, self._bg)
         self.counters.replacements += 1

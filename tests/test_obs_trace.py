@@ -196,3 +196,43 @@ class TestTracingOverhead:
         assert m.bus.obs is None
         t = m.write(0, 0, 0)
         m.read(1, 0, t)  # exercises remote path with trace off
+
+
+class _AccessBusProbe(CollectorSink):
+    """Pairs every bus event with the access in flight when it fired."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.current = None
+        self.pairs: list = []
+
+    def begin(self, t, proc, op, line, addr=-1):
+        self.current = (t, proc, line)
+
+    def bus(self, t, bus, tx, cls, nbytes, origin, line):
+        self.pairs.append(((t, origin, line, tx), self.current))
+
+
+class TestBaselineBusStamps:
+    @pytest.mark.parametrize("machine", ["numa", "uma"])
+    def test_bus_events_carry_access_time_origin_and_line(self, machine):
+        """A baseline machine's bus event is drawn at the access that
+        caused it: its start time, its processor's node and its line (a
+        dirty victim's write-back carries the victim's line)."""
+        spec = RunSpec(workload="barnes", machine=machine, scale=0.05,
+                       n_processors=8, procs_per_node=2,
+                       memory_pressure=0.875)
+        sim = build_simulation(spec)
+        probe = _AccessBusProbe()
+        sim.attach(probe)
+        sim.run()
+        node_of = sim.machine.config.node_of_proc
+        kinds = set()
+        for (t, origin, line, tx), (t0, proc, access_line) in probe.pairs:
+            kinds.add(tx)
+            assert (t, origin) == (t0, node_of(proc)), tx
+            if tx == "REPLACE_DATA":
+                assert line >= 0 and line != access_line
+            else:
+                assert line == access_line, tx
+        assert kinds == {"READ_DATA", "READ_EXCL", "UPGRADE", "REPLACE_DATA"}

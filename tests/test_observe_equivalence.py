@@ -137,8 +137,10 @@ def _chrome(machine: str) -> str:
 #: Digests recorded before the observation channels were merged (the
 #: exemplar, bounds and observed-pair digests: before span trees were
 #: delivered whole; the uma digests and the numa/uma metrics digests:
-#: before UMA became a NUMA subclass); any change here is a change in
-#: what an observer sees.
+#: before UMA became a NUMA subclass, except that the numa/uma jsonl,
+#: jsonl+attribution and chrome digests were re-recorded when their bus
+#: events gained the access's time, origin node and line); any change
+#: here is a change in what an observer sees.
 PINNED = {
     "coma": {
         "jsonl": "d8f17754dd82159881a1037b6a712fffae4626a742a0e99626c3f95e36735ae2",
@@ -161,23 +163,23 @@ PINNED = {
         "chrome": "142da24d44b9be8889bf50b54141c6f369323a444a3c6248817e7dfc02fcfc5b",
     },
     "numa": {
-        "jsonl": "0448e6268df342d2b66bdf0f3cb1e425d63ae29a8894064c85c4d28682866c17",
-        "jsonl+attribution": "503a28e2646efcd5c79b4f0ceba5310c9c10b22c514efc2e75997ba5a7715998",
+        "jsonl": "ca4b19a4a0a4390af70cb23c79f89f6d0b5edc12c2ddfb05d3021a1746009e42",
+        "jsonl+attribution": "f6976a0dcf02ef97ff674e9e37a57ee0eda5f6d1ef2902648e983cb5cffcba43",
         "attribution": "c687d7d9c990be5b678a222dc3f27ecf7982a23791df13ec4942ccac139496c2",
         "exemplars": "ae3ce9e4432268badfa0e06e21fc34948c49637f68235ab59329c663e5fdd98b",
         "bounds": "0e06a6b1a81c832973da2440c3e9eb8fdffde085c425fef07d9766b0fbd6b8b8",
         "observed": "ef6259061d93d7a40b9b3df59dc0d01a3c1f0d2df344f1c65fb498207ca636ad",
-        "chrome": "7e1c2513dca2e67d40b6f529f0921d11af8afec3e0624b7dadfc2fac32475528",
+        "chrome": "d5dc83ef5cba641b92c6551d6434525c39458ba94a83608d2ee34f538cc30da8",
         "metrics": "f3566e8cfc3acc52fa4145e837870c72e40b158d9b4f44cf724f3e55a9ece132",
     },
     "uma": {
-        "jsonl": "0b5ed805e4a78de7aeece3a0f2702f76aae7ee1b531724891a211d88d60f621a",
-        "jsonl+attribution": "eb3d74b52e38e739acbddd3a6c72c81d4b7375f2020282bbe7bc5ee5900c7997",
+        "jsonl": "1368dd54a5c4ffbf97a916c147612ae4c044e35c8d23d86f016b01cbf64473eb",
+        "jsonl+attribution": "9f49655d489b2558906e7a53b4be94d1bd9f662578545ab9c12f89730aeea1e0",
         "attribution": "21037e6ff06ba53c5ba4ab2560649cb3fe16a6138778ac689c5aeac42ea38d88",
         "metrics": "a578cf45ec04a0135b40c3b19002fc67312b2ebedddee4ed348077a7b4aad0dd",
         "exemplars": "0b96506178305de4476c39771019476db62a98d58b5ea9204e15050d6ab99837",
         "observed": "76ee33d521cc6ead8719a2db568c07f527f6da5cec5e4324eaf86cb58151e052",
-        "chrome": "546c63cc92af28113b12eb36d7e97847d1a451a3152bc0d85955e3d92f02d9a0",
+        "chrome": "a0973812a69e854d309e19b4a533c399dddbfc928a723f30c7e2fab36d9098b4",
     },
 }
 
