@@ -156,12 +156,12 @@ class NumaMachine(WriteFront):
     def _write_back(self, proc: int, vline: int) -> None:
         """A dirty SLC victim travels to its home's DRAM, across the bus
         when the home is remote."""
+        node = self._node_of[proc]
         vhome = self.space.page_home.get(
             vline * self.config.line_size // self.space.page_size
         )
-        if vhome is not None and vhome != self._node_of[proc]:
-            self.bus.record(TxKind.REPLACE_DATA, self.now, self._node_of[proc],
-                            vline)
+        if vhome is not None and vhome != node:
+            self.bus.record(TxKind.REPLACE_DATA, self.now, node, vline)
             self.bus.phase(self.now, self._bg)
             self.counters.replacements += 1
         self.dram[vhome if vhome is not None else 0].acquire(
@@ -195,11 +195,10 @@ class NumaMachine(WriteFront):
             return done, LEVEL_SLC
         e = self.directory.entry(line)
         owner = e.owner
-        if owner is not None and owner != proc:
-            # Dirty elsewhere: both copies end shared/clean at the home.
-            e.owner = None
-        else:
+        if owner == proc:
             owner = None
+        elif owner is not None:
+            e.owner = None  # dirty elsewhere: both copies end shared/clean
         done, level = self._miss(node, line, addr, now, TxKind.READ_DATA, owner)
         if level == LEVEL_AM:
             c.am_read_hits += 1
