@@ -27,8 +27,14 @@ class SharedBus:
         #: properties recompute the bandwidth scaling on every read).
         self._busy_ns = timing.bus_busy_ns
         self._phase_ns = timing.bus_phase_ns
-        self.tx_count: dict[TxClass, int] = {c: 0 for c in TxClass}
-        self.tx_bytes: dict[TxClass, int] = {c: 0 for c in TxClass}
+        #: Per traffic class (in ``TxClass`` order): transactions and
+        #: bytes.  Per kind (indexed by ``TxKind.slot``): its class's
+        #: position and its wire bytes, fixed once the line size is known.
+        classes = list(TxClass)
+        self._counts = [0] * len(classes)
+        self._bytes = [0] * len(classes)
+        self._kind_class = [classes.index(k.tx_class) for k in TxKind]
+        self._kind_bytes = [message_bytes(k, line_size) for k in TxKind]
         #: The machine's observation slot (see ``ComaMachine.obs``);
         #: None keeps :meth:`phase` and :meth:`record` allocation-free.
         self.obs = None
@@ -76,25 +82,36 @@ class SharedBus:
         ``now``/``origin``/``line`` annotate the ``bus`` event when an
         observer is attached; metering itself needs none of them.
         """
-        cls = kind.tx_class
-        nbytes = message_bytes(kind, self.line_size)
-        self.tx_count[cls] += 1
-        self.tx_bytes[cls] += nbytes
+        k = kind.slot
+        c = self._kind_class[k]
+        nbytes = self._kind_bytes[k]
+        self._counts[c] += 1
+        self._bytes[c] += nbytes
         if self.obs is not None:
-            self.obs.bus(now, self.name, kind.name, cls.value,
+            self.obs.bus(now, self.name, kind.name, kind.tx_class.value,
                          nbytes, origin, line)
 
     @property
+    def tx_count(self) -> dict[TxClass, int]:
+        """Transactions per traffic class."""
+        return dict(zip(TxClass, self._counts))
+
+    @property
+    def tx_bytes(self) -> dict[TxClass, int]:
+        """Wire bytes per traffic class."""
+        return dict(zip(TxClass, self._bytes))
+
+    @property
     def total_bytes(self) -> int:
-        return sum(self.tx_bytes.values())
+        return sum(self._bytes)
 
     @property
     def total_transactions(self) -> int:
-        return sum(self.tx_count.values())
+        return sum(self._counts)
 
     def traffic_breakdown(self) -> dict[str, int]:
         """Bytes per traffic class, keyed 'read'/'write'/'replace'."""
-        return {c.value: self.tx_bytes[c] for c in TxClass}
+        return {c.value: b for c, b in zip(TxClass, self._bytes)}
 
     def utilization(self, elapsed_ns: int) -> float:
         return self.resource.utilization(elapsed_ns)

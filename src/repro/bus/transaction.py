@@ -43,6 +43,13 @@ class TxKind(Enum):
         self.carries_data = carries_data
 
 
+#: Each kind's position in declaration order: a plain int the bus indexes
+#: its per-kind tables with, since hashing an Enum runs Python code.
+for _slot, _kind in enumerate(TxKind):
+    _kind.slot = _slot
+del _slot, _kind
+
+
 def message_bytes(kind: TxKind, line_size: int) -> int:
     """Wire bytes of one transaction of ``kind``."""
     return HEADER_BYTES + (line_size if kind.carries_data else 0)

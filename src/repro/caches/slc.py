@@ -16,7 +16,8 @@ from repro.common.config import CacheGeometry
 from repro.common.hotpath import hotpath
 from repro.mem.soa import LineArray
 
-_PRESENT = 1
+#: The one valid state of an SLC way.
+SLC_PRESENT = 1
 
 #: ``fill`` return value when no line was displaced.
 NO_VICTIM = -1
@@ -85,7 +86,7 @@ class SecondLevelCache:
             packed = (a.line_a[w] << 1) | a.dirty_a[w]
             del idx[a.line_a[w]]
         a.line_a[w] = line
-        state_a[w] = _PRESENT
+        state_a[w] = SLC_PRESENT
         a.dirty_a[w] = 0
         a.aux_a[w] = 0
         idx[line] = w

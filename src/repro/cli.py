@@ -972,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser(
         "trace", help="run one simulation with event tracing enabled"
     )
-    _spec_flags(tr)
+    _spec_flags(tr, machines=("coma", "hcoma", "numa", "uma"))
     tr.add_argument("--jsonl", metavar="PATH",
                     help="write a JSONL event trace (default: "
                     "<workload>.trace.jsonl when --chrome is not given)")

@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 from repro.bus.sharedbus import SharedBus
 from repro.bus.transaction import TxKind
 from repro.caches.l1 import L1Cache
-from repro.caches.slc import SecondLevelCache
+from repro.caches.slc import SLC_PRESENT, SecondLevelCache
 from repro.coma.linetable import LOC_AM, LOC_OVERFLOW, LOC_SLC, LineTable
 from repro.coma.node import (
     REMOVED_EVICTED,
@@ -78,8 +78,8 @@ class HitPath(NamedTuple):
     ``procs[p]`` is processor ``p``'s tuple ``(l1_tags, slc, slc_index,
     slc_dirty, slc_lru, slc_port, am, am_index, am_state, am_lru,
     shadow)``: the L1 tag vector, the SLC and node-AM line arrays with
-    their raw buffers, the SLC's :class:`Resource` and the node's shadow
-    tags (or None).  See :meth:`ComaMachine.hit_path`.
+    their raw list columns, the SLC's :class:`Resource` and the node's
+    shadow tags (or None).  See :meth:`ComaMachine.hit_path`.
     """
 
     procs: list
@@ -562,15 +562,24 @@ class ComaMachine(WriteFront):
         self.strip_node_copy(node, way, REMOVED_EVICTED)
 
     def strip_node_copy(self, node: ComaNode, way: int, reason: str) -> None:
-        """Remove AM ``way`` from ``node``: back-invalidate the local SLCs
-        (inclusion), update shadow/miss bookkeeping, invalidate the way."""
+        """Remove the valid AM ``way`` from ``node``: back-invalidate the
+        local SLCs (inclusion), record why the line left (and drop it from
+        the shadow tags when invalidated), invalidate the way.
+        ``backinvalidate_slcs`` and ``LineArray.invalidate_way`` are in
+        line."""
         am = node.am
         line = am.line_a[way]
-        self.backinvalidate_slcs(node, way)
-        node.note_removed(line, reason)
+        aux = am.aux_a[way]
+        if aux:
+            self._invalidate_mask(node, line, aux)
+        node.removal_reason[line] = reason
         if reason == REMOVED_INVALIDATED and node.shadow is not None:
             node.shadow.remove(line)
-        am.invalidate_way(way)
+        del am.index[line]
+        am.line_a[way] = -1
+        am.state_a[way] = INVALID
+        am.dirty_a[way] = 0
+        am.aux_a[way] = 0
 
     def backinvalidate_slcs(self, node: ComaNode, way: int) -> None:
         """Purge the line in AM ``way`` from every local SLC/L1 caching it."""
@@ -613,13 +622,65 @@ class ComaMachine(WriteFront):
         ``slc_resident``.  The L1 fill happens only if the line survived
         in this SLC.
         """
-        node.am.aux_a[way] |= 1 << (proc % self._ppn)
+        am = node.am
+        bit = 1 << (proc % self._ppn)
+        am.aux_a[way] |= bit
         slc = self.slcs[proc]
-        packed = slc.fill(line)
-        if packed >= 0:
-            self._handle_slc_victim(proc, node, packed)
-        if line in slc.index:
-            self._l1_tags[proc][line % self._l1_nsets] = line
+        idx = slc.index
+        tags = self._l1_tags[proc]
+        if line not in idx:
+            # SecondLevelCache.fill, in line: the first invalid way, else
+            # the first least-recently-used one.
+            a = slc.array
+            state_a = a.state_a
+            line_a = a.line_a
+            lru_a = a.lru_a
+            dirty_a = a.dirty_a
+            assoc = a.assoc
+            base = (line % a.num_sets) * assoc
+            end = base + assoc
+            victim = -1
+            w = base
+            while w < end:
+                if not state_a[w]:
+                    break
+                w += 1
+            else:
+                w = base
+                best_lru = lru_a[base]
+                k = base + 1
+                while k < end:
+                    if lru_a[k] < best_lru:
+                        w = k
+                        best_lru = lru_a[k]
+                    k += 1
+                victim = line_a[w]
+                dirty = dirty_a[w]
+                del idx[victim]
+            line_a[w] = line
+            state_a[w] = SLC_PRESENT
+            dirty_a[w] = 0
+            a.aux_a[w] = 0
+            idx[line] = w
+            tick = a.tick + 1
+            a.tick = tick
+            lru_a[w] = tick
+            if victim >= 0:
+                # _handle_slc_victim, in line for a victim this node's AM
+                # holds (every victim, under inclusion).
+                lw = victim % self._l1_nsets
+                if tags[lw] == victim:
+                    tags[lw] = -1
+                vw = am.index.get(victim)
+                if vw is None:
+                    self._handle_slc_victim(proc, node, victim << 1 | dirty)
+                else:
+                    am.aux_a[vw] &= ~bit
+                    if dirty:
+                        node.dram.acquire(self.now, self._t_dram_busy, self._bg)
+                        self.counters.slc_writebacks += 1
+        if line in idx:
+            tags[line % self._l1_nsets] = line
 
     @hotpath
     def _fill_slc_resident(
@@ -779,14 +840,67 @@ class ComaMachine(WriteFront):
     ) -> None:
         """Meter and time a replacement transaction (probe, and the data
         transfer into ``dst`` when ``data``)."""
-        self.bus.record(TxKind.REPLACE_PROBE, now, src.id, line)
-        t = self.bus.phase(now, self._bg)
+        bus = self.bus
+        br = bus.resource
+        bus_busy = bus._busy_ns
+        bg = self._bg
+        obs = self.obs
+        # SharedBus.phase and Resource.acquire, in line: the probe phase,
+        # then with data the data phase and the receiver's NC and DRAM.
+        bus.record(TxKind.REPLACE_PROBE, now, src.id, line)
+        b = br.bg_next_free if bg else br.next_free
+        if b < now:
+            b = now
+        free = b + bus_busy
+        if obs is not None:
+            obs.bus_phase(bus.name, b - now, bus_busy)
+        phases = 1
         if data:
-            assert dst is not None
-            self.bus.record(TxKind.REPLACE_DATA, t, src.id, line)
-            t = self.bus.phase(t, self._bg)
-            s = dst.nc.acquire(t, self._t_nc_busy, self._bg)
-            dst.dram.acquire(s + self._t_nc, self._t_dram_busy, self._bg)
+            t = b + bus._phase_ns
+            bus.record(TxKind.REPLACE_DATA, t, src.id, line)
+            b = free if free > t else t
+            free = b + bus_busy
+            phases = 2
+            if obs is not None:
+                obs.bus_phase(bus.name, b - t, bus_busy)
+        if bg:
+            br.bg_next_free = free
+        else:
+            br.next_free = free
+        br.busy_ns += phases * bus_busy
+        br.uses += phases
+        if not data:
+            return
+        assert dst is not None
+        t = b + bus._phase_ns
+        nc = dst.nc
+        dram = dst.dram
+        nc_busy = self._t_nc_busy
+        dram_busy = self._t_dram_busy
+        if bg:
+            s = nc.bg_next_free
+            if s < t:
+                s = t
+            nc.bg_next_free = s + nc_busy
+            t = s + self._t_nc
+            s = dram.bg_next_free
+            if s < t:
+                s = t
+            dram.bg_next_free = s + dram_busy
+        else:
+            s = nc.next_free
+            if s < t:
+                s = t
+            nc.next_free = s + nc_busy
+            t = s + self._t_nc
+            s = dram.next_free
+            if s < t:
+                s = t
+            dram.next_free = s + dram_busy
+        nc.busy_ns += nc_busy
+        nc.uses += 1
+        dram.busy_ns += dram_busy
+        dram.uses += 1
 
     def node_scan_order(self, exclude_id: int, rotor: int) -> list[ComaNode]:
         """Receiver scan order for the replacement engine: rotating round
@@ -805,33 +919,16 @@ class ComaMachine(WriteFront):
         local NC.  The local allocate/fill and fixed overhead are added by
         the caller (they differ between cached and uncached reads).
 
-        The foreground path opens all seven resource acquisitions in line
-        (grouped busy/uses totals, identical timing); the background path
-        keeps the calls.
+        All seven resource acquisitions are opened in line, on the
+        background ports for a posted write and on the demand ports
+        otherwise (grouped busy/uses totals, identical timing to the
+        ``acquire``/``phase`` calls).
         """
         nc_busy = self._t_nc_busy
         nc_ns = self._t_nc
+        dram_busy = self._t_dram_busy
         obs = self.obs
-        if self._bg:
-            nc = local.nc
-            bus = self.bus
-            s = nc.acquire(now, nc_busy, True)
-            t_out = s + nc_ns
-            t_req = bus.phase(t_out, True)
-            s = owner.nc.acquire(t_req, nc_busy, True)
-            s = owner.dram.acquire(s + nc_ns, self._t_dram_busy, True)
-            t_am = s + self._t_dram_lat
-            t_rep = bus.phase(t_am, True)
-            s = nc.acquire(t_rep, nc_busy, True)
-            if obs is not None:
-                obs.phase("nc_out", t_out)
-                obs.phase("bus_arb", bus.arb_start(t_req))
-                obs.phase("bus_req", t_req)
-                obs.phase("remote_am", t_am)
-                obs.phase("bus_arb", bus.arb_start(t_rep))
-                obs.phase("bus_reply", t_rep)
-                obs.phase("nc_ret", s + nc_ns)
-            return s + nc_ns
+        bg = self._bg
         lnc = local.nc
         onc = owner.nc
         odram = owner.dram
@@ -839,57 +936,96 @@ class ComaMachine(WriteFront):
         br = bus.resource
         bus_busy = bus._busy_ns
         bus_phase = bus._phase_ns
-        # local NC out
-        s = lnc.next_free
-        if s < now:
-            s = now
-        lnc.next_free = s + nc_busy
-        t_out = s + nc_ns
-        # bus request phase
-        b_req = br.next_free
-        if b_req < t_out:
-            b_req = t_out
-        br.next_free = b_req + bus_busy
-        t = b_req + bus_phase
-        # owner NC in
-        s = onc.next_free
-        if s < t:
-            s = t
-        onc.next_free = s + nc_busy
+        if bg:
+            # local NC out
+            s = lnc.bg_next_free
+            if s < now:
+                s = now
+            lnc.bg_next_free = s + nc_busy
+            t_out = s + nc_ns
+            # bus request phase
+            b_req = br.bg_next_free
+            if b_req < t_out:
+                b_req = t_out
+            br.bg_next_free = b_req + bus_busy
+            t = b_req + bus_phase
+            # owner NC in
+            s = onc.bg_next_free
+            if s < t:
+                s = t
+            onc.bg_next_free = s + nc_busy
+            t = s + nc_ns
+            # owner DRAM
+            s = odram.bg_next_free
+            if s < t:
+                s = t
+            odram.bg_next_free = s + dram_busy
+            t_am = s + self._t_dram_lat
+            # bus reply phase
+            b_rep = br.bg_next_free
+            if b_rep < t_am:
+                b_rep = t_am
+            br.bg_next_free = b_rep + bus_busy
+            t = b_rep + bus_phase
+            # local NC return
+            s = lnc.bg_next_free
+            if s < t:
+                s = t
+            lnc.bg_next_free = s + nc_busy
+        else:
+            s = lnc.next_free
+            if s < now:
+                s = now
+            lnc.next_free = s + nc_busy
+            t_out = s + nc_ns
+            b_req = br.next_free
+            if b_req < t_out:
+                b_req = t_out
+            br.next_free = b_req + bus_busy
+            t = b_req + bus_phase
+            s = onc.next_free
+            if s < t:
+                s = t
+            onc.next_free = s + nc_busy
+            t = s + nc_ns
+            s = odram.next_free
+            if s < t:
+                s = t
+            odram.next_free = s + dram_busy
+            t_am = s + self._t_dram_lat
+            b_rep = br.next_free
+            if b_rep < t_am:
+                b_rep = t_am
+            br.next_free = b_rep + bus_busy
+            t = b_rep + bus_phase
+            s = lnc.next_free
+            if s < t:
+                s = t
+            lnc.next_free = s + nc_busy
         onc.busy_ns += nc_busy
         onc.uses += 1
-        t = s + nc_ns
-        # owner DRAM
-        s = odram.next_free
-        if s < t:
-            s = t
-        odram.next_free = s + self._t_dram_busy
-        odram.busy_ns += self._t_dram_busy
+        odram.busy_ns += dram_busy
         odram.uses += 1
-        t_am = s + self._t_dram_lat
-        # bus reply phase
-        b_rep = br.next_free
-        if b_rep < t_am:
-            b_rep = t_am
-        br.next_free = b_rep + bus_busy
         br.busy_ns += 2 * bus_busy
         br.uses += 2
-        t = b_rep + bus_phase
-        # local NC return
-        s = lnc.next_free
-        if s < t:
-            s = t
-        lnc.next_free = s + nc_busy
         lnc.busy_ns += 2 * nc_busy
         lnc.uses += 2
         if obs is not None:
             name = bus.name
-            obs.phase("nc_out", t_out)
-            obs.bus_phase(name, b_req - t_out, bus_busy)
+            if bg:
+                # A posted fetch reports both bus waits first, where its
+                # ``SharedBus.phase`` calls used to.
+                obs.bus_phase(name, b_req - t_out, bus_busy)
+                obs.bus_phase(name, b_rep - t_am, bus_busy)
+                obs.phase("nc_out", t_out)
+            else:
+                obs.phase("nc_out", t_out)
+                obs.bus_phase(name, b_req - t_out, bus_busy)
             obs.phase("bus_arb", b_req)
             obs.phase("bus_req", b_req + bus_phase)
             obs.phase("remote_am", t_am)
-            obs.bus_phase(name, b_rep - t_am, bus_busy)
+            if not bg:
+                obs.bus_phase(name, b_rep - t_am, bus_busy)
             obs.phase("bus_arb", b_rep)
             obs.phase("bus_reply", t)
             obs.phase("nc_ret", s + nc_ns)

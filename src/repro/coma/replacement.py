@@ -70,6 +70,11 @@ class ReplacementEngine:
         self._random_receiver = cfg.replacement_receiver_policy == "random"
         self._inclusive = cfg.inclusive
         self._max_hops = cfg.relocation_max_hops
+        #: Receiver scan orders, built on first use: the list for
+        #: ``(rotor, exclude)`` sits at ``rotor * n_nodes + exclude``.
+        #: Shared and never mutated (the random ablation shuffles a copy).
+        self._n_nodes = len(machine.nodes)
+        self._orders: list = [None] * (self._n_nodes * self._n_nodes)
 
     # ------------------------------------------------------------------
     def make_room(
@@ -273,13 +278,25 @@ class ReplacementEngine:
 
     # ------------------------------------------------------------------
     def _node_order(self, exclude_id: int) -> list[ComaNode]:
-        """Candidate receivers in scan order, excluding ``exclude_id``.
+        """Candidate receivers in scan order, excluding ``exclude_id``,
+        from the next rotor position."""
+        rotor = self._rotor = (self._rotor + 1) % self._n_nodes
+        return self.scan_order(exclude_id, rotor)
+
+    def scan_order(self, exclude_id: int, rotor: int) -> list[ComaNode]:
+        """The cached ``machine.node_scan_order(exclude_id, rotor)``.
 
         Delegated to the machine so topology-aware variants (the
-        hierarchical machine prefers in-group receivers) can reorder it.
+        hierarchical machine prefers in-group receivers) can reorder it;
+        every variant is a pure function of its two arguments, so one
+        list per pair serves every relocation.  Callers must not mutate
+        it.
         """
-        self._rotor = (self._rotor + 1) % len(self.m.nodes)
-        return self.m.node_scan_order(exclude_id, self._rotor)
+        i = rotor * self._n_nodes + exclude_id
+        order = self._orders[i]
+        if order is None:
+            order = self._orders[i] = self.m.node_scan_order(exclude_id, rotor)
+        return order
 
     @staticmethod
     def _oldest_owner_way(order: list[ComaNode], set_idx: int):

@@ -1,11 +1,14 @@
 """Arrays-of-structs line storage (the compiled tag array).
 
 :class:`LineArray` stores each way's tag, state, LRU stamp, dirty bit and
-auxiliary mask in five parallel ``array`` buffers indexed by a flat *way
-number* (``set_idx * assoc + k``), plus one dict mapping each resident
-line to its way.  A way is addressed only by its number: the hot paths
-read and write the raw ``*_a`` buffers directly, with no per-line object
-and one dict probe per lookup.  The victim-selection policies are
+auxiliary mask in five parallel plain ``list`` columns indexed by a flat
+*way number* (``set_idx * assoc + k``), plus one dict mapping each
+resident line to its way.  A way is addressed only by its number: the hot
+paths read and write the raw ``*_a`` columns directly, with no per-line
+object and one dict probe per lookup.  The columns are lists, not
+``array`` buffers, because CPython specializes ``list[int]`` subscripts
+while an ``array`` load goes through the generic path and boxes a new int
+for every LRU stamp and line number above 256 (docs/PERFORMANCE.md).  The victim-selection policies are
 interned to small ints (:data:`VICTIM_LRU`, :data:`VICTIM_SHARED_FIRST`,
 :data:`VICTIM_NONINCLUSIVE`) so selection is branchy integer code
 instead of a key-function callback.  Cold callers (consistency checks,
@@ -23,8 +26,6 @@ still loading).
 """
 
 from __future__ import annotations
-
-from array import array
 
 from repro.common.config import CacheGeometry
 from repro.common.hotpath import hotpath
@@ -44,7 +45,7 @@ VICTIM_NONINCLUSIVE = 2    # Shared, then SLC-backed owners, then bare owners
 
 class LineArray:
     """Tag array: ``geometry.num_sets`` sets x ``geometry.assoc`` ways,
-    stored as parallel buffers.  Set counts need not be powers of two
+    stored as parallel list columns.  Set counts need not be powers of two
     (indexing is modulo), so the paper's "odd cache sizes" are exact."""
 
     __slots__ = (
@@ -57,11 +58,11 @@ class LineArray:
         self.num_sets = geometry.num_sets
         self.assoc = geometry.assoc
         n = geometry.num_sets * geometry.assoc
-        self.line_a = array("q", [-1]) * n
-        self.state_a = array("b", [INVALID]) * n
-        self.lru_a = array("q", [0]) * n
-        self.aux_a = array("q", [0]) * n
-        self.dirty_a = array("b", [0]) * n
+        self.line_a = [-1] * n
+        self.state_a = [INVALID] * n
+        self.lru_a = [0] * n
+        self.aux_a = [0] * n
+        self.dirty_a = [0] * n
         #: line -> way number of the valid way holding it.
         self.index: dict[int, int] = {}
         self.tick = 0
@@ -193,7 +194,13 @@ class LineArray:
         """Internal invariant check used by the test suite."""
         seen = 0
         assoc = self.assoc
-        for w in range(self.num_sets * assoc):
+        n = self.num_sets * assoc
+        for name in ("line_a", "state_a", "lru_a", "aux_a", "dirty_a"):
+            assert len(getattr(self, name)) == n, (
+                f"column {name} holds {len(getattr(self, name))} ways, "
+                f"expected {n}"
+            )
+        for w in range(n):
             if self.state_a[w] != INVALID:
                 seen += 1
                 line = self.line_a[w]

@@ -159,10 +159,10 @@ class Simulation:
         ``l1_read_hits`` and ``writes`` counters in locals, credited
         before every checkpoint (budget, consistency check, profiler
         sample) and when the loop exits.  Under release consistency
-        without coalescing, the write buffer's common case (retire the
-        completed head, push) is inline too.  Every other event takes the
-        machine's full ``read``/``write``/``write_stalling`` paths and the
-        synchronization helpers.
+        without coalescing, the write buffer is inline too (retire the
+        completed head, wait for a slot when full, push).  Every other
+        event takes the machine's full ``read``/``write``/
+        ``write_stalling`` paths and the synchronization helpers.
         """
         m = self.machine
         heap = self._heap
@@ -243,8 +243,12 @@ class Simulation:
                             pop(pending)
                         now = clock
                         if len(pending) >= wb.capacity:
-                            now, stall = wb.wait_for_slot(clock)
-                            acct.write += stall
+                            # WriteBuffer.wait_for_slot: stall until the
+                            # oldest write completes, then retire.
+                            now = pending[0][0]
+                            acct.write += now - clock
+                            while pending and pending[0][0] <= now:
+                                pop(pending)
                         way = -1
                         if fused and line in slc_index:
                             way = am_index.get(line, -1)

@@ -221,10 +221,22 @@ class TestTraceCommands:
         assert args.machine == "coma" and args.flight == 4096
         assert args.jsonl is None and args.chrome is None
 
-    def test_trace_rejects_numa(self):
-        # Only the COMA machines are instrumented for tracing.
+    def test_trace_accepts_numa_and_uma(self, tmp_path):
+        # Every machine stamps its events, so every one can be traced;
+        # attribution still needs the COMA machines' phase checkpoints.
+        import json
+
+        from repro.obs.chrometrace import validate_trace_events
+
+        for machine in ("numa", "uma"):
+            chrome = tmp_path / f"{machine}.json"
+            assert main(["trace", "synth_migratory", "--machine", machine,
+                         "--scale", "0.1", "--chrome", str(chrome)]) == 0
+            obj = json.loads(chrome.read_text())
+            assert obj["traceEvents"]
+            assert validate_trace_events(obj) == []
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["trace", "fft", "--machine", "numa"])
+            build_parser().parse_args(["attribute", "fft", "--machine", "numa"])
 
     def test_trace_writes_both_formats(self, tmp_path, capsys):
         import json

@@ -110,6 +110,25 @@ class TestCacheArrayChecks:
         with pytest.raises(AssertionError, match="maps to 0"):
             m.check_consistency()
 
+    def test_grown_am_column_detected(self):
+        # The columns are plain lists: a stray append resizes one
+        # silently, and the per-way scan never reaches the extra entry.
+        m = make_machine()
+        m.read(0, 0, 0)
+        m.check_consistency()
+        m.nodes[0].am.lru_a.append(0)
+        with pytest.raises(AssertionError, match="column lru_a holds 33"):
+            m.check_consistency()
+
+    def test_shrunk_slc_column_detected(self):
+        m = make_machine()
+        m.read(0, 0, 0)
+        m.check_consistency()
+        arr = m.slcs[0].array
+        arr.dirty_a[-2:] = []  # a slice assignment drops the last two ways
+        with pytest.raises(AssertionError, match="column dirty_a holds 6"):
+            m.check_consistency()
+
 
 class TestSimulationGuards:
     def test_deadlock_reported(self):

@@ -78,8 +78,8 @@ def snapshot(sim: Simulation, result) -> dict:
         "now": m.now,
         "l1_tags": [list(l1.tags) for l1 in m.l1s],
         "arrays": [
-            (a.line_a.tolist(), a.state_a.tolist(), a.lru_a.tolist(),
-             a.aux_a.tolist(), a.dirty_a.tolist(), dict(a.index), a.tick)
+            (list(a.line_a), list(a.state_a), list(a.lru_a),
+             list(a.aux_a), list(a.dirty_a), dict(a.index), a.tick)
             for a in arrays
         ],
         "nodes": [

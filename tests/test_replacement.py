@@ -172,3 +172,44 @@ class TestLineTableIntegrity:
         locs = {m.lines.get(l).owner_loc for l in (0, 1, 2)}
         assert LOC_OVERFLOW in locs
         assert LOC_AM in locs
+
+
+class TestScanOrderCache:
+    """The engine keeps one receiver list per ``(rotor, exclude)`` pair;
+    it must be exactly the machine's scan order for that pair."""
+
+    @staticmethod
+    def machines():
+        from tests.test_hierarchy import make_hier
+
+        return {"coma": tiny_machine(nodes=4), "hcoma": make_hier(n_groups=2)}
+
+    def test_cached_order_matches_machine(self):
+        for kind, m in self.machines().items():
+            n = len(m.nodes)
+            for rotor in range(n):
+                for exclude in range(n):
+                    cached = m.repl.scan_order(exclude, rotor)
+                    fresh = m.node_scan_order(exclude, rotor)
+                    assert [d.id for d in cached] == [d.id for d in fresh], (
+                        kind, rotor, exclude)
+                    assert exclude not in {d.id for d in cached}
+                    assert m.repl.scan_order(exclude, rotor) is cached
+
+    def test_random_receiver_leaves_cached_orders_unchanged(self):
+        m = make_machine(
+            n_processors=4, procs_per_node=1, am_sets=1, am_assoc=1,
+            slc_lines=4, l1_lines=2, page_size=LINE,
+            replacement_receiver_policy="random",
+        )
+        n = len(m.nodes)
+        cached = {(r, x): m.repl.scan_order(x, r)
+                  for r in range(n) for x in range(n)}
+        before = {k: [d.id for d in v] for k, v in cached.items()}
+        for i in range(n):
+            m.write(0, i * LINE, 100 * i)  # node 0 relocates each owner
+        assert m.counters.replacements == n - 1
+        for (rotor, exclude), order in cached.items():
+            assert m.repl.scan_order(exclude, rotor) is order
+            assert [d.id for d in order] == before[rotor, exclude]
+        m.check_consistency()
