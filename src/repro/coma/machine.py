@@ -564,9 +564,8 @@ class ComaMachine(WriteFront):
     def strip_node_copy(self, node: ComaNode, way: int, reason: str) -> None:
         """Remove the valid AM ``way`` from ``node``: back-invalidate the
         local SLCs (inclusion), record why the line left (and drop it from
-        the shadow tags when invalidated), invalidate the way.
-        ``backinvalidate_slcs`` and ``LineArray.invalidate_way`` are in
-        line."""
+        the shadow tags when invalidated), invalidate the way
+        (``LineArray.invalidate_way``, in line)."""
         am = node.am
         line = am.line_a[way]
         aux = am.aux_a[way]
@@ -579,15 +578,6 @@ class ComaMachine(WriteFront):
         am.line_a[way] = -1
         am.state_a[way] = INVALID
         am.dirty_a[way] = 0
-        am.aux_a[way] = 0
-
-    def backinvalidate_slcs(self, node: ComaNode, way: int) -> None:
-        """Purge the line in AM ``way`` from every local SLC/L1 caching it."""
-        am = node.am
-        aux = am.aux_a[way]
-        if aux == 0:
-            return
-        self._invalidate_mask(node, am.line_a[way], aux)
         am.aux_a[way] = 0
 
     def _invalidate_mask(self, node: ComaNode, line: int, mask: int) -> None:
@@ -877,26 +867,19 @@ class ComaMachine(WriteFront):
         dram = dst.dram
         nc_busy = self._t_nc_busy
         dram_busy = self._t_dram_busy
+        nc_free = nc.bg_next_free if bg else nc.next_free
+        s = nc_free if nc_free > t else t
+        nc_free = s + nc_busy
+        t = s + self._t_nc
+        dram_free = dram.bg_next_free if bg else dram.next_free
+        s = dram_free if dram_free > t else t
+        dram_free = s + dram_busy
         if bg:
-            s = nc.bg_next_free
-            if s < t:
-                s = t
-            nc.bg_next_free = s + nc_busy
-            t = s + self._t_nc
-            s = dram.bg_next_free
-            if s < t:
-                s = t
-            dram.bg_next_free = s + dram_busy
+            nc.bg_next_free = nc_free
+            dram.bg_next_free = dram_free
         else:
-            s = nc.next_free
-            if s < t:
-                s = t
-            nc.next_free = s + nc_busy
-            t = s + self._t_nc
-            s = dram.next_free
-            if s < t:
-                s = t
-            dram.next_free = s + dram_busy
+            nc.next_free = nc_free
+            dram.next_free = dram_free
         nc.busy_ns += nc_busy
         nc.uses += 1
         dram.busy_ns += dram_busy
@@ -919,11 +902,15 @@ class ComaMachine(WriteFront):
         local NC.  The local allocate/fill and fixed overhead are added by
         the caller (they differ between cached and uncached reads).
 
-        All seven resource acquisitions are opened in line, on the
-        background ports for a posted write and on the demand ports
-        otherwise (grouped busy/uses totals, identical timing to the
-        ``acquire``/``phase`` calls).
+        All seven resource acquisitions are opened in line as one
+        timeline over the four resources' next-free times, loaded from
+        and stored back to the background ports for a posted write and
+        the demand ports otherwise (grouped busy/uses totals, identical
+        timing to the ``acquire``/``phase`` calls).
         """
+        # The owner holds the line and the local node does not, so the
+        # four resources are distinct and each runs on its own local.
+        assert local is not owner
         nc_busy = self._t_nc_busy
         nc_ns = self._t_nc
         dram_busy = self._t_dram_busy
@@ -937,71 +924,48 @@ class ComaMachine(WriteFront):
         bus_busy = bus._busy_ns
         bus_phase = bus._phase_ns
         if bg:
-            # local NC out
-            s = lnc.bg_next_free
-            if s < now:
-                s = now
-            lnc.bg_next_free = s + nc_busy
-            t_out = s + nc_ns
-            # bus request phase
-            b_req = br.bg_next_free
-            if b_req < t_out:
-                b_req = t_out
-            br.bg_next_free = b_req + bus_busy
-            t = b_req + bus_phase
-            # owner NC in
-            s = onc.bg_next_free
-            if s < t:
-                s = t
-            onc.bg_next_free = s + nc_busy
-            t = s + nc_ns
-            # owner DRAM
-            s = odram.bg_next_free
-            if s < t:
-                s = t
-            odram.bg_next_free = s + dram_busy
-            t_am = s + self._t_dram_lat
-            # bus reply phase
-            b_rep = br.bg_next_free
-            if b_rep < t_am:
-                b_rep = t_am
-            br.bg_next_free = b_rep + bus_busy
-            t = b_rep + bus_phase
-            # local NC return
-            s = lnc.bg_next_free
-            if s < t:
-                s = t
-            lnc.bg_next_free = s + nc_busy
+            l_free = lnc.bg_next_free
+            b_free = br.bg_next_free
+            o_free = onc.bg_next_free
+            d_free = odram.bg_next_free
         else:
-            s = lnc.next_free
-            if s < now:
-                s = now
-            lnc.next_free = s + nc_busy
-            t_out = s + nc_ns
-            b_req = br.next_free
-            if b_req < t_out:
-                b_req = t_out
-            br.next_free = b_req + bus_busy
-            t = b_req + bus_phase
-            s = onc.next_free
-            if s < t:
-                s = t
-            onc.next_free = s + nc_busy
-            t = s + nc_ns
-            s = odram.next_free
-            if s < t:
-                s = t
-            odram.next_free = s + dram_busy
-            t_am = s + self._t_dram_lat
-            b_rep = br.next_free
-            if b_rep < t_am:
-                b_rep = t_am
-            br.next_free = b_rep + bus_busy
-            t = b_rep + bus_phase
-            s = lnc.next_free
-            if s < t:
-                s = t
-            lnc.next_free = s + nc_busy
+            l_free = lnc.next_free
+            b_free = br.next_free
+            o_free = onc.next_free
+            d_free = odram.next_free
+        # local NC out
+        s = l_free if l_free > now else now
+        l_free = s + nc_busy
+        t_out = s + nc_ns
+        # bus request phase
+        b_req = b_free if b_free > t_out else t_out
+        b_free = b_req + bus_busy
+        t = b_req + bus_phase
+        # owner NC in
+        s = o_free if o_free > t else t
+        o_free = s + nc_busy
+        t = s + nc_ns
+        # owner DRAM
+        s = d_free if d_free > t else t
+        d_free = s + dram_busy
+        t_am = s + self._t_dram_lat
+        # bus reply phase
+        b_rep = b_free if b_free > t_am else t_am
+        b_free = b_rep + bus_busy
+        t = b_rep + bus_phase
+        # local NC return
+        s = l_free if l_free > t else t
+        l_free = s + nc_busy
+        if bg:
+            lnc.bg_next_free = l_free
+            br.bg_next_free = b_free
+            onc.bg_next_free = o_free
+            odram.bg_next_free = d_free
+        else:
+            lnc.next_free = l_free
+            br.next_free = b_free
+            onc.next_free = o_free
+            odram.next_free = d_free
         onc.busy_ns += nc_busy
         onc.uses += 1
         odram.busy_ns += dram_busy

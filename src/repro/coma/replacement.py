@@ -272,8 +272,10 @@ class ReplacementEngine:
         if m.obs is not None:
             m.obs.replacement(m.now, node.id, -1, line, "overflow_park", 0)
         # The line is still present in the node (overflow), so strip only
-        # the AM way, not the node-level tracking.
-        m.backinvalidate_slcs(node, way)
+        # the AM way (and the local SLC copies), not the node-level
+        # tracking.
+        if am.aux_a[way]:
+            m._invalidate_mask(node, line, am.aux_a[way])
         am.invalidate_way(way)
 
     # ------------------------------------------------------------------
