@@ -274,8 +274,9 @@ class ReplacementEngine:
         # The line is still present in the node (overflow), so strip only
         # the AM way (and the local SLC copies), not the node-level
         # tracking.
-        if am.aux_a[way]:
-            m._invalidate_mask(node, line, am.aux_a[way])
+        aux = am.aux_a[way]
+        if aux:
+            m._invalidate_mask(node, line, aux)
         am.invalidate_way(way)
 
     # ------------------------------------------------------------------

@@ -7,9 +7,10 @@ resident line to its way.  A way is addressed only by its number: the hot
 paths read and write the raw ``*_a`` columns directly, with no per-line
 object and one dict probe per lookup.  The columns are lists, not
 ``array`` buffers, because CPython specializes ``list[int]`` subscripts
-while an ``array`` load goes through the generic path and boxes a new int
-for every LRU stamp and line number above 256 (docs/PERFORMANCE.md).  The victim-selection policies are
-interned to small ints (:data:`VICTIM_LRU`, :data:`VICTIM_SHARED_FIRST`,
+while an ``array`` load goes through the generic path and boxes a new
+int for every LRU stamp and line number above 256 (see
+docs/PERFORMANCE.md).  The victim-selection policies are interned to
+small ints (:data:`VICTIM_LRU`, :data:`VICTIM_SHARED_FIRST`,
 :data:`VICTIM_NONINCLUSIVE`) so selection is branchy integer code
 instead of a key-function callback.  Cold callers (consistency checks,
 the cross-checker, tests) read a line's state with :meth:`LineArray.state_of`.
@@ -196,10 +197,8 @@ class LineArray:
         assoc = self.assoc
         n = self.num_sets * assoc
         for name in ("line_a", "state_a", "lru_a", "aux_a", "dirty_a"):
-            assert len(getattr(self, name)) == n, (
-                f"column {name} holds {len(getattr(self, name))} ways, "
-                f"expected {n}"
-            )
+            size = len(getattr(self, name))
+            assert size == n, f"column {name} holds {size} ways, expected {n}"
         for w in range(n):
             if self.state_a[w] != INVALID:
                 seen += 1
