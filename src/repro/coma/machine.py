@@ -977,8 +977,8 @@ class ComaMachine(WriteFront):
         if obs is not None:
             name = bus.name
             if bg:
-                # A posted fetch reports both bus waits first, where its
-                # ``SharedBus.phase`` calls used to.
+                # Observers see a posted fetch's two bus waits before its
+                # phase checkpoints, a demand fetch's interleaved with them.
                 obs.bus_phase(name, b_req - t_out, bus_busy)
                 obs.bus_phase(name, b_rep - t_am, bus_busy)
                 obs.phase("nc_out", t_out)
