@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.bus.transaction import TxClass, TxKind, message_bytes
 from repro.common.config import TimingConfig
-from repro.timing.resource import Resource
+from repro.timing.resource import DEMAND, Resource
 
 
 class SharedBus:
@@ -39,26 +39,20 @@ class SharedBus:
         #: None keeps :meth:`phase` and :meth:`record` allocation-free.
         self.obs = None
 
-    def phase(self, now: int, bg: bool = False) -> int:
-        """Occupy the bus for one phase starting at or after ``now``.
+    def phase(self, now: int, port: int = DEMAND) -> int:
+        """Occupy the bus's ``port`` for one phase starting at or after
+        ``now`` (see :class:`repro.timing.resource.Resource`).
 
         Returns the time the phase *completes* (start + latency); the
         occupancy may exceed the latency when bandwidth is scaled down.
-        ``bg`` routes the phase over the posted-write port (see
-        :class:`repro.timing.resource.Resource`).
         """
         busy = self._busy_ns
         r = self.resource
-        if bg:
-            start = r.bg_next_free
-            if start < now:
-                start = now
-            r.bg_next_free = start + busy
-        else:
-            start = r.next_free
-            if start < now:
-                start = now
-            r.next_free = start + busy
+        free = r.free
+        start = free[port]
+        if start < now:
+            start = now
+        free[port] = start + busy
         r.busy_ns += busy
         r.uses += 1
         if self.obs is not None:

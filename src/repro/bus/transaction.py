@@ -36,7 +36,6 @@ class TxKind(Enum):
     UPGRADE = ("write", False)          # write hit on shared line, erase others
     REPLACE_DATA = ("replace", True)    # relocated owner line
     REPLACE_PROBE = ("replace", False)  # accept-based receiver negotiation
-    SYNC_RMW = ("write", False)         # lock/barrier atomic (control-sized)
 
     def __init__(self, tx_class: str, carries_data: bool) -> None:
         self.tx_class = TxClass(tx_class)

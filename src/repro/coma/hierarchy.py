@@ -90,18 +90,18 @@ class HierarchicalComaMachine(ComaMachine):
     def _remote_path(self, local: ComaNode, owner: ComaNode, now: int) -> int:
         nc_busy = self._t_nc_busy
         nc_ns = self._t_nc
-        bg = self._bg
+        port = self._port
         lg = self.group_buses[self.group_of(local.id)]
-        s = local.nc.acquire(now, nc_busy, bg)
+        s = local.nc.acquire(now, nc_busy, port)
         t_out = s + nc_ns
-        t_req = lg.phase(t_out, bg)  # group bus request
+        t_req = lg.phase(t_out, port)  # group bus request
         if self.same_group(local, owner):
             # Snooped within the group: owner answers over the group bus.
-            s = owner.nc.acquire(t_req, nc_busy, bg)
-            s = owner.dram.acquire(s + nc_ns, self._t_dram_busy, bg)
+            s = owner.nc.acquire(t_req, nc_busy, port)
+            s = owner.dram.acquire(s + nc_ns, self._t_dram_busy, port)
             t_am = s + self._t_dram_lat
-            t = lg.phase(t_am, bg)
-            s = local.nc.acquire(t, nc_busy, bg)
+            t = lg.phase(t_am, port)
+            s = local.nc.acquire(t, nc_busy, port)
             obs = self.obs
             if obs is not None:
                 obs.phase("nc_out", t_out)
@@ -116,16 +116,16 @@ class HierarchicalComaMachine(ComaMachine):
         top = self.bus
         og = self.group_buses[self.group_of(owner.id)]
         t_dir = t_req + nc_ns                  # local group directory lookup
-        t_top = top.phase(t_dir, bg)           # top bus request
+        t_top = top.phase(t_dir, port)         # top bus request
         t_dir2 = t_top + nc_ns                 # remote group directory
-        t_og = og.phase(t_dir2, bg)            # owner group bus
-        s = owner.nc.acquire(t_og, nc_busy, bg)
-        s = owner.dram.acquire(s + nc_ns, self._t_dram_busy, bg)
+        t_og = og.phase(t_dir2, port)          # owner group bus
+        s = owner.nc.acquire(t_og, nc_busy, port)
+        s = owner.dram.acquire(s + nc_ns, self._t_dram_busy, port)
         t_am = s + self._t_dram_lat
-        t_og2 = og.phase(t_am, bg)
-        t_top2 = top.phase(t_og2, bg)          # top bus reply
-        t = lg.phase(t_top2 + nc_ns, bg)       # back down the local group
-        s = local.nc.acquire(t, nc_busy, bg)
+        t_og2 = og.phase(t_am, port)
+        t_top2 = top.phase(t_og2, port)        # top bus reply
+        t = lg.phase(t_top2 + nc_ns, port)     # back down the local group
+        s = local.nc.acquire(t, nc_busy, port)
         obs = self.obs
         if obs is not None:
             obs.phase("nc_out", t_out)
@@ -151,7 +151,7 @@ class HierarchicalComaMachine(ComaMachine):
         info = self.lines.maybe(line)
         lg = self.group_buses[self.group_of(node.id)]
         lg.record(TxKind.UPGRADE, t, node.id, line)
-        t = lg.phase(t, self._bg)
+        t = lg.phase(t, self._port)
         holder_groups: set[int] = set()
         if info is not None:
             holders = set(info.sharers)
@@ -163,7 +163,7 @@ class HierarchicalComaMachine(ComaMachine):
             # The directories know which groups hold copies: the erase
             # crosses the top bus and descends only into those groups.
             self.bus.record(TxKind.UPGRADE, t, node.id, line)
-            t = self.bus.phase(t, self._bg)
+            t = self.bus.phase(t, self._port)
             for g in holder_groups:
                 self.group_buses[g].record(TxKind.UPGRADE, t, node.id, line)
         return t
@@ -171,13 +171,13 @@ class HierarchicalComaMachine(ComaMachine):
     def charge_replacement(self, src, dst, now, data: bool, line: int = -1) -> None:
         lg = self.group_buses[self.group_of(src.id)]
         lg.record(TxKind.REPLACE_PROBE, now, src.id, line)
-        t = lg.phase(now, self._bg)
+        t = lg.phase(now, self._port)
         if not data:
             return
         assert dst is not None
         if self.same_group(src, dst):
             lg.record(TxKind.REPLACE_DATA, t, src.id, line)
-            t = lg.phase(t, self._bg)
+            t = lg.phase(t, self._port)
         else:
             dg = self.group_buses[self.group_of(dst.id)]
             for b, kind in (
@@ -186,10 +186,10 @@ class HierarchicalComaMachine(ComaMachine):
                 (dg, TxKind.REPLACE_DATA),
             ):
                 b.record(kind, t, src.id, line)
-            t = self.bus.phase(t, self._bg)
-            t = dg.phase(t, self._bg)
-        s = dst.nc.acquire(t, self._t_nc_busy, self._bg)
-        dst.dram.acquire(s + self._t_nc, self._t_dram_busy, self._bg)
+            t = self.bus.phase(t, self._port)
+            t = dg.phase(t, self._port)
+        s = dst.nc.acquire(t, self._t_nc_busy, self._port)
+        dst.dram.acquire(s + self._t_nc, self._t_dram_busy, self._port)
 
     def node_scan_order(self, exclude_id: int, rotor: int):
         """In-group receivers first (rotating), then the rest — evicted

@@ -63,7 +63,7 @@ from repro.common.hotpath import hotpath
 from repro.common.machine import WriteFront
 from repro.mem.address import AddressSpace
 from repro.timing.accounting import Counters
-from repro.timing.resource import Resource
+from repro.timing.resource import DEMAND, Resource
 
 #: Levels reported to the processor model for stall accounting.
 LEVEL_L1 = "l1"
@@ -76,10 +76,11 @@ class HitPath(NamedTuple):
     """What the simulation kernel's fused hit path needs, pre-bound.
 
     ``procs[p]`` is processor ``p``'s tuple ``(l1_tags, slc, slc_index,
-    slc_dirty, slc_lru, slc_port, am, am_index, am_state, am_lru,
-    shadow)``: the L1 tag vector, the SLC and node-AM line arrays with
-    their raw list columns, the SLC's :class:`Resource` and the node's
-    shadow tags (or None).  See :meth:`ComaMachine.hit_path`.
+    slc_dirty, slc_lru, slc_port, slc_free, am, am_index, am_state,
+    am_lru, shadow)``: the L1 tag vector, the SLC and node-AM line arrays
+    with their raw list columns, the SLC's :class:`Resource` and its
+    ``free`` list, and the node's shadow tags.  See
+    :meth:`ComaMachine.hit_path`.
     """
 
     procs: list
@@ -158,10 +159,8 @@ class ComaMachine(WriteFront):
         #: background actions (back-invalidations, relocations) so they
         #: charge resource occupancy at a sensible instant.
         self.now = 0
-        #: True while processing a posted (write-buffered) write: all
-        #: resource occupancy it causes goes to the background ports so
-        #: demand accesses are never queued behind it (read bypass).
-        self._bg = False
+        #: The resource port of the access in flight (see ``WriteFront``).
+        self._port = DEMAND
         #: The observation slot: None (the default) or the one
         #: :class:`repro.obs.sink.TraceSink` that ``Simulation.attach``
         #: composed (a span builder when span trees are on).  Every
@@ -191,9 +190,10 @@ class ComaMachine(WriteFront):
             slc = self.slcs[p].array
             node = self.nodes[self._node_of[p]]
             am = node.am
+            res = self.slc_res[p]
             procs.append((
                 self._l1_tags[p],
-                slc, slc.index, slc.dirty_a, slc.lru_a, self.slc_res[p],
+                slc, slc.index, slc.dirty_a, slc.lru_a, res, res.free,
                 am, am.index, am.state_a, am.lru_a, node.shadow,
             ))
         return HitPath(procs, self._l1_nsets, self._t_l1,
@@ -231,15 +231,14 @@ class ComaMachine(WriteFront):
         slc = self.slcs[proc]
         r = self.slc_res[proc]
         occ = self._t_slc_occ
-        if self._bg:
-            start = r.acquire(now, occ, True)
-        else:
-            start = r.next_free
-            if start < now:
-                start = now
-            r.next_free = start + occ
-            r.busy_ns += occ
-            r.uses += 1
+        free = r.free
+        port = self._port
+        start = free[port]
+        if start < now:
+            start = now
+        free[port] = start + occ
+        r.busy_ns += occ
+        r.uses += 1
         sw = slc.index.get(line)
         if sw is not None:
             sa = slc.array
@@ -257,20 +256,18 @@ class ComaMachine(WriteFront):
         am = node.am
         way = am.index.get(line)
         if way is not None:
-            done = self._am_access(node, now)
+            done = self._node_access(node.nc, node.dram, now)
             am.tick += 1
             am.lru_a[way] = am.tick
-            if shadow is not None:
-                shadow.access(line)
+            shadow.access(line)
             c.am_read_hits += 1
             self._fill_hierarchy(proc, node, line, way)
             if obs is not None:
                 obs.access(now, proc, "r", line, LEVEL_AM, done - now, addr)
             return done, LEVEL_AM
         if line in node.overflow:
-            done = self._am_access(node, now)
-            if shadow is not None:
-                shadow.access(line)
+            done = self._node_access(node.nc, node.dram, now)
+            shadow.access(line)
             c.overflow_read_hits += 1
             if obs is not None:
                 obs.access(now, proc, "r", line, LEVEL_AM, done - now, addr)
@@ -280,9 +277,8 @@ class ComaMachine(WriteFront):
             if sr is not None:
                 # Another local SLC supplies the line through the node
                 # controller (intra-node cache-to-cache).
-                done = self._am_access(node, now)
-                if shadow is not None:
-                    shadow.access(line)
+                done = self._node_access(node.nc, node.dram, now)
+                shadow.access(line)
                 c.slc_neighbor_hits += 1
                 self._fill_slc_resident(proc, node, line, sr)
                 if obs is not None:
@@ -293,8 +289,7 @@ class ComaMachine(WriteFront):
         # Read node miss.
         c.node_read_misses += 1
         self._classify_read_miss(node, line)
-        if shadow is not None:
-            shadow.access(line)
+        shadow.access(line)
         info = self.lines.get(line)
         owner = self.nodes[info.owner_node]
         self._record_remote(TxKind.READ_DATA, node, owner, line)
@@ -316,7 +311,7 @@ class ComaMachine(WriteFront):
         info.sharers.add(node.id)
         if obs is not None:
             obs.transition(t, node.id, line, "fill", "I", "S")
-        s = node.dram.acquire(t, self._t_dram_busy, self._bg)
+        s = node.dram.acquire(t, self._t_dram_busy, self._port)
         done = s + self._t_dram_lat + self._t_remote
         self._fill_hierarchy(proc, node, line, way)
         if obs is not None:
@@ -361,8 +356,7 @@ class ComaMachine(WriteFront):
             way = -1
 
         if local_state == EXCLUSIVE:
-            if shadow is not None:
-                shadow.access(line)
+            shadow.access(line)
             if way >= 0:
                 am.tick += 1
                 am.lru_a[way] = am.tick
@@ -371,7 +365,7 @@ class ComaMachine(WriteFront):
         if local_state == OWNER or local_state == SHARED:
             # Upgrade: erase every other copy, take exclusive ownership.
             c.upgrades += 1
-            s = node.nc.acquire(now, self._t_nc_busy, self._bg)
+            s = node.nc.acquire(now, self._t_nc_busy, self._port)
             t = self._upgrade_broadcast(node, line, s + self._t_nc)
             self._invalidate_others(line, node)
             if obs is not None:
@@ -393,8 +387,7 @@ class ComaMachine(WriteFront):
             # One clear() per exclusive branch; hoisting would tax the
             # branches that never touch it.
             info.sharers.clear()  # noqa: HOT003
-            if shadow is not None:
-                shadow.access(line)
+            shadow.access(line)
             return self._local_write_finish(proc, node, line, way, sr, slc_hit, t)
 
         # Write node miss: read-exclusive on the bus.
@@ -413,9 +406,8 @@ class ComaMachine(WriteFront):
         info.owner_node = node.id
         info.owner_loc = LOC_AM
         info.sharers.clear()
-        if shadow is not None:
-            shadow.access(line)
-        s = node.dram.acquire(t, self._t_dram_busy, self._bg)
+        shadow.access(line)
+        s = node.dram.acquire(t, self._t_dram_busy, self._port)
         t = s + self._t_dram_lat
         self._fill_hierarchy(proc, node, line, way)
         self.slcs[proc].mark_dirty(line)
@@ -441,22 +433,22 @@ class ComaMachine(WriteFront):
         """
         slc = self.slcs[proc]
         if slc_hit:
-            s = self.slc_res[proc].acquire(t, self._t_slc_occ, self._bg)
+            s = self.slc_res[proc].acquire(t, self._t_slc_occ, self._port)
             slc.mark_dirty(line)
             return s + self._t_slc, LEVEL_SLC
         if way >= 0:
-            done = self._am_access(node, t)
+            done = self._node_access(node.nc, node.dram, t)
             self._fill_hierarchy(proc, node, line, way)
             slc.mark_dirty(line)
             return done, LEVEL_AM
         if sr is not None:
             # Fetched from a neighbour SLC within the node (non-inclusive).
-            done = self._am_access(node, t)
+            done = self._node_access(node.nc, node.dram, t)
             self._fill_slc_resident(proc, node, line, sr)
             slc.mark_dirty(line)
             return done, LEVEL_AM
         # Owner copy parked in overflow: write at AM level, no SLC fill.
-        return self._am_access(node, t), LEVEL_AM
+        return self._node_access(node.nc, node.dram, t), LEVEL_AM
 
     # ------------------------------------------------------------------
     # protocol helpers
@@ -507,8 +499,7 @@ class ComaMachine(WriteFront):
                     raise ProtocolError(f"sharer {sid} lost line {line:#x}")
                 self._invalidate_mask(n, line, sr[0])
                 n.note_removed(line, REMOVED_INVALIDATED)
-                if n.shadow is not None:
-                    n.shadow.remove(line)
+                n.shadow.remove(line)
             c.invalidations_sent += 1
             if self.obs is not None:
                 self.obs.transition(self.now, sid, line, "invalidate",
@@ -524,15 +515,13 @@ class ComaMachine(WriteFront):
             elif info.owner_loc == LOC_OVERFLOW:
                 prev = onode.overflow.pop(line)
                 onode.note_removed(line, REMOVED_INVALIDATED)
-                if onode.shadow is not None:
-                    onode.shadow.remove(line)
+                onode.shadow.remove(line)
             else:  # LOC_SLC
                 sr = onode.slc_resident.pop(line)
                 prev = sr[1]
                 self._invalidate_mask(onode, line, sr[0])
                 onode.note_removed(line, REMOVED_INVALIDATED)
-                if onode.shadow is not None:
-                    onode.shadow.remove(line)
+                onode.shadow.remove(line)
             c.invalidations_sent += 1
             if self.obs is not None:
                 self.obs.transition(self.now, onode.id, line, "invalidate",
@@ -572,7 +561,7 @@ class ComaMachine(WriteFront):
         if aux:
             self._invalidate_mask(node, line, aux)
         node.removal_reason[line] = reason
-        if reason == REMOVED_INVALIDATED and node.shadow is not None:
+        if reason == REMOVED_INVALIDATED:
             node.shadow.remove(line)
         del am.index[line]
         am.line_a[way] = -1
@@ -588,7 +577,7 @@ class ComaMachine(WriteFront):
                 p = base + idx
                 self.slcs[p].invalidate(line)
                 self.l1s[p].invalidate(line)
-                self.slc_res[p].acquire(self.now, self._t_slc_occ, self._bg)
+                self.slc_res[p].acquire(self.now, self._t_slc_occ, self._port)
                 self.counters.back_invalidations += 1
             mask >>= 1
             idx += 1
@@ -667,7 +656,7 @@ class ComaMachine(WriteFront):
                 else:
                     am.aux_a[vw] &= ~bit
                     if dirty:
-                        node.dram.acquire(self.now, self._t_dram_busy, self._bg)
+                        node.dram.acquire(self.now, self._t_dram_busy, self._port)
                         self.counters.slc_writebacks += 1
         if line in idx:
             tags[line % self._l1_nsets] = line
@@ -710,7 +699,7 @@ class ComaMachine(WriteFront):
             if packed & 1:
                 # Dirty-writeback branches are exclusive; each resolves
                 # node.dram once, so there is no prefix worth hoisting.
-                node.dram.acquire(self.now, self._t_dram_busy, self._bg)  # noqa: HOT003
+                node.dram.acquire(self.now, self._t_dram_busy, self._port)  # noqa: HOT003
                 self.counters.slc_writebacks += 1
             return
         sr = node.slc_resident.get(line)
@@ -736,7 +725,7 @@ class ComaMachine(WriteFront):
         am.fill_way(way, line, state)
         node.note_present(line)
         info.owner_loc = LOC_AM
-        node.dram.acquire(self.now, self._t_dram_busy, self._bg)
+        node.dram.acquire(self.now, self._t_dram_busy, self._port)
         self.counters.slc_owner_reinserts += 1
 
     def _materialize_page(self, addr: int, node: ComaNode, now: int) -> None:
@@ -756,57 +745,6 @@ class ComaMachine(WriteFront):
                 self.obs.transition(now, node.id, line, "materialize",
                                     "I", "E")
 
-    @hotpath
-    def _am_access(self, node: ComaNode, t0: int) -> int:
-        """Charge one attraction-memory access: controller in, DRAM read,
-        controller return.  Contention-free latency 148 ns.
-
-        The foreground path opens the :class:`Resource` next-free math in
-        line (the totals are identical to three ``acquire`` calls); the
-        background path keeps the calls — posted writes are not latency
-        critical.
-        """
-        nc = node.nc
-        dram = node.dram
-        nc_busy = self._t_nc_busy
-        nc_ns = self._t_nc
-        dram_busy = self._t_dram_busy
-        if self._bg:
-            s = nc.bg_next_free
-            if s < t0:
-                s = t0
-            nc.bg_next_free = s + nc_busy
-            t = s + nc_ns
-            s = dram.bg_next_free
-            if s < t:
-                s = t
-            dram.bg_next_free = s + dram_busy
-            t = s + self._t_dram_lat
-            s = nc.bg_next_free
-            if s < t:
-                s = t
-            nc.bg_next_free = s + nc_busy
-        else:
-            s = nc.next_free
-            if s < t0:
-                s = t0
-            nc.next_free = s + nc_busy
-            t = s + nc_ns
-            s = dram.next_free
-            if s < t:
-                s = t
-            dram.next_free = s + dram_busy
-            t = s + self._t_dram_lat
-            s = nc.next_free
-            if s < t:
-                s = t
-            nc.next_free = s + nc_busy
-        nc.busy_ns += 2 * nc_busy
-        nc.uses += 2
-        dram.busy_ns += dram_busy
-        dram.uses += 1
-        return s + nc_ns
-
     # -- interconnect hooks (overridden by the hierarchical machine) -----
 
     def _record_remote(
@@ -818,7 +756,7 @@ class ComaMachine(WriteFront):
     def _upgrade_broadcast(self, node: ComaNode, line: int, t: int) -> int:
         """Broadcast an upgrade/erase; returns its completion time."""
         self.bus.record(TxKind.UPGRADE, t, node.id, line)
-        return self.bus.phase(t, self._bg)
+        return self.bus.phase(t, self._port)
 
     def charge_replacement(
         self,
@@ -833,12 +771,13 @@ class ComaMachine(WriteFront):
         bus = self.bus
         br = bus.resource
         bus_busy = bus._busy_ns
-        bg = self._bg
+        port = self._port
         obs = self.obs
         # SharedBus.phase and Resource.acquire, in line: the probe phase,
         # then with data the data phase and the receiver's NC and DRAM.
         bus.record(TxKind.REPLACE_PROBE, now, src.id, line)
-        b = br.bg_next_free if bg else br.next_free
+        bf = br.free
+        b = bf[port]
         if b < now:
             b = now
         free = b + bus_busy
@@ -853,10 +792,7 @@ class ComaMachine(WriteFront):
             phases = 2
             if obs is not None:
                 obs.bus_phase(bus.name, b - t, bus_busy)
-        if bg:
-            br.bg_next_free = free
-        else:
-            br.next_free = free
+        bf[port] = free
         br.busy_ns += phases * bus_busy
         br.uses += phases
         if not data:
@@ -867,19 +803,17 @@ class ComaMachine(WriteFront):
         dram = dst.dram
         nc_busy = self._t_nc_busy
         dram_busy = self._t_dram_busy
-        nc_free = nc.bg_next_free if bg else nc.next_free
-        s = nc_free if nc_free > t else t
-        nc_free = s + nc_busy
+        nf = nc.free
+        s = nf[port]
+        if s < t:
+            s = t
+        nf[port] = s + nc_busy
         t = s + self._t_nc
-        dram_free = dram.bg_next_free if bg else dram.next_free
-        s = dram_free if dram_free > t else t
-        dram_free = s + dram_busy
-        if bg:
-            nc.bg_next_free = nc_free
-            dram.bg_next_free = dram_free
-        else:
-            nc.next_free = nc_free
-            dram.next_free = dram_free
+        df = dram.free
+        s = df[port]
+        if s < t:
+            s = t
+        df[port] = s + dram_busy
         nc.busy_ns += nc_busy
         nc.uses += 1
         dram.busy_ns += dram_busy
@@ -895,105 +829,14 @@ class ComaMachine(WriteFront):
             if (rotor + k) % n != exclude_id
         ]
 
-    @hotpath
     def _remote_path(self, local: ComaNode, owner: ComaNode, now: int) -> int:
         """Charge the remote fetch up to data arrival at the local
-        controller: local NC, bus request, remote NC + DRAM, bus reply,
-        local NC.  The local allocate/fill and fixed overhead are added by
-        the caller (they differ between cached and uncached reads).
-
-        All seven resource acquisitions are opened in line as one
-        timeline over the four resources' next-free times, loaded from
-        and stored back to the background ports for a posted write and
-        the demand ports otherwise (grouped busy/uses totals, identical
-        timing to the ``acquire``/``phase`` calls).
-        """
-        # The owner holds the line and the local node does not, so the
-        # four resources are distinct and each runs on its own local.
+        controller (:meth:`_remote_fetch` over the one bus).  The local
+        allocate/fill and fixed overhead are added by the caller (they
+        differ between cached and uncached reads)."""
+        # The owner holds the line and the local node does not.
         assert local is not owner
-        nc_busy = self._t_nc_busy
-        nc_ns = self._t_nc
-        dram_busy = self._t_dram_busy
-        obs = self.obs
-        bg = self._bg
-        lnc = local.nc
-        onc = owner.nc
-        odram = owner.dram
-        bus = self.bus
-        br = bus.resource
-        bus_busy = bus._busy_ns
-        bus_phase = bus._phase_ns
-        if bg:
-            l_free = lnc.bg_next_free
-            b_free = br.bg_next_free
-            o_free = onc.bg_next_free
-            d_free = odram.bg_next_free
-        else:
-            l_free = lnc.next_free
-            b_free = br.next_free
-            o_free = onc.next_free
-            d_free = odram.next_free
-        # local NC out
-        s = l_free if l_free > now else now
-        l_free = s + nc_busy
-        t_out = s + nc_ns
-        # bus request phase
-        b_req = b_free if b_free > t_out else t_out
-        b_free = b_req + bus_busy
-        t = b_req + bus_phase
-        # owner NC in
-        s = o_free if o_free > t else t
-        o_free = s + nc_busy
-        t = s + nc_ns
-        # owner DRAM
-        s = d_free if d_free > t else t
-        d_free = s + dram_busy
-        t_am = s + self._t_dram_lat
-        # bus reply phase
-        b_rep = b_free if b_free > t_am else t_am
-        b_free = b_rep + bus_busy
-        t = b_rep + bus_phase
-        # local NC return
-        s = l_free if l_free > t else t
-        l_free = s + nc_busy
-        if bg:
-            lnc.bg_next_free = l_free
-            br.bg_next_free = b_free
-            onc.bg_next_free = o_free
-            odram.bg_next_free = d_free
-        else:
-            lnc.next_free = l_free
-            br.next_free = b_free
-            onc.next_free = o_free
-            odram.next_free = d_free
-        onc.busy_ns += nc_busy
-        onc.uses += 1
-        odram.busy_ns += dram_busy
-        odram.uses += 1
-        br.busy_ns += 2 * bus_busy
-        br.uses += 2
-        lnc.busy_ns += 2 * nc_busy
-        lnc.uses += 2
-        if obs is not None:
-            name = bus.name
-            if bg:
-                # Observers see a posted fetch's two bus waits before its
-                # phase checkpoints, a demand fetch's interleaved with them.
-                obs.bus_phase(name, b_req - t_out, bus_busy)
-                obs.bus_phase(name, b_rep - t_am, bus_busy)
-                obs.phase("nc_out", t_out)
-            else:
-                obs.phase("nc_out", t_out)
-                obs.bus_phase(name, b_req - t_out, bus_busy)
-            obs.phase("bus_arb", b_req)
-            obs.phase("bus_req", b_req + bus_phase)
-            obs.phase("remote_am", t_am)
-            if not bg:
-                obs.bus_phase(name, b_rep - t_am, bus_busy)
-            obs.phase("bus_arb", b_rep)
-            obs.phase("bus_reply", t)
-            obs.phase("nc_ret", s + nc_ns)
-        return s + nc_ns
+        return self._remote_fetch(local.nc, owner.nc, owner.dram, now)
 
     def _classify_read_miss(self, node: ComaNode, line: int) -> None:
         c = self.counters
@@ -1001,7 +844,7 @@ class ComaMachine(WriteFront):
             c.read_miss_cold += 1
         elif node.removal_reason.get(line) == REMOVED_INVALIDATED:
             c.read_miss_coherence += 1
-        elif node.shadow is not None and line in node.shadow:
+        elif line in node.shadow:
             c.read_miss_conflict += 1
         else:
             c.read_miss_capacity += 1

@@ -8,8 +8,6 @@ id); this class owns everything that is per-*node*.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.common.config import CacheGeometry, MachineConfig
 from repro.mem.soa import LineArray
 from repro.mem.shadow import ShadowTags
@@ -45,10 +43,9 @@ class ComaNode:
         self.ever: set[int] = set()
         #: Why a currently-absent line last left this node.
         self.removal_reason: dict[int, str] = {}
-        #: Fully-associative shadow for conflict classification (optional).
-        self.shadow: Optional[ShadowTags] = (
-            ShadowTags(am_geometry.num_lines) if config.track_miss_classes else None
-        )
+        #: Fully-associative shadow that classifies node read misses
+        #: (a miss it would have hit is a conflict miss).
+        self.shadow = ShadowTags(am_geometry.num_lines)
 
     def has_line(self, line: int) -> bool:
         """Node-level presence: AM, overflow buffer, or (non-inclusive

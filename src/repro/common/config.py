@@ -177,9 +177,6 @@ class MachineConfig:
     #: Enforce SLC/L1 subset-of-AM inclusion (paper default).  Setting this
     #: to False models the "break the inclusion" extension of section 4.2.
     inclusive: bool = True
-    #: Classify node misses into cold/coherence/conflict/capacity using a
-    #: fully-associative shadow directory per node.
-    track_miss_classes: bool = True
     #: Maximum relocation-cascade depth before a displaced owner line is
     #: parked in the node's victim overflow buffer.
     relocation_max_hops: int = 4

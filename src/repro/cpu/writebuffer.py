@@ -62,15 +62,21 @@ class WriteBuffer:
         return False
 
     def wait_for_slot(self, now: int) -> tuple[int, int]:
-        """Ensure a free entry exists; returns ``(new_now, stall_ns)``."""
-        self.prune(now)
-        stall = 0
-        if len(self.pending) >= self.capacity:
-            target = self.pending[0][0]
-            stall = target - now
-            now = target
+        """Ensure a free entry exists; returns ``(new_now, stall_ns)``.
+
+        Completed writes are retired only when the buffer is full, so a
+        write that :meth:`try_coalesce` has just pruned at ``now`` is not
+        pruned again at the same time.
+        """
+        pending = self.pending
+        if len(pending) < self.capacity:
+            return now, 0
+        target = pending[0][0]
+        if target <= now:
             self.prune(now)
-        return now, stall
+            return now, 0
+        self.prune(target)
+        return target, target - now
 
     def push(self, completion_time: int, line: int = -1) -> None:
         heapq.heappush(self.pending, (completion_time, line))

@@ -343,7 +343,6 @@ class RunSpec:
     nc_bandwidth_factor: float = 1.0
     bus_bandwidth_factor: float = 1.0
     inclusive: bool = True
-    track_miss_classes: bool = True
     am_victim_policy: str = "shared_first"
     replacement_receiver_policy: str = "accept"
     consistency: str = "rc"
@@ -355,6 +354,10 @@ class RunSpec:
         # float: hash the same Fraction so two float spellings of one
         # k/16 pressure (0.3 vs 0.1 + 0.2) share a single cache entry.
         fields["memory_pressure"] = str(_pressure_fraction(self.memory_pressure))
+        # Miss classification is no longer optional: the retired field is
+        # hashed at its one value, so existing cache entries and archived
+        # keys stay valid.
+        fields["track_miss_classes"] = True
         payload = json.dumps({"v": CACHE_VERSION, **fields}, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
@@ -387,7 +390,6 @@ def build_simulation(spec: RunSpec) -> Simulation:
         am_assoc=spec.am_assoc,
         memory_pressure=_pressure_fraction(spec.memory_pressure),
         inclusive=spec.inclusive,
-        track_miss_classes=spec.track_miss_classes,
         am_victim_policy=spec.am_victim_policy,
         replacement_receiver_policy=spec.replacement_receiver_policy,
         consistency=spec.consistency,

@@ -36,7 +36,7 @@ from repro.common.machine import WriteFront
 from repro.mem.address import AddressSpace
 from repro.numa.directory import Directory
 from repro.timing.accounting import Counters
-from repro.timing.resource import Resource
+from repro.timing.resource import DEMAND, Resource
 
 LEVEL_L1 = "l1"
 LEVEL_SLC = "slc"
@@ -66,7 +66,15 @@ class NumaMachine(WriteFront):
         self._shift = config.line_shift
         self._node_of = [config.node_of_proc(p) for p in range(n)]
         self.now = 0
-        self._bg = False  # posted-write background port selector
+        self._port = DEMAND  # the resource port of the access in flight
+        #: Timing interned once (the TimingConfig properties recompute the
+        #: bandwidth scaling on every read), as on the COMA machine.
+        tm = config.timing
+        self._t_nc = tm.nc_ns
+        self._t_nc_busy = tm.nc_busy_ns
+        self._t_dram_lat = tm.dram_latency_ns
+        self._t_dram_busy = tm.dram_busy_ns
+        self._t_remote = tm.remote_overhead_ns
         #: The observation slot, as on the COMA machine: None or the
         #: sink ``Simulation.attach`` composed; one ``if`` per site.
         self.obs = None
@@ -90,38 +98,6 @@ class NumaMachine(WriteFront):
             self.space.ensure_page(addr, node_id)
             self.counters.pages_allocated += 1
 
-    def _memory_access(self, node_id: int, t0: int) -> int:
-        tm = self.timing
-        s = self.nc[node_id].acquire(t0, tm.nc_busy_ns, self._bg)
-        t = s + tm.nc_ns
-        s = self.dram[node_id].acquire(t, tm.dram_busy_ns, self._bg)
-        t = s + tm.dram_latency_ns
-        s = self.nc[node_id].acquire(t, tm.nc_busy_ns, self._bg)
-        return s + tm.nc_ns
-
-    def _remote_access(self, local: int, home: int, now: int) -> int:
-        tm = self.timing
-        bus = self.bus
-        s = self.nc[local].acquire(now, tm.nc_busy_ns, self._bg)
-        t_out = s + tm.nc_ns
-        t_req = bus.phase(t_out, self._bg)
-        s = self.nc[home].acquire(t_req, tm.nc_busy_ns, self._bg)
-        s = self.dram[home].acquire(s + tm.nc_ns, tm.dram_busy_ns, self._bg)
-        t_am = s + tm.dram_latency_ns
-        t = bus.phase(t_am, self._bg)
-        s = self.nc[local].acquire(t, tm.nc_busy_ns, self._bg)
-        obs = self.obs
-        if obs is not None:
-            obs.phase("nc_out", t_out)
-            obs.phase("bus_arb", bus.arb_start(t_req))
-            obs.phase("bus_req", t_req)
-            obs.phase("remote_am", t_am)
-            obs.phase("bus_arb", bus.arb_start(t))
-            obs.phase("bus_reply", t)
-            obs.phase("nc_ret", s + tm.nc_ns)
-            obs.phase("fill_dram", s + tm.nc_ns + tm.dram_latency_ns)
-        return s + tm.nc_ns + tm.dram_latency_ns + tm.remote_overhead_ns
-
     # -- home-policy hooks (overridden by the UMA machine) ---------------
 
     def _miss(self, node: int, line: int, addr: int, now: int, kind: TxKind,
@@ -137,19 +113,22 @@ class NumaMachine(WriteFront):
         else:
             home = self._home_node(addr)
             if home == node:
-                return self._memory_access(node, now), LEVEL_AM
-        done = self._remote_access(node, home, now)
+                return (self._node_access(self.nc[node], self.dram[node], now),
+                        LEVEL_AM)
+        t = self._remote_fetch(self.nc[node], self.nc[home], self.dram[home],
+                               now) + self._t_dram_lat
+        if self.obs is not None:
+            self.obs.phase("fill_dram", t)
         self.bus.record(kind, self.now, node, line)
-        return done, LEVEL_REMOTE
+        return t + self._t_remote, LEVEL_REMOTE
 
     def _upgrade_hop(self, node: int, now: int) -> int:
         """The invalidation round's trip out through the node controller
         and across the bus; returns when it completes."""
-        tm = self.timing
-        s = self.nc[node].acquire(now, tm.nc_busy_ns, self._bg)
-        now = self.bus.phase(s + tm.nc_ns, self._bg)
+        s = self.nc[node].acquire(now, self._t_nc_busy, self._port)
+        now = self.bus.phase(s + self._t_nc, self._port)
         if self.obs is not None:
-            self.obs.phase("nc_out", s + tm.nc_ns)
+            self.obs.phase("nc_out", s + self._t_nc)
             self.obs.phase("upgrade_bus", now)
         return now
 
@@ -162,10 +141,10 @@ class NumaMachine(WriteFront):
         )
         if vhome is not None and vhome != node:
             self.bus.record(TxKind.REPLACE_DATA, self.now, node, vline)
-            self.bus.phase(self.now, self._bg)
+            self.bus.phase(self.now, self._port)
             self.counters.replacements += 1
         self.dram[vhome if vhome is not None else 0].acquire(
-            self.now, self.timing.dram_busy_ns, self._bg)
+            self.now, self._t_dram_busy, self._port)
 
     # ------------------------------------------------------------------
     def read(self, proc: int, addr: int, now: int) -> tuple[int, str]:
@@ -184,7 +163,7 @@ class NumaMachine(WriteFront):
             if obs is not None:
                 obs.access(now, proc, "r", line, LEVEL_L1, done - now, addr)
             return done, LEVEL_L1
-        start = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._bg)
+        start = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._port)
         if self.slcs[proc].lookup(line):
             c.slc_read_hits += 1
             self.l1s[proc].fill(line)
@@ -220,7 +199,7 @@ class NumaMachine(WriteFront):
         slc_hit = line in self.slcs[proc]
 
         if e.owner == proc and slc_hit:
-            s = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._bg)
+            s = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._port)
             self.slcs[proc].mark_dirty(line)
             return s + self.timing.slc_hit_ns, LEVEL_SLC
 
@@ -237,7 +216,7 @@ class NumaMachine(WriteFront):
         e.owner = proc
 
         if slc_hit:
-            s = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._bg)
+            s = self.slc_res[proc].acquire(now, self.timing.slc_occupancy_ns, self._port)
             self.slcs[proc].mark_dirty(line)
             return s + self.timing.slc_hit_ns, LEVEL_SLC
         c.node_write_misses += 1

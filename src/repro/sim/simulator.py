@@ -28,6 +28,7 @@ from repro.sim.results import SimulationResult
 from repro.obs.sink import TeeSink, TraceSink, tee
 from repro.obs.spans import SpanBuilder
 from repro.sync.primitives import SimBarrier, SimLock, SyncSpace
+from repro.timing.resource import POSTED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.coma.machine import ComaMachine, HitPath
@@ -194,7 +195,7 @@ class Simulation:
                     continue  # stale entry
                 if fused:
                     (l1_tags, slc, slc_index, slc_dirty, slc_lru, slc_port,
-                     am, am_index, am_state, am_lru, shadow) = fast
+                     slc_free, am, am_index, am_state, am_lru, shadow) = fast
                 limit = heap[0][0] if heap else NEVER
                 while True:
                     try:
@@ -255,15 +256,14 @@ class Simulation:
                         if way >= 0 and am_state[way] == excl:
                             # Exactly ComaMachine.write's local-hit path.
                             m.now = now
-                            if shadow is not None:
-                                shadow.access(line)
+                            shadow.access(line)
                             tick = am.tick + 1
                             am.tick = tick
                             am_lru[way] = tick
-                            s = slc_port.bg_next_free
+                            s = slc_free[POSTED]
                             if s < now:
                                 s = now
-                            slc_port.bg_next_free = s + slc_occ
+                            slc_free[POSTED] = s + slc_occ
                             slc_port.busy_ns += slc_occ
                             slc_port.uses += 1
                             sw = slc_index[line]

@@ -3,65 +3,55 @@
 The memory-system simulator "models contention effects for the node
 controllers, attraction memory DRAMs, second-level caches and the shared
 bus" (paper section 3.2).  Each such unit is a :class:`Resource`: a request
-arriving at time ``t`` begins service at ``max(t, next_free)`` and occupies
-the unit for its occupancy time.  Because the simulation kernel advances
+arriving at time ``t`` on a port begins service at ``max(t, free[port])``
+and occupies that port for its occupancy time.  Because the simulation kernel advances
 processors in global time order, requests reach each resource in
 non-decreasing time order and this models a FIFO queue exactly.
 """
 
 from __future__ import annotations
 
+#: Port indices into :attr:`Resource.free`: the demand port (reads,
+#: synchronizing writes) and the posted-write port (write-buffer drains).
+DEMAND = 0
+POSTED = 1
+
 
 class Resource:
     """One contended unit (an SLC, a node controller, a DRAM bank, a bus).
 
-    Each resource has two service timelines: the **foreground** port used
-    by demand accesses (reads, synchronizing writes), and a **background**
-    port used by posted writes draining from the write buffers.  Demand
+    ``free[port]`` is the next-free time of each of the two service
+    timelines, indexed by :data:`DEMAND` and :data:`POSTED`.  Demand
     accesses never queue behind posted writes — the read-bypass that every
     real memory system implements — while posted writes still serialize
     among themselves and their completion times reflect back-pressure
-    (write-buffer-full stalls, release drains).
+    (write-buffer-full stalls, release drains).  ``busy_ns`` and ``uses``
+    count both ports.
     """
 
-    __slots__ = ("name", "next_free", "bg_next_free", "busy_ns", "uses")
+    __slots__ = ("name", "free", "busy_ns", "uses")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.next_free = 0
-        self.bg_next_free = 0
+        self.free = [0, 0]
         self.busy_ns = 0
         self.uses = 0
 
-    def acquire(self, now: int, occupancy_ns: int, bg: bool = False) -> int:
-        """Occupy the resource for ``occupancy_ns`` starting no earlier
-        than ``now``; returns the service *start* time (>= now).
-
-        ``bg`` selects the background (posted-write) port.
-        """
-        if bg:
-            start = self.bg_next_free if self.bg_next_free > now else now
-            self.bg_next_free = start + occupancy_ns
-        else:
-            start = self.next_free if self.next_free > now else now
-            self.next_free = start + occupancy_ns
+    def acquire(self, now: int, occupancy_ns: int, port: int = DEMAND) -> int:
+        """Occupy ``port`` for ``occupancy_ns`` starting no earlier than
+        ``now``; returns the service *start* time (>= now)."""
+        free = self.free
+        start = free[port]
+        if start < now:
+            start = now
+        free[port] = start + occupancy_ns
         self.busy_ns += occupancy_ns
         self.uses += 1
         return start
-
-    def wait_time(self, now: int) -> int:
-        """Queueing delay a request arriving at ``now`` would see."""
-        return self.next_free - now if self.next_free > now else 0
 
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of ``elapsed_ns`` the resource was busy."""
         return self.busy_ns / elapsed_ns if elapsed_ns > 0 else 0.0
 
-    def reset(self) -> None:
-        self.next_free = 0
-        self.bg_next_free = 0
-        self.busy_ns = 0
-        self.uses = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Resource({self.name!r}, next_free={self.next_free}, uses={self.uses})"
+        return f"Resource({self.name!r}, free={self.free}, uses={self.uses})"

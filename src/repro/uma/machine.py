@@ -40,20 +40,19 @@ class UmaMachine(NumaMachine):
         """Bus request, interleaved central bank, bus reply.  A dirty copy
         in another cache is flushed by the snoop, so ``owner`` costs
         nothing extra."""
-        tm = self.timing
         self.bus.record(kind, self.now, node, line)
-        t = self.bus.phase(now, self._bg)
-        s = self.banks[line % N_BANKS].acquire(t, tm.dram_busy_ns, self._bg)
-        t = self.bus.phase(s + tm.dram_latency_ns, self._bg)
-        return t + tm.nc_ns + tm.remote_overhead_ns, LEVEL_REMOTE
+        t = self.bus.phase(now, self._port)
+        s = self.banks[line % N_BANKS].acquire(t, self._t_dram_busy, self._port)
+        t = self.bus.phase(s + self._t_dram_lat, self._port)
+        return t + self._t_nc + self._t_remote, LEVEL_REMOTE
 
     def _upgrade_hop(self, node: int, now: int) -> int:
         """The invalidation round takes the bus phase alone."""
-        return self.bus.phase(now, self._bg)
+        return self.bus.phase(now, self._port)
 
     def _write_back(self, proc: int, vline: int) -> None:
         """A dirty SLC victim crosses the bus to its central bank."""
         self.bus.record(TxKind.REPLACE_DATA, self.now, self._node_of[proc], vline)
-        t = self.bus.phase(self.now, self._bg)
-        self.banks[vline % N_BANKS].acquire(t, self.timing.dram_busy_ns, self._bg)
+        t = self.bus.phase(self.now, self._port)
+        self.banks[vline % N_BANKS].acquire(t, self._t_dram_busy, self._port)
         self.counters.replacements += 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.bus.sharedbus import SharedBus
 from repro.bus.transaction import HEADER_BYTES, TxClass, TxKind, message_bytes
 from repro.common.config import TimingConfig
+from repro.timing.resource import POSTED
 
 
 class TestTransaction:
@@ -14,6 +15,12 @@ class TestTransaction:
         assert TxKind.UPGRADE.tx_class is TxClass.WRITE
         assert TxKind.REPLACE_DATA.tx_class is TxClass.REPLACE
         assert TxKind.REPLACE_PROBE.tx_class is TxClass.REPLACE
+
+    def test_no_kind_is_an_alias(self):
+        """Two kinds declared with the same value would make Enum alias
+        the second to the first, hiding it from ``list(TxKind)`` and the
+        per-kind tables."""
+        assert len(TxKind.__members__) == len(TxKind)
 
     def test_message_bytes(self):
         assert message_bytes(TxKind.READ_DATA, 64) == 64 + HEADER_BYTES
@@ -33,9 +40,9 @@ class TestSharedBus:
 
     def test_background_phase_port(self):
         bus = SharedBus(TimingConfig(), 64)
-        assert bus.phase(0, bg=True) == 20
+        assert bus.phase(0, port=POSTED) == 20
         assert bus.phase(0) == 20, "demand phase unaffected by posted one"
-        assert bus.phase(0, bg=True) == 40, "posted phases serialize"
+        assert bus.phase(0, port=POSTED) == 40, "posted phases serialize"
 
     def test_traffic_metering(self):
         bus = SharedBus(TimingConfig(), 64)

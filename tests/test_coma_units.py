@@ -67,14 +67,13 @@ class TestLineTable:
 
 
 class TestComaNode:
-    def _node(self, track=True):
+    def _node(self):
         cfg = MachineConfig(
             n_processors=4,
             procs_per_node=2,
             am_bytes_per_node=8 * 4 * 64,
             slc_bytes=512,
             l1_bytes=128,
-            track_miss_classes=track,
         )
         return ComaNode(0, CacheGeometry(8, 4, 64), cfg)
 
@@ -92,10 +91,6 @@ class TestComaNode:
         assert n.removal_reason[7] == "inv"
         n.note_present(7)
         assert 7 not in n.removal_reason, "re-presence clears the reason"
-
-    def test_shadow_optional(self):
-        assert self._node(track=True).shadow is not None
-        assert self._node(track=False).shadow is None
 
     def test_owned_lines_in_am(self):
         n = self._node()

@@ -9,6 +9,9 @@ from repro.common.config import MachineConfig
 from repro.common.errors import ConfigError
 from repro.cpu.writebuffer import WriteBuffer
 from repro.experiments.runner import RunSpec, build_simulation
+from repro.sim.simulator import Simulation
+from repro.sync.primitives import SyncSpace
+from tests.conftest import make_machine
 
 
 class TestConfigValidation:
@@ -98,3 +101,37 @@ class TestCoalescedSimulation:
         sim.check_every = 20_000
         sim.run()
         sim.machine.check_consistency()
+
+    def test_one_prune_per_write(self, monkeypatch):
+        """A coalescing write prunes its buffer once at issue, and once
+        more only when it waits for a slot."""
+        machine = make_machine(write_buffer_coalescing=True)
+        stores = [("w", (k % 32) * 64) for k in range(400)]
+        sim = Simulation(machine, [iter(stores)] + [iter(()) for _ in range(3)],
+                         SyncSpace(machine.space, 64, 1, 1))
+        writes = []  # per store reaching the buffer: [prunes, stall_ns]
+        prune = WriteBuffer.prune
+        try_coalesce = WriteBuffer.try_coalesce
+        wait_for_slot = WriteBuffer.wait_for_slot
+
+        def counted_prune(wb, now):
+            writes[-1][0] += 1
+            prune(wb, now)
+
+        def counted_try(wb, line, now):
+            writes.append([0, 0])
+            return try_coalesce(wb, line, now)
+
+        def counted_wait(wb, now):
+            now, writes[-1][1] = wait_for_slot(wb, now)
+            return now, writes[-1][1]
+
+        monkeypatch.setattr(WriteBuffer, "prune", counted_prune)
+        monkeypatch.setattr(WriteBuffer, "try_coalesce", counted_try)
+        monkeypatch.setattr(WriteBuffer, "wait_for_slot", counted_wait)
+        sim.run()
+        free = [n for n, stall in writes if stall == 0]
+        waited = [n for n, stall in writes if stall > 0]
+        assert free and waited, "the stream must both fill and free the buffer"
+        assert set(free) == {1}
+        assert max(waited) <= 2

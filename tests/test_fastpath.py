@@ -85,11 +85,11 @@ def snapshot(sim: Simulation, result) -> dict:
         "nodes": [
             (dict(n.overflow), {k: list(v) for k, v in n.slc_resident.items()},
              sorted(n.ever), dict(n.removal_reason),
-             None if n.shadow is None else list(n.shadow._lines))
+             list(n.shadow._lines))
             for n in m.nodes
         ],
         "resources": [
-            (r.name, r.next_free, r.bg_next_free, r.busy_ns, r.uses)
+            (r.name, *r.free, r.busy_ns, r.uses)
             for r in resources
         ],
         "write_buffers": [
