@@ -551,11 +551,6 @@ class BoundsCertifier(TraceSink):
         self.checked = 0
         self._counts: dict[str, int] = {r: 0 for r in BOUNDS_RULES}
 
-    # -- event intake ---------------------------------------------------
-
-    def emit(self, ev: Any) -> None:
-        pass
-
     def finalize(self) -> None:
         """End-of-run hook (call once, after the run).  Every tree was
         already checked as it completed, so nothing is left to flush."""

@@ -44,14 +44,6 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 from repro.analysis.model import ProtocolModel, Step
 from repro.coma.protocol import TRANSITIONS, Transition
 from repro.coma.states import SHARED, state_name
-from repro.obs.events import (
-    EV_ACCESS,
-    EV_REPLACEMENT,
-    EV_TRANSITION,
-    MemAccess,
-    Replacement,
-)
-from repro.obs.events import Transition as TransitionEvent
 from repro.obs.sink import TraceSink
 
 #: One coverage cell: (state letter, event, sharer tag).  ``tag`` is
@@ -222,58 +214,46 @@ class CoverageMap(TraceSink):
 
     # -- event handlers -------------------------------------------------
 
-    def emit(self, ev: object) -> None:
-        kind = getattr(ev, "kind", None)
-        if kind == EV_ACCESS:
-            assert isinstance(ev, MemAccess)
-            self._access(ev)
-        elif kind == EV_TRANSITION:
-            assert isinstance(ev, TransitionEvent)
-            self._transition(ev)
-        elif kind == EV_REPLACEMENT:
-            assert isinstance(ev, Replacement)
-            self._replacement(ev)
-
-    def _transition(self, ev: TransitionEvent) -> None:
-        cause = ev.cause
+    def transition(self, t: int, node: int, line: int, cause: str,
+                   before: str, after: str) -> None:
         if cause == "fill":
             self.exercised.add(("I", "local_read", NO_TAG))
-            self._pending.add(ev.line)
+            self._pending.add(line)
         elif cause == "read_exclusive":
             self.exercised.add(("I", "local_write", NO_TAG))
-            self._pending.add(ev.line)
+            self._pending.add(line)
         elif cause == "upgrade":
-            self.exercised.add((ev.before, "local_write", NO_TAG))
-            self._pending.add(ev.line)
+            self.exercised.add((before, "local_write", NO_TAG))
+            self._pending.add(line)
         elif cause == "invalidate":
-            self.exercised.add((ev.before, "remote_write", NO_TAG))
+            self.exercised.add((before, "remote_write", NO_TAG))
         elif cause == "remote_read":
-            self.exercised.add((ev.before, "remote_read", NO_TAG))
-            self._degraded.add(ev.line)
+            self.exercised.add((before, "remote_read", NO_TAG))
+            self._degraded.add(line)
         elif cause == "drop":
             self.exercised.add(("S", "evict", NO_TAG))
         elif cause == "inject":
-            tag = "alone" if ev.after == "E" else "sharers"
-            self.exercised.add((ev.before, "inject", tag))
+            tag = "alone" if after == "E" else "sharers"
+            self.exercised.add((before, "inject", tag))
         # "materialize" is first-touch page creation, not a table cell.
 
-        mirror = self._mirror.setdefault(ev.line, {})
-        if ev.after == "I":
-            mirror.pop(ev.node, None)
+        mirror = self._mirror.setdefault(line, {})
+        if after == "I":
+            mirror.pop(node, None)
         else:
-            mirror[ev.node] = ev.after
+            mirror[node] = after
 
-    def _access(self, ev: MemAccess) -> None:
-        line = ev.line
-        event = "local_read" if ev.op == "r" else "local_write"
+    def access(self, t: int, proc: int, op: str, line: int, level: str,
+               latency_ns: int, addr: int = -1) -> None:
+        event = "local_read" if op == "r" else "local_write"
         mirror = self._mirror.get(line)
-        if ev.level == "remote":
-            if ev.op == "r" and line not in self._degraded and mirror:
+        if level == "remote":
+            if op == "r" and line not in self._degraded and mirror:
                 # The supplier served the read without a state change:
                 # it was already Owner (or the snoop found it Exclusive
                 # and the transition event was filtered).  Attribute the
                 # silent supply to the owning node's cell.
-                node = self._node_of[ev.proc] if ev.proc < len(self._node_of) else -1
+                node = self._node_of[proc] if proc < len(self._node_of) else -1
                 for n, s in mirror.items():
                     if n != node and s in ("E", "O"):
                         self.exercised.add((s, "remote_read", NO_TAG))
@@ -282,20 +262,21 @@ class CoverageMap(TraceSink):
                 # Uncached fallback paths complete without a fill.
                 self.exercised.add(("I", event, NO_TAG))
         elif line not in self._pending:
-            node = self._node_of[ev.proc] if ev.proc < len(self._node_of) else -1
+            node = self._node_of[proc] if proc < len(self._node_of) else -1
             state = (mirror or {}).get(node)
             if state is not None:
                 self.exercised.add((state, event, NO_TAG))
         self._pending.discard(line)
         self._degraded.discard(line)
 
-    def _replacement(self, ev: Replacement) -> None:
-        if ev.outcome not in _EVICTING_OUTCOMES:
+    def replacement(self, t: int, src: int, dst: int, line: int,
+                    outcome: str, hops: int) -> None:
+        if outcome not in _EVICTING_OUTCOMES:
             return
-        mirror = self._mirror.get(ev.line)
+        mirror = self._mirror.get(line)
         if not mirror:
             return
-        state = mirror.pop(ev.src, None)
+        state = mirror.pop(src, None)
         if state in ("E", "O"):
             self.exercised.add((state, "evict", NO_TAG))
 

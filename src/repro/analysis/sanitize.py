@@ -1,6 +1,6 @@
 """Coherence sanitizer: dynamic race, value and liveness checking (R/V/L rules).
 
-A :class:`CoherenceSanitizer` is a :class:`repro.obs.sink.TraceSink` —
+A :class:`CoherenceSanitizer` is a :class:`repro.obs.sink.EventSink` —
 attach it to any simulation (``sim.attach(...)``, alone or next to
 other observers) and it checks the live event stream against three
 property families, reporting findings in the shared
@@ -49,7 +49,7 @@ from typing import Iterable, Optional
 from repro.analysis.report import AnalysisReport, Finding
 from repro.mem.shadow import ShadowMemory
 from repro.obs.events import format_event
-from repro.obs.sink import TraceSink
+from repro.obs.sink import EventSink
 from repro.workloads.base import SHARING_PRIVATE, SHARING_SYNC
 
 #: Default number of trailing events attached to each finding.
@@ -66,7 +66,7 @@ _MOVING_OUTCOMES = frozenset({"to_sharer", "to_invalid", "to_shared", "cascade"}
 _LOCAL_LEVELS = frozenset({"l1", "slc", "am"})
 
 
-class CoherenceSanitizer(TraceSink):
+class CoherenceSanitizer(EventSink):
     """Checks a live event stream for races, stale values and ping-pong.
 
     Parameters
@@ -114,7 +114,8 @@ class CoherenceSanitizer(TraceSink):
         self.pingpong_threshold = pingpong_threshold
         self.max_findings = max_findings
         self.provenance = provenance
-        self._window: deque[str] = deque(maxlen=max(1, window))
+        #: The last ``window`` events, formatted only into a finding.
+        self._window: deque = deque(maxlen=max(1, window))
 
         # -- R-rules: vector clocks ------------------------------------
         self._vc: dict[int, dict[int, int]] = {}
@@ -153,7 +154,7 @@ class CoherenceSanitizer(TraceSink):
 
     def emit(self, ev) -> None:
         self.stats["events"] += 1
-        self._window.append(format_event(ev))
+        self._window.append(ev)
         kind = ev.kind
         if kind == "access":
             self.stats["accesses"] += 1
@@ -435,7 +436,7 @@ class CoherenceSanitizer(TraceSink):
             )
             return
         detail = "last events before the finding:\n" + "\n".join(
-            "  " + line for line in self._window
+            "  " + format_event(ev) for ev in self._window
         )
         self.findings.append(
             Finding(rule=rule, message=message, path=where, detail=detail)

@@ -88,31 +88,18 @@ class HierarchicalComaMachine(ComaMachine):
             )
 
     def _remote_path(self, local: ComaNode, owner: ComaNode, now: int) -> int:
+        lg = self.group_buses[self.group_of(local.id)]
+        if self.same_group(local, owner):
+            # Snooped within the group: owner answers over the group bus.
+            return self._remote_fetch(local.nc, owner.nc, owner.dram, now,
+                                      lg, "gbus_req", "gbus_reply")
+        # Group directory forwards over the top bus to the owner group.
         nc_busy = self._t_nc_busy
         nc_ns = self._t_nc
         port = self._port
-        lg = self.group_buses[self.group_of(local.id)]
         s = local.nc.acquire(now, nc_busy, port)
         t_out = s + nc_ns
-        t_req = lg.phase(t_out, port)  # group bus request
-        if self.same_group(local, owner):
-            # Snooped within the group: owner answers over the group bus.
-            s = owner.nc.acquire(t_req, nc_busy, port)
-            s = owner.dram.acquire(s + nc_ns, self._t_dram_busy, port)
-            t_am = s + self._t_dram_lat
-            t = lg.phase(t_am, port)
-            s = local.nc.acquire(t, nc_busy, port)
-            obs = self.obs
-            if obs is not None:
-                obs.phase("nc_out", t_out)
-                obs.phase("bus_arb", lg.arb_start(t_req))
-                obs.phase("gbus_req", t_req)
-                obs.phase("remote_am", t_am)
-                obs.phase("bus_arb", lg.arb_start(t))
-                obs.phase("gbus_reply", t)
-                obs.phase("nc_ret", s + nc_ns)
-            return s + nc_ns
-        # Group directory forwards over the top bus to the owner group.
+        t_req = lg.phase(t_out, port)          # group bus request
         top = self.bus
         og = self.group_buses[self.group_of(owner.id)]
         t_dir = t_req + nc_ns                  # local group directory lookup

@@ -836,7 +836,8 @@ class ComaMachine(WriteFront):
         differ between cached and uncached reads)."""
         # The owner holds the line and the local node does not.
         assert local is not owner
-        return self._remote_fetch(local.nc, owner.nc, owner.dram, now)
+        return self._remote_fetch(local.nc, owner.nc, owner.dram, now,
+                                  self.bus, "bus_req", "bus_reply")
 
     def _classify_read_miss(self, node: ComaNode, line: int) -> None:
         c = self.counters

@@ -6,12 +6,14 @@ with the counter bump and the observer's ``begin``/``access`` pair, so
 the COMA, hierarchical-COMA, NUMA and UMA machines differ only in what
 that access does.  It also holds the two timelines the COMA and NUMA
 machines both charge: one memory access at a node
-(:meth:`WriteFront._node_access`) and one fetch across the bus from
-another node (:meth:`WriteFront._remote_fetch`).
+(:meth:`WriteFront._node_access`) and one fetch across a bus from
+another node (:meth:`WriteFront._remote_fetch`), which the hierarchical
+machine's in-group fetch also charges on its group bus.
 """
 
 from __future__ import annotations
 
+from repro.bus.sharedbus import SharedBus
 from repro.common.hotpath import hotpath
 from repro.timing.resource import DEMAND, POSTED, Resource
 
@@ -20,8 +22,8 @@ class WriteFront:
     """Write-class entry points over a subclass's ``_write_access``, and
     the shared node-access and remote-fetch timelines.
 
-    A subclass provides ``counters``, the ``obs`` slot, ``bus``, ``_shift``
-    (log2 of the line size), the interned timing ints ``_t_nc``,
+    A subclass provides ``counters``, the ``obs`` slot, ``_shift`` (log2
+    of the line size), the interned timing ints ``_t_nc``,
     ``_t_nc_busy``, ``_t_dram_lat`` and ``_t_dram_busy``, the ``_port``
     every hold of the current access takes (``DEMAND`` at rest) and
     ``_write_access(proc, addr, now) -> (completion_time, level)``.
@@ -115,11 +117,12 @@ class WriteFront:
 
     @hotpath
     def _remote_fetch(self, lnc: Resource, onc: Resource, odram: Resource,
-                      now: int) -> int:
+                      now: int, bus: SharedBus, req: str, reply: str) -> int:
         """Charge a fetch from another node up to data arrival at the
-        local controller ``lnc``: local NC out, bus request, owner NC
-        ``onc`` and DRAM ``odram``, bus reply, local NC return.  The
-        caller adds the local fill and the fixed overhead.
+        local controller ``lnc``: local NC out, a request phase on
+        ``bus``, owner NC ``onc`` and DRAM ``odram``, a reply phase, local
+        NC return.  ``req`` and ``reply`` name the two bus phases' spans.
+        The caller adds the local fill and the fixed overhead.
 
         Each step reads and writes its own resource's slot, so the
         timeline stays exact when ``lnc is onc``.
@@ -128,7 +131,6 @@ class WriteFront:
         nc_busy = self._t_nc_busy
         nc_ns = self._t_nc
         dram_busy = self._t_dram_busy
-        bus = self.bus
         br = bus.resource
         bus_busy = bus._busy_ns
         bus_phase = bus._phase_ns
@@ -185,10 +187,10 @@ class WriteFront:
             obs.phase("nc_out", t_out)
             obs.bus_phase(name, b_req - t_out, bus_busy)
             obs.phase("bus_arb", b_req)
-            obs.phase("bus_req", b_req + bus_phase)
+            obs.phase(req, b_req + bus_phase)
             obs.phase("remote_am", t_am)
             obs.bus_phase(name, b_rep - t_am, bus_busy)
             obs.phase("bus_arb", b_rep)
-            obs.phase("bus_reply", t)
+            obs.phase(reply, t)
             obs.phase("nc_ret", s + nc_ns)
         return s + nc_ns

@@ -116,7 +116,8 @@ class NumaMachine(WriteFront):
                 return (self._node_access(self.nc[node], self.dram[node], now),
                         LEVEL_AM)
         t = self._remote_fetch(self.nc[node], self.nc[home], self.dram[home],
-                               now) + self._t_dram_lat
+                               now, self.bus, "bus_req", "bus_reply"
+                               ) + self._t_dram_lat
         if self.obs is not None:
             self.obs.phase("fill_dram", t)
         self.bus.record(kind, self.now, node, line)

@@ -10,7 +10,8 @@ every figure is explainable.  Everything here enters a run through
 * :mod:`repro.obs.events`      — the typed event taxonomy;
 * :mod:`repro.obs.sink`        — the :class:`TraceSink` receiver interface:
   the one observation channel (machines, buses and the kernel emit
-  through one ``obs`` slot; ``None`` costs one ``if`` per site);
+  through one ``obs`` slot; ``None`` costs one ``if`` per site), and
+  :class:`EventSink`, the adapter for sinks that keep event objects;
 * :mod:`repro.obs.flight`      — bounded ring-buffer flight recorder,
   dumped automatically when a simulation dies;
 * :mod:`repro.obs.jsonl`       — deterministic JSON-lines writer/reader;
@@ -73,7 +74,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.openmetrics import parse_openmetrics, to_openmetrics
 from repro.obs.profiler import SharingProfiler, format_profile
-from repro.obs.sink import CollectorSink, TeeSink, TraceSink
+from repro.obs.sink import CollectorSink, EventSink, TeeSink, TraceSink
 from repro.obs.spans import (
     SpanBuilder,
     StallAttribution,
@@ -87,6 +88,7 @@ __all__ = [
     "ChromeTraceSink",
     "CollectorSink",
     "Counter",
+    "EventSink",
     "FlightRecorder",
     "Gauge",
     "Histogram",

@@ -11,7 +11,7 @@ what ``coma-sim explain --line`` prints.
 from __future__ import annotations
 
 from repro.obs.events import EV_REPLACEMENT, EV_TRANSITION, format_event
-from repro.obs.sink import TraceSink
+from repro.obs.sink import EventSink
 
 #: Transition causes after which the acting node is the (sole) owner.
 _TAKES_OWNERSHIP = frozenset({
@@ -19,7 +19,7 @@ _TAKES_OWNERSHIP = frozenset({
 })
 
 
-class LineBiography(TraceSink):
+class LineBiography(EventSink):
     """Index every line-bearing event by line number."""
 
     def __init__(self) -> None:

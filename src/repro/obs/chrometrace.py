@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.obs.sink import TraceSink
+from repro.obs.sink import TraceSink, expand_tree
 
 #: Synthetic process ids: one "process" per hardware layer.
 PID_PROCESSORS = 1
@@ -128,29 +128,10 @@ class ChromeTraceSink(TraceSink):
                 "name": "process_name", "args": {"name": "spans"},
             })
 
-    # -- plumbing -------------------------------------------------------
+    #: A span tree is drawn span by span.
+    tree = expand_tree
 
-    def emit(self, ev) -> None:
-        """Route a pre-built event object through the typed methods."""
-        kind = ev.kind
-        if kind == "access":
-            self.access(ev.t, ev.proc, ev.op, ev.line, ev.level,
-                        ev.latency_ns, ev.addr)
-        elif kind == "transition":
-            self.transition(ev.t, ev.node, ev.line, ev.cause,
-                            ev.before, ev.after)
-        elif kind == "bus":
-            self.bus(ev.t, ev.bus, ev.tx, ev.cls, ev.nbytes,
-                     ev.origin, ev.line)
-        elif kind == "replacement":
-            self.replacement(ev.t, ev.src, ev.dst, ev.line,
-                             ev.outcome, ev.hops)
-        elif kind == "sync":
-            self.sync(ev.t, ev.proc, ev.primitive, ev.obj, ev.wait_ns)
-        elif kind == "span":
-            self.span(ev.t, ev.dur_ns, ev.trace_id, ev.span_id,
-                      ev.parent_id, ev.name, ev.proc, ev.line, ev.op,
-                      ev.level, ev.relocs)
+    # -- plumbing -------------------------------------------------------
 
     def _add(self, d: dict) -> None:
         self.trace_events.append(d)

@@ -14,10 +14,10 @@ from collections import deque
 from typing import Optional
 
 from repro.obs.events import format_event
-from repro.obs.sink import TraceSink
+from repro.obs.sink import EventSink
 
 
-class FlightRecorder(TraceSink):
+class FlightRecorder(EventSink):
     """Keep the most recent ``capacity`` events; dump on demand."""
 
     def __init__(self, capacity: int = 4096,

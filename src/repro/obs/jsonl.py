@@ -13,10 +13,10 @@ from pathlib import Path
 from typing import Iterator, Union
 
 from repro.obs.events import record_to_event
-from repro.obs.sink import TraceSink
+from repro.obs.sink import EventSink
 
 
-class JsonlTraceSink(TraceSink):
+class JsonlTraceSink(EventSink):
     """Stream events to a ``.jsonl`` file (or any text file object)."""
 
     def __init__(self, out: Union[str, Path, io.TextIOBase]) -> None:

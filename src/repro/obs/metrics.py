@@ -458,19 +458,6 @@ class MetricsSink(TraceSink):
             if value:
                 self.events.labels(name).inc(value)
 
-    def transition(self, t, node, line, cause, before, after):
-        pass
-
-    def syncop(self, t, proc, op, primitive, obj):
-        pass
-
-    def tree(self, t0, t, trace_id, root_id, proc, line, op, level, relocs,
-             names, starts, ends):
-        pass
-
-    def emit(self, ev) -> None:
-        pass
-
 
 class ExperimentInstruments:
     """Pre-bound experiment-layer children (``experiments_*`` families).

@@ -13,13 +13,16 @@ per site — no event objects are ever allocated.
 composes every attached sink into one :class:`TeeSink` — a
 :class:`repro.obs.spans.SpanBuilder`, the tee that also builds span
 trees, when any of them wants spans.
-The typed entry points below build the event dataclasses and route them
-through :meth:`TraceSink.emit`, the one method concrete sinks implement;
-sinks that never need the event object (the metrics sink, the Chrome
-exporter) override the typed entry points instead.  A completed span
-tree arrives whole through :meth:`TraceSink.tree`, which by default
-expands into one :meth:`TraceSink.span` call per span; sinks that fold
-trees (stall attribution, the bounds certifier) override it.
+
+Every entry point of :class:`TraceSink` does nothing: a sink overrides
+the typed calls it reads, and nothing else reaches it.  Sinks that keep
+or write whole events (the collector, the JSONL writer, the flight
+recorder, line biographies, the coherence sanitizer) derive from
+:class:`EventSink`, the one adapter that turns typed calls into event
+dataclasses and hands each to :meth:`EventSink.emit`.  A completed span
+tree arrives whole through :meth:`TraceSink.tree`; :func:`expand_tree`
+turns it into one :meth:`TraceSink.span` call per span for sinks that
+draw or keep spans one by one.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.obs.events import (
 
 
 class TraceSink:
-    """Base sink: typed entry points funnel into :meth:`emit`."""
+    """The receiver interface: every entry point is a no-op."""
 
     #: Span emission is opt-in: building a span tree per access costs
     #: allocations the classic flat events avoid, so ``Simulation.attach``
@@ -49,39 +52,38 @@ class TraceSink:
 
     def bind(self, machine) -> None:
         """Learn the machine's shape before the first event (called by
-        ``Simulation.attach``).  No-op by default."""
+        ``Simulation.attach``)."""
 
     # -- emission API used by the instrumented machines ----------------
 
     def access(self, t: int, proc: int, op: str, line: int,
                level: str, latency_ns: int, addr: int = -1) -> None:
-        self.emit(MemAccess(t, proc, op, line, level, latency_ns, addr))
+        """One processor operation completed (:class:`MemAccess`)."""
 
     def transition(self, t: int, node: int, line: int, cause: str,
                    before: str, after: str) -> None:
-        self.emit(Transition(t, node, line, cause, before, after))
+        """One protocol state change (:class:`Transition`)."""
 
     def bus(self, t: int, bus: str, tx: str, cls: str, nbytes: int,
             origin: int, line: int) -> None:
-        self.emit(BusTx(t, bus, tx, cls, nbytes, origin, line))
+        """One metered bus transaction (:class:`BusTx`)."""
 
     def replacement(self, t: int, src: int, dst: int, line: int,
                     outcome: str, hops: int) -> None:
-        self.emit(Replacement(t, src, dst, line, outcome, hops))
+        """One replacement step (:class:`Replacement`)."""
 
     def sync(self, t: int, proc: int, primitive: str, obj: int,
              wait_ns: int) -> None:
-        self.emit(SyncStall(t, proc, primitive, obj, wait_ns))
+        """One completed lock or barrier wait (:class:`SyncStall`)."""
 
     def syncop(self, t: int, proc: int, op: str, primitive: str,
                obj: int) -> None:
-        self.emit(SyncOp(t, proc, op, primitive, obj))
+        """One synchronization ordering point (:class:`SyncOp`)."""
 
     def span(self, t: int, dur_ns: int, trace_id: int, span_id: int,
              parent_id: int, name: str, proc: int, line: int, op: str,
              level: str, relocs: int = 0) -> None:
-        self.emit(SpanEvent(t, dur_ns, trace_id, span_id, parent_id,
-                            name, proc, line, op, level, relocs))
+        """One span of a span tree (:class:`SpanEvent`)."""
 
     def tree(self, t0: int, t: int, trace_id: int, root_id: int,
              proc: int, line: int, op: str, level: str, relocs: int,
@@ -90,22 +92,12 @@ class TraceSink:
         """One completed access's span tree, delivered whole.
 
         The root covers ``[t0, t]``; phase ``i`` covers
-        ``[starts[i], ends[i]]``.  By default the tree expands into
-        :meth:`span` calls: the root (``root_id``, parent 0, carrying
-        ``relocs``), then each phase in order with ids ``root_id + 1``
-        onwards and parent ``root_id``.  Sinks that fold trees override
-        this instead of paying one event per span.  The three lists
-        belong to the caller and are reused: copy what you keep.
+        ``[starts[i], ends[i]]``.  The three lists belong to the caller
+        and are reused: copy what you keep.  :func:`expand_tree` turns
+        the tree into :meth:`span` calls.
         """
-        self.span(t0, t - t0, trace_id, root_id, 0, "access", proc, line,
-                  op, level, relocs)
-        span_id = root_id
-        for name, start, end in zip(names, starts, ends):
-            span_id += 1
-            self.span(start, end - start, trace_id, span_id, root_id, name,
-                      proc, line, op, level)
 
-    # -- facts no event carries: no-ops unless a sink needs them --------
+    # -- facts no event carries -----------------------------------------
 
     def bus_phase(self, bus: str, wait_ns: int, busy_ns: int) -> None:
         """One bus phase waited ``wait_ns`` for arbitration and then
@@ -125,9 +117,6 @@ class TraceSink:
 
     # -- sink lifecycle -------------------------------------------------
 
-    def emit(self, ev) -> None:
-        raise NotImplementedError
-
     def close(self) -> None:
         """Flush and release resources (file-backed sinks)."""
 
@@ -141,7 +130,62 @@ class TraceSink:
         return None
 
 
-class CollectorSink(TraceSink):
+def expand_tree(sink: TraceSink, t0: int, t: int, trace_id: int,
+                root_id: int, proc: int, line: int, op: str, level: str,
+                relocs: int, names: Sequence[str], starts: Sequence[int],
+                ends: Sequence[int]) -> None:
+    """Deliver one :meth:`TraceSink.tree` to ``sink`` as :meth:`span`
+    calls: the root (``root_id``, parent 0, carrying ``relocs``), then
+    each phase in order with ids ``root_id + 1`` onwards and parent
+    ``root_id``."""
+    sink.span(t0, t - t0, trace_id, root_id, 0, "access", proc, line, op,
+              level, relocs)
+    span_id = root_id
+    for name, start, end in zip(names, starts, ends):
+        span_id += 1
+        sink.span(start, end - start, trace_id, span_id, root_id, name,
+                  proc, line, op, level)
+
+
+class EventSink(TraceSink):
+    """The adapter from typed calls to event objects.
+
+    Each typed call builds its event dataclass and passes it to
+    :meth:`emit`, which subclasses implement; a span tree arrives as its
+    span events, root first.  Only sinks that keep or write whole events
+    derive from it, so no other observer pays for the objects.
+    """
+
+    def access(self, t, proc, op, line, level, latency_ns, addr=-1):
+        self.emit(MemAccess(t, proc, op, line, level, latency_ns, addr))
+
+    def transition(self, t, node, line, cause, before, after):
+        self.emit(Transition(t, node, line, cause, before, after))
+
+    def bus(self, t, bus, tx, cls, nbytes, origin, line):
+        self.emit(BusTx(t, bus, tx, cls, nbytes, origin, line))
+
+    def replacement(self, t, src, dst, line, outcome, hops):
+        self.emit(Replacement(t, src, dst, line, outcome, hops))
+
+    def sync(self, t, proc, primitive, obj, wait_ns):
+        self.emit(SyncStall(t, proc, primitive, obj, wait_ns))
+
+    def syncop(self, t, proc, op, primitive, obj):
+        self.emit(SyncOp(t, proc, op, primitive, obj))
+
+    def span(self, t, dur_ns, trace_id, span_id, parent_id, name, proc,
+             line, op, level, relocs=0):
+        self.emit(SpanEvent(t, dur_ns, trace_id, span_id, parent_id,
+                            name, proc, line, op, level, relocs))
+
+    tree = expand_tree
+
+    def emit(self, ev) -> None:
+        raise NotImplementedError
+
+
+class CollectorSink(EventSink):
     """Keep every event in a list (tests, in-process analysis)."""
 
     def __init__(self, wants_spans: bool = False) -> None:
@@ -160,8 +204,8 @@ def tree_events(t0: int, t: int, trace_id: int, root_id: int, proc: int,
                 line: int, op: str, level: str, relocs: int,
                 names: Sequence[str], starts: Sequence[int],
                 ends: Sequence[int]) -> list[SpanEvent]:
-    """One :meth:`TraceSink.tree` as the span events its default
-    expansion emits (root first) — for consumers that keep a tree."""
+    """One :meth:`TraceSink.tree` as the span events :func:`expand_tree`
+    delivers (root first) — for consumers that keep a tree."""
     sink = CollectorSink()
     sink.tree(t0, t, trace_id, root_id, proc, line, op, level, relocs,
               names, starts, ends)
@@ -227,10 +271,6 @@ class TeeSink(TraceSink):
     def run_end(self, t, events, machine):
         for s in self.sinks:
             s.run_end(t, events, machine)
-
-    def emit(self, ev) -> None:
-        for s in self.sinks:
-            s.emit(ev)
 
     def sample(self, machine) -> None:
         """The profiler hook: every member takes its periodic sample."""

@@ -229,29 +229,12 @@ class StallAttribution(TraceSink):
 
     # -- event intake ---------------------------------------------------
 
-    # Flat access/protocol/bus events carry nothing the attribution
-    # reads: skip building their event objects.
-    def access(self, t, proc, op, line, level, latency_ns, addr=-1):
-        pass
-
-    def transition(self, t, node, line, cause, before, after):
-        pass
-
-    def bus(self, t, bus, tx, cls, nbytes, origin, line):
-        pass
-
-    def replacement(self, t, src, dst, line, outcome, hops):
-        pass
-
     def sync(self, t, proc, primitive, obj, wait_ns):
         self.sync_ns[proc] = self.sync_ns.get(proc, 0) + wait_ns
 
     def syncop(self, t, proc, op, primitive, obj):
         if op == "arrive":
             self._wphase[proc] = self._wphase.get(proc, 0) + 1
-
-    def emit(self, ev) -> None:
-        pass
 
     def tree(self, t0, t, trace_id, root_id, proc, line, op, level, relocs,
              names, starts, ends):

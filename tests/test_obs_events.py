@@ -13,7 +13,7 @@ from repro.obs.events import (
     format_event,
     record_to_event,
 )
-from repro.obs.sink import CollectorSink, TeeSink, TraceSink
+from repro.obs.sink import CollectorSink, EventSink, TeeSink, TraceSink
 
 EXAMPLES = [
     MemAccess(100, 2, "r", 0x80, "am", 148),
@@ -67,9 +67,28 @@ class TestEvents:
 
 
 class TestSinks:
-    def test_base_sink_requires_emit(self):
+    def test_base_sink_ignores_every_call(self):
+        sink = TraceSink()
+        sink.bind(None)
+        sink.access(0, 0, "r", 0, "l1", 1)
+        sink.transition(0, 0, 0, "fill", "I", "S")
+        sink.bus(0, "bus", "READ_DATA", "read", 72, 0, 0)
+        sink.replacement(0, 0, 1, 0, "to_invalid", 0)
+        sink.sync(0, 0, "lock", 0, 5)
+        sink.syncop(0, 0, "acquire", "lock", 0)
+        sink.span(0, 5, 1, 1, 0, "access", 0, 0, "r", "l1")
+        sink.tree(0, 5, 1, 1, 0, 0, "r", "l1", 0, ["l1"], [0], [5])
+        sink.bus_phase("bus", 0, 20)
+        sink.begin(0, 0, "r", 0)
+        sink.phase("l1", 5)
+        sink.run_end(5, 1, None)
+        sink.close()
+        assert sink.on_simulation_error(RuntimeError("x")) is None
+        assert not hasattr(sink, "emit")
+
+    def test_event_sink_requires_emit(self):
         with pytest.raises(NotImplementedError):
-            TraceSink().access(0, 0, "r", 0, "l1", 1)
+            EventSink().access(0, 0, "r", 0, "l1", 1)
 
     def test_collector_typed_entry_points(self):
         c = CollectorSink()
@@ -99,3 +118,42 @@ class TestSinks:
         tee = TeeSink(Probe(), Probe())
         tee.close()
         assert len(closed) == 2
+
+
+class TestObserversBuildNoEvents:
+    """An observer that reads typed calls costs no event objects: only
+    :class:`EventSink` builds them, and none of these derives from it."""
+
+    def test_analysis_observers_build_no_event_objects(self, monkeypatch):
+        import repro.obs.sink as sink_mod
+        from repro.analysis.bounds import BoundsCertifier, envelope_for
+        from repro.analysis.coverage import CoverageMap
+        from repro.experiments.runner import RunSpec, build_simulation
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.spans import StallAttribution
+
+        built = []
+        for name in ("MemAccess", "Transition", "BusTx", "Replacement",
+                     "SyncStall", "SyncOp", "SpanEvent"):
+            cls = getattr(sink_mod, name)
+
+            def counting(*args, _cls=cls):
+                built.append(_cls.__name__)
+                return _cls(*args)
+
+            monkeypatch.setattr(sink_mod, name, counting)
+        spec = RunSpec(workload="synth_migratory", scale=0.05,
+                       memory_pressure=0.875)
+        sim = build_simulation(spec)
+        cert = BoundsCertifier(envelope_for("coma",
+                                            sim.machine.config.timing))
+        att = StallAttribution(top_spans=0)
+        cov = CoverageMap()
+        for observer in (cert, att, MetricsRegistry(), cov):
+            sim.attach(observer)
+        sim.run()
+        assert cert.checked > 0 and cert.ok()
+        assert att.accesses > 0 and cov.exercised
+        assert built == []
+        CollectorSink().access(0, 0, "r", 0, "l1", 1)
+        assert built == ["MemAccess"], "the counting wrappers are live"

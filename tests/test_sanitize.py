@@ -26,8 +26,14 @@ from repro.analysis.sanitize import (
     CoherenceSanitizer,
     sanitizer_for,
 )
-from repro.obs.events import MemAccess, Replacement, SyncOp, Transition
-from repro.obs.sink import TraceSink
+from repro.obs.events import (
+    MemAccess,
+    Replacement,
+    SyncOp,
+    Transition,
+    format_event,
+)
+from repro.obs.sink import EventSink
 from repro.workloads.base import SHARING_PRIVATE, SHARING_SYNC
 
 
@@ -337,7 +343,7 @@ class TestPingPong:
 # mutation tests on real simulations
 # ----------------------------------------------------------------------
 
-class _MutatingSink(TraceSink):
+class _MutatingSink(EventSink):
     """Forwards events to a sanitizer through a mutation function."""
 
     def __init__(self, san, mutate):
@@ -373,6 +379,25 @@ class TestSeededDefects:
         assert report.ok, [f.message for f in report.findings]
         assert report.stats["accesses"] > 0
         assert report.stats["syncops"] > 0
+
+    def test_clean_run_formats_no_event(self, monkeypatch):
+        # The finding window keeps event objects and renders them only
+        # into a finding, so a clean run formats nothing.
+        import repro.analysis.sanitize as sanitize
+
+        calls = []
+
+        def counting(ev):
+            calls.append(ev)
+            return format_event(ev)
+
+        monkeypatch.setattr(sanitize, "format_event", counting)
+        report = _run_mutated(lambda ev: (ev,))
+        assert report.ok and report.stats["events"] > 0
+        assert calls == []
+        report = feed(CoherenceSanitizer(window=4), *bounce_stream(
+            DEFAULT_PINGPONG_THRESHOLD))
+        assert rules(report) == ["L003"] and len(calls) == 4
 
     def test_dropped_release_edges_seed_races(self):
         # Barnes orders its parallel tree build with per-cell locks, so

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bus.sharedbus import SharedBus
 from repro.common.config import TimingConfig
 from repro.sim.results import SimulationResult
 from repro.timing.accounting import STALL_CATEGORIES, StallAccounting
@@ -139,7 +140,8 @@ class TestSharedTimelines:
         assert self._snap(m, lnc, odram) == self._snap(ref, rnc, rdram)
 
         m, lnc, onc, odram = self._machine(tm, port, states, same)
-        got = m._remote_fetch(lnc, onc, odram, now)
+        got = m._remote_fetch(lnc, onc, odram, now, m.bus, "bus_req",
+                              "bus_reply")
         ref, rl, ro, rd = self._machine(tm, port, states, same)
         bus = ref.bus
         s = rl.acquire(now, nc_busy, port)
@@ -151,6 +153,28 @@ class TestSharedTimelines:
         assert got == s + tm.nc_ns
         assert (self._snap(m, lnc, onc, odram, m.bus.resource)
                 == self._snap(ref, rl, ro, rd, bus.resource))
+
+        # On another bus (hcoma's group bus): that bus is charged as
+        # the chain charges it, and the machine's own bus is untouched.
+        m, lnc, onc, odram = self._machine(tm, port, states, same)
+        gbus = SharedBus(tm, m.config.line_size, name="gbus0")
+        gbus.obs = m.obs
+        before = self._snap(m, m.bus.resource)
+        got = m._remote_fetch(lnc, onc, odram, now, gbus, "gbus_req",
+                              "gbus_reply")
+        ref, rl, ro, rd = self._machine(tm, port, states, same)
+        rbus = SharedBus(tm, ref.config.line_size, name="gbus0")
+        rbus.obs = ref.obs
+        s = rl.acquire(now, nc_busy, port)
+        t = rbus.phase(s + tm.nc_ns, port)
+        s = ro.acquire(t, nc_busy, port)
+        s = rd.acquire(s + tm.nc_ns, dram_busy, port)
+        t = rbus.phase(s + tm.dram_latency_ns, port)
+        s = rl.acquire(t, nc_busy, port)
+        assert got == s + tm.nc_ns
+        assert (self._snap(m, lnc, onc, odram, gbus.resource)
+                == self._snap(ref, rl, ro, rd, rbus.resource))
+        assert self._snap(m, m.bus.resource)[0] == before[0]
 
 
 class TestStallAccounting:
