@@ -18,10 +18,8 @@ This package is the repo's correctness gate (``coma-sim verify`` /
   value integrity (V…) and relocation ping-pong (L003) on live runs;
 * :mod:`repro.analysis.lint` — the determinism/hygiene AST linter
   (DET/MUT/FLT/EXC rules) over ``src/repro``;
-* :mod:`repro.analysis.certify` — certification of the compiled
-  dispatch against the source table (C101–C104);
 * :mod:`repro.analysis.bounds` — static per-path latency envelopes
-  derived from the compiled dispatch, certified against observed span
+  derived from the protocol table, certified against observed span
   trees (B101–B103, ``coma-sim bounds``);
 * :mod:`repro.analysis.coverage` — reachable table cells vs cells the
   workloads exercise: dead cells, gaps and directed micro-workloads
@@ -42,7 +40,6 @@ from repro.analysis.bounds import (
     envelope_for,
     format_bounds,
 )
-from repro.analysis.certify import CERTIFY_RULES
 from repro.analysis.coverage import (
     MICRO_RECIPES,
     CoverageAnalysis,
@@ -74,7 +71,6 @@ from repro.analysis.sanitize import (
 __all__ = [
     "ALL_RULES",
     "BOUNDS_RULES",
-    "CERTIFY_RULES",
     "AnalysisReport",
     "BoundsCertifier",
     "CoherenceSanitizer",

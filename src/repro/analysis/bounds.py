@@ -1,11 +1,11 @@
-"""Static latency bounds derived from the compiled dispatch.
+"""Static latency bounds derived from the protocol table.
 
 The span trees of :mod:`repro.obs.spans` decompose every access into
 phase children whose durations sum to the access latency by
 construction.  This module derives, *without simulating*, the set of
 phase sequences each machine flavour can emit and a closed-form
 min/max duration expression for every phase — straight from the
-compiled protocol table (:mod:`repro.analysis.compile`) and the named
+E/O/S/I table rows (:mod:`repro.coma.protocol`) and the named
 timing parameters of :class:`repro.common.config.TimingConfig`.
 
 Two kinds of envelope exist, and conflating them would make the
@@ -41,9 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.analysis.compile import ACTIONS, EVENT_IDS, NO_NEXT, compile_protocol
 from repro.analysis.report import Finding
-from repro.coma.protocol import TRANSITIONS, Transition
+from repro.coma.protocol import TRANSITIONS, Transition, validate_table
 from repro.coma.states import state_name
 from repro.common.config import TimingConfig
 from repro.obs.sink import TraceSink, tree_events
@@ -142,27 +141,17 @@ ZERO: Expr = Expr()
 
 
 def timing_params(timing: Any = None) -> dict[str, int]:
-    """The named parameter values, from a :class:`TimingConfig` or a
-    compiled :class:`~repro.analysis.compile.CompiledTiming` (or the
+    """The named parameter values of a :class:`TimingConfig` (the
     defaults when ``timing`` is None)."""
     if timing is None:
         timing = TimingConfig()
-    if hasattr(timing, "l1_hit_ns"):  # TimingConfig
-        return {
-            "l1_hit": timing.l1_hit_ns,
-            "slc_hit": timing.slc_hit_ns,
-            "nc": timing.nc_ns,
-            "dram_lat": timing.dram_latency_ns,
-            "bus_phase": timing.bus_phase_ns,
-            "remote_overhead": timing.remote_overhead_ns,
-        }
-    return {  # CompiledTiming
-        "l1_hit": timing.l1_hit,
-        "slc_hit": timing.slc_hit,
-        "nc": timing.nc,
-        "dram_lat": timing.dram_lat,
-        "bus_phase": timing.bus_phase,
-        "remote_overhead": timing.remote_overhead,
+    return {
+        "l1_hit": timing.l1_hit_ns,
+        "slc_hit": timing.slc_hit_ns,
+        "nc": timing.nc_ns,
+        "dram_lat": timing.dram_latency_ns,
+        "bus_phase": timing.bus_phase_ns,
+        "remote_overhead": timing.remote_overhead_ns,
     }
 
 
@@ -312,7 +301,7 @@ def enumerate_paths(
     transitions: Sequence[Transition] = TRANSITIONS,
 ) -> tuple[PathTemplate, ...]:
     """Every root-to-leaf phase path ``flavour`` can emit, per
-    (op, level, state, sharers) cell, derived from the compiled table.
+    (op, level, state, sharers) cell, derived from the table rows.
 
     The protocol table decides *which* paths exist (a silent
     ``local_write`` stays local; an ``upgrade`` action prepends the
@@ -322,9 +311,9 @@ def enumerate_paths(
     if flavour not in FLAVOURS:
         raise ValueError(f"unknown machine flavour {flavour!r}; "
                          f"expected one of {FLAVOURS}")
-    compiled = compile_protocol(tuple(transitions))
-    ev_read = EVENT_IDS["local_read"]
-    ev_write = EVENT_IDS["local_write"]
+    transitions = tuple(transitions)
+    validate_table(transitions)
+    rows = {(t.state, t.event): t for t in transitions}
     dram = Expr.of("dram_lat")
     overhead = Expr.of("remote_overhead")
     # COMA allocates after the data lands (a DRAM write behind a queue);
@@ -333,13 +322,14 @@ def enumerate_paths(
             else _atleast("fill_dram", dram, "local AM allocate"))
     tail = _exact("remote", overhead, "fixed remote overhead")
     out: list[PathTemplate] = []
-    for op, event in (("r", ev_read), ("w", ev_write), ("rmw", ev_write)):
+    for op, event in (("r", "local_read"), ("w", "local_write"),
+                      ("rmw", "local_write")):
         for state_id in range(4):
-            nxt, _, action_id = compiled.entry(state_id, event)
-            if nxt == NO_NEXT:
+            row = rows[(state_id, event)]
+            if row.next_state is None:
                 continue
             state = state_name(state_id)
-            action = ACTIONS[action_id]
+            action = row.bus_action
             if action == "":
                 out.extend(_hit_paths(op, state))
             elif action == "read":

@@ -23,7 +23,7 @@ SYN001   file does not parse
 =======  ==============================================================
 
 Functions decorated ``@hotpath`` (:mod:`repro.common.hotpath`) are
-additionally held to the compiled-dispatch discipline anywhere in the
+additionally held to the hot-path discipline anywhere in the
 tree — the decorator is the claim, these rules are the check:
 
 =======  ==============================================================

@@ -56,12 +56,11 @@ def rule_registry() -> dict[str, str]:
     claim the same rule.
     """
     from repro.analysis.bounds import BOUNDS_RULES
-    from repro.analysis.certify import CERTIFY_RULES
     from repro.analysis.invariants import ALL_RULES
     from repro.analysis.lint import RULES as LINT_RULES
 
     registry: dict[str, str] = {}
-    for source in (ALL_RULES, LINT_RULES, CERTIFY_RULES, BOUNDS_RULES):
+    for source in (ALL_RULES, LINT_RULES, BOUNDS_RULES):
         for rule, doc in source.items():
             if rule in registry:
                 raise ValueError(f"duplicate rule ID {rule!r}")

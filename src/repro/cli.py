@@ -436,7 +436,6 @@ def _cmd_protocol(_args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.analysis.certify import certify_machines, format_certification
     from repro.analysis.crosscheck import crosscheck
     from repro.analysis.liveness import check_liveness, format_liveness_report
     from repro.analysis.modelcheck import check_protocol, format_report
@@ -447,9 +446,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lv = check_liveness(n_nodes=args.nodes, n_lines=args.lines)
     print(format_liveness_report(lv))
     ok = ok and lv.ok
-    cert = certify_machines(n_nodes=args.nodes)
-    print(format_certification(cert))
-    ok = ok and cert.ok
     if not args.no_crosscheck:
         xc = crosscheck(nodes=min(args.nodes, 3), depth=args.depth)
         status = "OK" if xc.ok else "DIVERGED"

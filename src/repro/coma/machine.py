@@ -23,14 +23,14 @@ All times are integer nanoseconds.  The machine never looks at data
 values — workloads keep real data on the Python side — so coherence here
 is about *where copies live*, which is all the paper's metrics need.
 
-The per-access paths run *compiled* (see :mod:`repro.analysis.compile`):
-at build time the machine interns the protocol table, the timing
-constants and the victim policy into plain ints bound as ``_t_*`` /
-``_st_*`` attributes, and line state is addressed as way numbers into the
-attraction memory's arrays-of-structs.  The certification pass of
-``coma-sim verify`` re-derives every one of these bindings from the
-declarative table, so the compiled machine cannot silently diverge from
-the protocol source.  Functions marked ``@hotpath`` are held to the HOT
+At build time the machine binds what its per-access paths read as plain
+ints: the timing constants from ``config.timing`` (``_t_*``), the
+resolutions it needs from the protocol table in :mod:`repro.coma.protocol`
+(``_st_degrade``, ``_inj_*``) and the interned victim policy.  Line state
+is addressed as way numbers into the attraction memory's arrays-of-structs.
+``coma-sim verify``'s cross-check (C001/C002) drives this machine against
+the declarative table, so the executable protocol cannot silently diverge
+from its source.  Functions marked ``@hotpath`` are held to the HOT
 lint rules (no interpreted dispatch, no per-access allocation).
 """
 
@@ -48,6 +48,7 @@ from repro.coma.node import (
     REMOVED_INVALIDATED,
     ComaNode,
 )
+from repro.coma.protocol import TRANSITIONS, resolved_next, validate_table
 from repro.coma.replacement import ReplacementEngine
 from repro.coma.states import (
     EXCLUSIVE,
@@ -61,9 +62,17 @@ from repro.common.config import MachineConfig
 from repro.common.errors import ProtocolError
 from repro.common.hotpath import hotpath
 from repro.common.machine import WriteFront
+from repro.mem import soa
 from repro.mem.address import AddressSpace
 from repro.timing.accounting import Counters
 from repro.timing.resource import DEMAND, Resource
+
+# repro.mem.soa cannot import repro.coma (the caches load it while this
+# package is still initializing), so it repeats the two state codes its
+# victim policies read.  Tie them together where both sides are loaded.
+assert soa.INVALID == INVALID and soa._SHARED == SHARED, (
+    "repro.mem.soa state encoding diverged from repro.coma.states"
+)
 
 #: Levels reported to the processor model for stall accounting.
 LEVEL_L1 = "l1"
@@ -96,11 +105,6 @@ class ComaMachine(WriteFront):
     """A 16-processor (configurable) cluster-based COMA memory system."""
 
     def __init__(self, config: MachineConfig, space: AddressSpace) -> None:
-        # Deferred: repro.analysis's package init imports this module back
-        # (the cross-checker drives ComaMachine), so the compiler can only
-        # be pulled in at machine build time, never at import time.
-        from repro.analysis.compile import build_dispatch
-
         config._require_sized()
         if space.page_size != config.page_size:
             raise ProtocolError(
@@ -125,25 +129,31 @@ class ComaMachine(WriteFront):
         self.slc_res: list[Resource] = [
             Resource(f"slc{p}") for p in range(config.n_processors)
         ]
-        #: Compiled dispatch bundle: flattened protocol table, interned
-        #: timing and policies.  ``coma-sim verify`` certifies every
-        #: binding below against the declarative table (rules C101-C104).
-        self.dispatch = build_dispatch(config)
-        tm = self.dispatch.timing
-        self._t_l1 = tm.l1_hit
-        self._t_slc = tm.slc_hit
-        self._t_slc_occ = tm.slc_occ
-        self._t_nc = tm.nc
-        self._t_nc_busy = tm.nc_busy
-        self._t_dram_lat = tm.dram_lat
-        self._t_dram_busy = tm.dram_busy
-        self._t_remote = tm.remote_overhead
+        # A timing config that leaves a bus action's parameter unset or
+        # negative would miscount simulated time: refuse it at build.
+        validate_table(TRANSITIONS, timing=config.timing)
+        tm = config.timing
+        self._t_l1 = tm.l1_hit_ns
+        self._t_slc = tm.slc_hit_ns
+        self._t_slc_occ = tm.slc_occupancy_ns
+        self._t_nc = tm.nc_ns
+        self._t_nc_busy = tm.nc_busy_ns
+        self._t_dram_lat = tm.dram_latency_ns
+        self._t_dram_busy = tm.dram_busy_ns
+        self._t_remote = tm.remote_overhead_ns
         #: Supplier-side degradation on a snooped remote read (E -> O).
-        self._st_degrade = self.dispatch.st_degrade_remote_read
-        self._victim_mode = self.dispatch.victim_mode
+        self._st_degrade = resolved_next(EXCLUSIVE, "remote_read", False)
+        if config.am_victim_policy == "lru":
+            self._victim_mode = soa.VICTIM_LRU
+        elif config.inclusive:
+            self._victim_mode = soa.VICTIM_SHARED_FIRST
+        else:
+            self._victim_mode = soa.VICTIM_NONINCLUSIVE
         #: (no-surviving-sharers, sharers-survive) inject resolutions.
-        self._inj_invalid = self.dispatch.inject_from_invalid
-        self._inj_shared = self.dispatch.inject_from_shared
+        self._inj_invalid = (resolved_next(INVALID, "inject", False),
+                             resolved_next(INVALID, "inject", True))
+        self._inj_shared = (resolved_next(SHARED, "inject", False),
+                            resolved_next(SHARED, "inject", True))
         self._inclusive = config.inclusive
         self._ppn = config.procs_per_node
         self._page_home = space.page_home
@@ -456,7 +466,7 @@ class ComaMachine(WriteFront):
 
     def _owner_to_shared_state(self, owner: ComaNode, line: int, info) -> None:
         """After supplying a read copy, the owner snoops ``remote_read``
-        and degrades per the compiled table (E -> O; O stays O)."""
+        and degrades per the protocol table (E -> O; O stays O)."""
         degraded = self._st_degrade
         changed = False
         am = owner.am
@@ -940,10 +950,8 @@ class ComaMachine(WriteFront):
     # ------------------------------------------------------------------
     def owned_line_count(self) -> int:
         """Total owner lines machine-wide (equals materialized lines)."""
-        from repro.coma.states import is_owning as _owning
-
         total = 0
         for n in self.nodes:
             total += n.owned_lines_in_am() + len(n.overflow)
-            total += sum(1 for sr in n.slc_resident.values() if _owning(sr[1]))
+            total += sum(1 for sr in n.slc_resident.values() if is_owning(sr[1]))
         return total

@@ -143,7 +143,7 @@ def is_complete() -> bool:
 #: Timing parameters each bus action's latency model consults.  A
 #: config that leaves one of these unset (or negative) would silently
 #: miscount simulated time, so ``validate_table(timing=...)`` rejects it
-#: before a dispatch is built (see ``repro.analysis.compile``).
+#: when a machine is built (see ``ComaMachine.__init__``).
 ACTION_TIMING_PARAMS: dict[str, tuple[str, ...]] = {
     "read": ("nc_ns", "bus_phase_ns", "dram_latency_ns",
              "remote_overhead_ns"),
@@ -166,7 +166,7 @@ def validate_table(transitions: Iterable[Transition] = TRANSITIONS,
     non-negative — the error names the (action, parameter) pair.
 
     Runs at import time (totality only) so a malformed table can never
-    drive a simulation; ``build_dispatch`` re-runs it with the machine's
+    drive a simulation; ``ComaMachine`` re-runs it with the machine's
     timing config.
     """
     transitions = tuple(transitions)

@@ -29,11 +29,11 @@ the read completes uncached, which is the pressure-valve behaviour that
 produces the read-traffic blow-up the paper observes at 87.5 % memory
 pressure.
 
-The engine runs on the compiled dispatch plane: ways are addressed as
-plain ints into each AM's :class:`repro.mem.soa.LineArray`, the local
-victim-class policy is the interned ``victim_mode`` (certified against
-the config at machine build), and the two ``inject`` resolutions come
-from the machine's compiled protocol table rather than string dispatch.
+Ways are addressed as plain ints into each AM's
+:class:`repro.mem.soa.LineArray`, the local victim-class policy is the
+machine's interned ``victim_mode``, and the two ``inject`` resolutions
+are the ``(alone, sharers)`` pairs the machine binds from the protocol
+table at build time, so no relocation does string dispatch.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Marker for compiled hot-path functions.
+"""Marker for hot-path functions.
 
 ``@hotpath`` is a zero-cost annotation: it tags a function as part of the
-simulator's *compiled* inner loop — code that must dispatch through the
-precomputed arrays of :mod:`repro.analysis.compile` instead of falling
+simulator's inner loop — code that must read the plain ints and flat
+arrays bound at machine build time instead of falling
 back to interpreted dict/dataclass lookups.  The hygiene linter
 (``coma-sim lint``) enforces the discipline inside marked functions with
 the HOT rules:

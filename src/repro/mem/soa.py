@@ -1,4 +1,4 @@
-"""Arrays-of-structs line storage (the compiled tag array).
+"""Arrays-of-structs line storage (the tag arrays).
 
 :class:`LineArray` stores each way's tag, state, LRU stamp, dirty bit and
 auxiliary mask in five parallel plain ``list`` columns indexed by a flat
@@ -21,9 +21,9 @@ local processors whose SLC holds the line; the SLC stores nothing.
 State values are opaque small ints with ``0 == INVALID`` by convention;
 the interned victim policies additionally rely on the E/O/S/I encoding of
 :mod:`repro.coma.states` (``SHARED == 1``, owning states above it), which
-is asserted by the protocol compiler.  This module must stay importable
-without :mod:`repro.coma` (the caches import it while that package is
-still loading).
+:mod:`repro.coma.machine` asserts when it loads.  This module must stay
+importable without :mod:`repro.coma` (the caches import it while that
+package is still loading).
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from repro.common.hotpath import hotpath
 INVALID = 0
 
 #: repro.coma.states.SHARED — duplicated here to keep this module free of
-#: coma imports (see module docstring); equality is asserted at protocol
-#: compile time.
+#: coma imports (see module docstring); equality is asserted when
+#: repro.coma.machine loads.
 _SHARED = 1
 
 #: Interned victim-selection policies for :meth:`LineArray.victim_way`.

@@ -103,20 +103,16 @@ class TestMachineMutationsAreCaught:
     def test_takeover_state_mutation_is_c002(self, monkeypatch):
         # Sharer takeover always installs Owner, ignoring the
         # sharer-dependent resolution (should be E when the taker is the
-        # last copy).  Mutate the compiled dispatch the machine binds at
-        # build time, so the scenarios' own expected-state lookups (which
-        # read the declarative table) stay honest.
-        import dataclasses
+        # last copy).  Mutate the resolution each built machine binds,
+        # so the scenarios' own expected-state lookups (which read the
+        # declarative table) stay honest.
+        real_init = ComaMachine.__init__
 
-        import repro.analysis.compile as compile_mod
+        def mutated_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            self._inj_shared = (OWNER, OWNER)
 
-        real_build = compile_mod.build_dispatch
-
-        def mutated_build(config, *args, **kwargs):
-            d = real_build(config, *args, **kwargs)
-            return dataclasses.replace(d, inject_from_shared=(OWNER, OWNER))
-
-        monkeypatch.setattr(compile_mod, "build_dispatch", mutated_build)
+        monkeypatch.setattr(ComaMachine, "__init__", mutated_init)
         report = crosscheck_relocations()
         assert not report.ok
         assert {f.rule for f in report.findings} == {"C002"}

@@ -1,386 +1,109 @@
-"""Protocol compiler and certification pass.
+"""What a machine binds from the protocol table and its config at build.
 
-Three layers of evidence that compiled dispatch is the table:
-
-* unit checks on the interning and flattening;
-* a round-trip property — ``decompile(compile_protocol(T))`` is
-  semantically ``T`` for the shipped table and for randomly generated
-  well-formed tables (hypothesis, when available);
-* mutation tests — every certification rule C101–C104 must *fire* on a
-  seeded defect, with the C104 counterexample trace attached.
+``ComaMachine.__init__`` reads the few protocol resolutions its access
+paths need straight from :mod:`repro.coma.protocol`, the timing constants
+from ``config.timing`` and the victim policy from the config, as plain
+ints.  These tests pin those bindings on the flat and the hierarchical
+machine; ``tests/test_protocol_table.py::TestMachineMatchesTable`` and
+the ``crosscheck`` C001/C002 rules check the behaviour they drive.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.certify import (
-    certify_bisimulation,
-    certify_compiled,
-    certify_dispatch,
-    certify_machines,
-    format_certification,
-)
-from repro.analysis.compile import (
-    ACT_NONE,
-    ACT_READ,
-    ACT_UPGRADE,
-    ACTION_IDS,
-    ACTIONS,
-    EV_INJECT,
-    EV_LOCAL_READ,
-    EV_LOCAL_WRITE,
-    EV_REMOTE_READ,
-    EVENT_IDS,
-    N_EVENTS,
-    NO_NEXT,
-    VICTIM_LRU,
-    VICTIM_NONINCLUSIVE,
-    VICTIM_SHARED_FIRST,
-    build_dispatch,
-    compile_protocol,
-    compile_victim_policy,
-    decompile,
-    transitions_equal,
-)
+import repro
+from repro.analysis.bounds import enumerate_paths
+from repro.analysis.invariants import check_table
+from repro.coma.protocol import TRANSITIONS, resolved_next
+from repro.coma.states import EXCLUSIVE, INVALID, OWNER, SHARED
 from repro.common.config import MachineConfig
 from repro.common.errors import ProtocolError
-from repro.coma.protocol import EVENTS, STATES, TRANSITIONS, Transition
-from repro.coma.states import EXCLUSIVE, INVALID, OWNER, SHARED
+from repro.experiments.runner import RunSpec, build_simulation
+from repro.mem.soa import VICTIM_LRU, VICTIM_NONINCLUSIVE, VICTIM_SHARED_FIRST
 
 
-def rules(report):
-    return sorted({f.rule for f in report.findings})
+def _machines(**config):
+    """A built coma and hcoma machine under one config override."""
+    out = []
+    for machine in ("coma", "hcoma"):
+        spec = RunSpec(workload="synth_migratory", machine=machine,
+                       scale=0.1, **config)
+        out.append(build_simulation(spec).machine)
+    return out
 
 
 class TestCompileProtocol:
-    def test_event_interning_is_table_order(self):
-        assert [EVENT_IDS[e] for e in EVENTS] == list(range(N_EVENTS))
-        assert EV_LOCAL_READ == 0 and EV_INJECT == 5
-
-    def test_every_entry_matches_the_source_row(self):
-        compiled = compile_protocol()
-        for t in TRANSITIONS:
-            ev = EVENT_IDS[t.event]
-            alone, shared, act = compiled.entry(t.state, ev)
-            want_alone = NO_NEXT if t.next_state is None else t.next_state
-            assert alone == want_alone, (t.state, t.event)
-            want_shared = t.resolved(True)
-            assert shared == (NO_NEXT if want_shared is None else want_shared)
-            assert ACTIONS[act] == t.bus_action
-
-    def test_resolved_next_matches_reference_oracle(self):
-        from repro.coma.protocol import resolved_next
-
-        compiled = compile_protocol()
-        for s in STATES:
-            for e in EVENTS:
-                for sharers in (False, True):
-                    want = resolved_next(s, e, sharers)
-                    got = compiled.resolved_next(s, EVENT_IDS[e], sharers)
-                    assert got == (NO_NEXT if want is None else want)
-
-    def test_allowed_and_actions(self):
-        compiled = compile_protocol()
-        assert compiled.allowed(INVALID, EV_LOCAL_READ)
-        assert not compiled.allowed(OWNER, EV_INJECT)
-        assert compiled.action_of(INVALID, EV_LOCAL_READ) == ACT_READ
-        assert compiled.action_of(SHARED, EV_LOCAL_WRITE) == ACT_UPGRADE
-        assert compiled.action_of(EXCLUSIVE, EV_LOCAL_WRITE) == ACT_NONE
-
     def test_inject_pair_is_sharer_dependent(self):
-        compiled = compile_protocol()
-        assert compiled.inject_pair(INVALID) == (EXCLUSIVE, OWNER)
-        assert compiled.inject_pair(SHARED) == (EXCLUSIVE, OWNER)
+        for m in _machines():
+            assert m._inj_invalid == (EXCLUSIVE, OWNER)
+            assert m._inj_shared == (EXCLUSIVE, OWNER)
+
+    def test_unknown_action_rejected(self):
+        """A bus action the machine does not know breaks a T-rule in every
+        row it is put into, so ``coma-sim verify`` refuses the table."""
+        for i, row in enumerate(TRANSITIONS):
+            bad = list(TRANSITIONS)
+            bad[i] = dataclasses.replace(row, bus_action="flush")
+            assert check_table(bad), (row.state, row.event)
 
     def test_malformed_table_rejected_at_compile_time(self):
         partial = [t for t in TRANSITIONS if t.event != "inject"]
         with pytest.raises(ProtocolError, match="not total"):
-            compile_protocol(partial)
-
-    def test_unknown_action_rejected(self):
-        bad = [dataclasses.replace(TRANSITIONS[0], bus_action="flush")]
-        bad += list(TRANSITIONS[1:])
-        with pytest.raises(ProtocolError, match="unknown bus action"):
-            compile_protocol(bad)
-
-
-class TestRoundTrip:
-    def test_shipped_table_round_trips(self):
-        assert transitions_equal(decompile(compile_protocol()), TRANSITIONS)
-
-    def test_round_trip_is_canonical_order(self):
-        rows = decompile(compile_protocol())
-        assert [(t.state, t.event) for t in rows] == [
-            (s, e) for s in STATES for e in EVENTS
-        ]
-
-    def test_row_order_is_semantically_irrelevant(self):
-        shuffled = tuple(reversed(TRANSITIONS))
-        assert transitions_equal(decompile(compile_protocol(shuffled)),
-                                 TRANSITIONS)
-
-
-def _random_table(rng):
-    """A random well-formed (total) table over the real states/events."""
-    rows = []
-    for s in STATES:
-        for e in EVENTS:
-            nxt = rng.choice([None, *STATES])
-            rows.append(Transition(
-                state=s,
-                event=e,
-                next_state=nxt,
-                bus_action=rng.choice(list(ACTION_IDS)),
-                next_state_sharers=(
-                    None if nxt is None else rng.choice([None, *STATES])
-                ),
-            ))
-    return tuple(rows)
-
-
-class TestRoundTripProperty:
-    """decompile(compile_protocol(T)) == T for arbitrary total tables."""
-
-    def test_random_tables_round_trip_seeded(self):
-        import random
-
-        rng = random.Random(1997)
-        for _ in range(200):
-            table = _random_table(rng)
-            again = decompile(compile_protocol(table))
-            assert transitions_equal(again, table)
-
-    def test_random_tables_round_trip_hypothesis(self):
-        hyp = pytest.importorskip("hypothesis")
-        st = pytest.importorskip("hypothesis.strategies")
-
-        state_or_none = st.sampled_from([None, *STATES])
-        action = st.sampled_from(sorted(ACTION_IDS))
-
-        @st.composite
-        def tables(draw):
-            rows = []
-            for s in STATES:
-                for e in EVENTS:
-                    nxt = draw(state_or_none)
-                    rows.append(Transition(
-                        state=s, event=e, next_state=nxt,
-                        bus_action=draw(action),
-                        next_state_sharers=(
-                            None if nxt is None else draw(state_or_none)
-                        ),
-                    ))
-            return tuple(rows)
-
-        @hyp.given(tables())
-        @hyp.settings(max_examples=100, deadline=None)
-        def prop(table):
-            assert transitions_equal(decompile(compile_protocol(table)), table)
-
-        prop()
-
-
-class TestCertifyMutations:
-    """Each certification rule must fire on its seeded defect."""
-
-    def test_clean_artifact_certifies(self):
-        report = certify_compiled(compile_protocol())
-        assert report.ok
-        assert report.stats["entries"] == len(STATES) * len(EVENTS)
-
-    def test_c101_truncated_array(self):
-        compiled = compile_protocol()
-        compiled.next_state = compiled.next_state[:-2]
-        report = certify_compiled(compiled)
-        assert rules(report) == ["C101"]
-        assert "shape" in report.findings[0].message
-
-    def test_c101_out_of_range_state(self):
-        compiled = compile_protocol()
-        compiled.next_state[0] = 7
-        report = certify_compiled(compiled)
-        assert "C101" in rules(report)
-        assert "(I, local_read)" in report.findings[0].message
-
-    def test_c101_out_of_range_action(self):
-        compiled = compile_protocol()
-        compiled.action[0] = 9
-        report = certify_compiled(compiled)
-        assert "C101" in rules(report)
-
-    def test_c102_next_state_divergence_names_the_cell(self):
-        compiled = compile_protocol()
-        base = (EXCLUSIVE * N_EVENTS + EV_REMOTE_READ) * 2
-        compiled.next_state[base] = EXCLUSIVE  # must degrade E -> O
-        report = certify_compiled(compiled)
-        assert rules(report) == ["C102"]
-        msg = report.findings[0].message
-        assert "(E, remote_read)" in msg
-        assert "compiled next-state E" in msg and "table says O" in msg
-
-    def test_c103_action_divergence(self):
-        compiled = compile_protocol()
-        compiled.action[SHARED * N_EVENTS + EV_LOCAL_WRITE] = ACT_READ
-        report = certify_compiled(compiled)
-        assert rules(report) == ["C103"]
-        assert "(S, local_write)" in report.findings[0].message
-
-    def test_c104_bisimulation_counterexample_is_minimal(self):
-        compiled = compile_protocol()
-        base = (EXCLUSIVE * N_EVENTS + EV_REMOTE_READ) * 2
-        compiled.next_state[base] = EXCLUSIVE
-        compiled.next_state[base + 1] = EXCLUSIVE
-        report = certify_bisimulation(compiled)
-        assert rules(report) == ["C104"]
-        f = report.findings[0]
-        assert "counterexample trace" in f.detail
-        # The defect is reachable in one step from the initial state.
-        assert "init: E I I" in f.detail
-        assert f.detail.count("step") == 1
-
-    def test_c104_disabled_step_detected(self):
-        compiled = compile_protocol()
-        # Forbid inject-into-Invalid: owner evictions lose every receiver
-        # the table offers, so the enabled-step sets diverge.
-        base = (INVALID * N_EVENTS + EV_INJECT) * 2
-        compiled.next_state[base] = NO_NEXT
-        compiled.next_state[base + 1] = NO_NEXT
-        report = certify_bisimulation(compiled)
-        assert rules(report) == ["C104"]
-        assert "disables" in report.findings[0].message
-
-    def test_mutated_dispatch_binding_cannot_hide(self):
-        d = build_dispatch(MachineConfig())
-        bad = dataclasses.replace(d, inject_from_shared=(OWNER, OWNER))
-        report = certify_dispatch(bad, MachineConfig())
-        assert "C102" in rules(report)
-        assert any("inject_from_shared" in f.message for f in report.findings)
-
-    def test_mutated_victim_mode_is_c101(self):
-        config = MachineConfig()
-        bad = dataclasses.replace(build_dispatch(config),
-                                  victim_mode=VICTIM_LRU)
-        report = certify_dispatch(bad, config)
-        assert "C101" in rules(report)
-        assert any("victim policy" in f.message for f in report.findings)
-
-    def test_mutated_timing_is_c101(self):
-        config = MachineConfig()
-        d = build_dispatch(config)  # fresh CompiledTiming per build
-        d.timing.nc_busy += 1
-        report = certify_dispatch(d, config)
-        assert "C101" in rules(report)
-        assert any("nc_busy" in f.message for f in report.findings)
-
-    def test_act_local_write_binding_checked(self):
-        d = build_dispatch(MachineConfig())
-        bad = dataclasses.replace(
-            d, act_local_write=(ACT_READ,) + d.act_local_write[1:]
-        )
-        report = certify_dispatch(bad, MachineConfig())
-        assert "C103" in rules(report)
+            enumerate_paths("coma", partial)
 
 
 class TestDispatchBuild:
     def test_victim_policy_interning(self):
-        assert compile_victim_policy(MachineConfig()) == VICTIM_SHARED_FIRST
-        assert compile_victim_policy(
-            MachineConfig(inclusive=False)) == VICTIM_NONINCLUSIVE
-        assert compile_victim_policy(
-            MachineConfig(am_victim_policy="lru")) == VICTIM_LRU
+        for config, want in (({}, VICTIM_SHARED_FIRST),
+                             ({"inclusive": False}, VICTIM_NONINCLUSIVE),
+                             ({"am_victim_policy": "lru"}, VICTIM_LRU)):
+            for m in _machines(**config):
+                assert m._victim_mode == want, (type(m).__name__, config)
+                assert m.repl._victim_mode == want
 
     def test_timing_flattening(self):
-        config = MachineConfig()
-        tm = build_dispatch(config).timing
-        assert tm.nc_busy == config.timing.nc_busy_ns
-        assert tm.dram_lat == config.timing.dram_latency_ns
-        assert tm.bus_busy == config.timing.bus_busy_ns
+        tm = MachineConfig().timing
+        for m in _machines():
+            assert (m._t_l1, m._t_slc, m._t_slc_occ) == (
+                tm.l1_hit_ns, tm.slc_hit_ns, tm.slc_occupancy_ns)
+            assert (m._t_nc, m._t_nc_busy) == (tm.nc_ns, tm.nc_busy_ns)
+            assert (m._t_dram_lat, m._t_dram_busy) == (
+                tm.dram_latency_ns, tm.dram_busy_ns)
+            assert m._t_remote == tm.remote_overhead_ns
 
     def test_dispatch_bindings_match_table(self):
-        d = build_dispatch(MachineConfig())
-        assert d.st_degrade_remote_read == OWNER
-        assert d.st_upgrade == EXCLUSIVE
-        assert d.st_write_miss == EXCLUSIVE
-        assert d.st_read_fill == SHARED
-        assert d.inject_from_invalid == (EXCLUSIVE, OWNER)
-        assert d.inject_from_shared == (EXCLUSIVE, OWNER)
-
-    def test_certify_machines_covers_all_flavours(self):
-        report = certify_machines()
-        assert report.ok, format_certification(report)
-        assert report.stats["machines"] == 3
-        text = format_certification(report)
-        assert "certification OK" in text
-        assert "72 table entries" in text
+        for m in _machines():
+            assert m._st_degrade == resolved_next(
+                EXCLUSIVE, "remote_read", False) == OWNER
+            for state, pair in ((INVALID, m._inj_invalid),
+                                (SHARED, m._inj_shared)):
+                assert pair == tuple(resolved_next(state, "inject", s)
+                                     for s in (False, True))
 
 
-class TestVerifyCli:
-    def test_verify_includes_certification(self, capsys):
-        from repro.cli import main
-
-        assert main(["verify", "--no-crosscheck"]) == 0
-        out = capsys.readouterr().out
-        assert "certification OK" in out
-        assert "compiled dispatch == source table" in out
-
-
-class TestHcomaCertification:
-    """Satellite coverage: the hierarchical flavour's dispatch artifact
-    gets the same decompile round-trip and C101–C104 treatment the flat
-    machine does (PR 6 only spot-checked it)."""
-
-    @staticmethod
-    def _hcoma_sim():
-        from repro.experiments.runner import RunSpec, build_simulation
-
-        return build_simulation(
-            RunSpec(workload="synth_migratory", machine="hcoma", scale=0.1))
-
-    def test_hcoma_dispatch_decompiles_to_source_table(self):
-        sim = self._hcoma_sim()
-        assert transitions_equal(
-            decompile(sim.machine.dispatch.protocol), TRANSITIONS)
-
-    def test_hcoma_dispatch_certifies_clean(self):
-        sim = self._hcoma_sim()
-        report = certify_dispatch(sim.machine.dispatch, sim.machine.config,
-                                  path="dispatch:hcoma")
-        assert report.ok, format_certification(report)
-
-    def test_hcoma_c101_mutated_timing(self):
-        sim = self._hcoma_sim()
-        d = sim.machine.dispatch
-        d.timing.bus_phase += 1
-        report = certify_dispatch(d, sim.machine.config)
-        assert "C101" in rules(report)
-        assert any("bus_phase" in f.message for f in report.findings)
-
-    def test_hcoma_c102_next_state_divergence(self):
-        sim = self._hcoma_sim()
-        d = sim.machine.dispatch
-        base = (EXCLUSIVE * N_EVENTS + EV_REMOTE_READ) * 2
-        d.protocol.next_state[base] = EXCLUSIVE  # must degrade E -> O
-        report = certify_dispatch(d, sim.machine.config)
-        assert "C102" in rules(report)
-        assert any("(E, remote_read)" in f.message for f in report.findings)
-
-    def test_hcoma_c103_action_divergence(self):
-        sim = self._hcoma_sim()
-        d = sim.machine.dispatch
-        d.protocol.action[SHARED * N_EVENTS + EV_LOCAL_WRITE] = ACT_READ
-        report = certify_dispatch(d, sim.machine.config)
-        assert "C103" in rules(report)
-
-    def test_hcoma_c104_bisimulation_counterexample(self):
-        sim = self._hcoma_sim()
-        d = sim.machine.dispatch
-        base = (EXCLUSIVE * N_EVENTS + EV_REMOTE_READ) * 2
-        d.protocol.next_state[base] = EXCLUSIVE
-        d.protocol.next_state[base + 1] = EXCLUSIVE
-        report = certify_dispatch(d, sim.machine.config)
-        assert "C104" in rules(report)
-        assert any("counterexample trace" in f.detail
-                   for f in report.findings)
+class TestBuildImports:
+    def test_simulation_never_imports_analysis(self):
+        """Building and running a simulation loads no ``repro.analysis``
+        module: the analysis passes read the machine, never the reverse."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from repro.experiments.runner import RunSpec, build_simulation\n"
+            "build_simulation(RunSpec(workload='fft', scale=0.1)).run()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] == ['repro', 'analysis']))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -165,14 +165,13 @@ class TestValidateTiming:
     def test_build_dispatch_runs_the_timing_check(self):
         import dataclasses
 
-        from repro.analysis.compile import build_dispatch
-        from repro.common.config import MachineConfig, TimingConfig
+        from repro.common.config import TimingConfig
+        from tests.conftest import make_machine
 
-        cfg = MachineConfig(
-            timing=dataclasses.replace(TimingConfig(), nc_ns=-1))
+        timing = dataclasses.replace(TimingConfig(), nc_ns=-1)
         with pytest.raises(protocol.ProtocolError,
                            match=r"nc_ns is negative"):
-            build_dispatch(cfg)
+            make_machine(timing=timing)
 
 
 class TestMachineMatchesTable:
