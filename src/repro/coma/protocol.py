@@ -157,7 +157,7 @@ ACTION_TIMING_PARAMS: dict[str, tuple[str, ...]] = {
 def validate_table(transitions: Iterable[Transition] = TRANSITIONS,
                    timing: object = None) -> None:
     """Check the table is *total*: every (state, event) pair present exactly
-    once, no row for an unknown state or event.  Raises
+    once, no row for an unknown state, event or bus action.  Raises
     :class:`~repro.common.errors.ProtocolError` on the first defect.
 
     With ``timing`` (a :class:`~repro.common.config.TimingConfig` or
@@ -182,6 +182,11 @@ def validate_table(transitions: Iterable[Transition] = TRANSITIONS,
                 f"({state_name(t.state)}, {t.event}): unknown event "
                 f"{t.event!r} — events are {', '.join(EVENTS)}"
             )
+        if t.bus_action and t.bus_action not in ACTION_TIMING_PARAMS:
+            raise ProtocolError(
+                f"({state_name(t.state)}, {t.event}): unknown bus action "
+                f"{t.bus_action!r} — actions are {', '.join(ACTION_TIMING_PARAMS)}"
+            )
         key = (t.state, t.event)
         if key in seen:
             raise ProtocolError(
@@ -199,7 +204,7 @@ def validate_table(transitions: Iterable[Transition] = TRANSITIONS,
         referenced = sorted({t.bus_action for t in transitions
                              if t.bus_action})
         for action in referenced:
-            for param in ACTION_TIMING_PARAMS.get(action, ()):
+            for param in ACTION_TIMING_PARAMS[action]:
                 value = getattr(timing, param, None)
                 if value is None:
                     raise ProtocolError(

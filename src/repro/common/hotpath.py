@@ -2,8 +2,8 @@
 
 ``@hotpath`` is a zero-cost annotation: it tags a function as part of the
 simulator's inner loop — code that must read the plain ints and flat
-arrays bound at machine build time instead of falling
-back to interpreted dict/dataclass lookups.  The hygiene linter
+arrays bound at machine build time instead of falling back to
+interpreted dict/dataclass lookups.  The hygiene linter
 (``coma-sim lint``) enforces the discipline inside marked functions with
 the HOT rules:
 

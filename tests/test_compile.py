@@ -20,7 +20,6 @@ import pytest
 
 import repro
 from repro.analysis.bounds import enumerate_paths
-from repro.analysis.invariants import check_table
 from repro.coma.protocol import TRANSITIONS, resolved_next
 from repro.coma.states import EXCLUSIVE, INVALID, OWNER, SHARED
 from repro.common.config import MachineConfig
@@ -46,12 +45,10 @@ class TestCompileProtocol:
             assert m._inj_shared == (EXCLUSIVE, OWNER)
 
     def test_unknown_action_rejected(self):
-        """A bus action the machine does not know breaks a T-rule in every
-        row it is put into, so ``coma-sim verify`` refuses the table."""
-        for i, row in enumerate(TRANSITIONS):
-            bad = list(TRANSITIONS)
-            bad[i] = dataclasses.replace(row, bus_action="flush")
-            assert check_table(bad), (row.state, row.event)
+        bad = [dataclasses.replace(TRANSITIONS[0], bus_action="flush")]
+        bad += list(TRANSITIONS[1:])
+        with pytest.raises(ProtocolError, match="unknown bus action 'flush'"):
+            enumerate_paths("coma", bad)
 
     def test_malformed_table_rejected_at_compile_time(self):
         partial = [t for t in TRANSITIONS if t.event != "inject"]

@@ -46,8 +46,8 @@ def _fill_hierarchy(self, proc, node, line, way):
 
 
 def make(ppn: int, inclusive: bool, reference: bool) -> ComaMachine:
-    """An 8-processor machine of 2-way AM sets at 75 % memory pressure,
-    a one-set 4-way SLC and a 2-line L1."""
+    """An 8-processor machine whose 2-way AMs hold 64 lines in all for
+    the soups' 48, with a one-set 4-way SLC and a 2-line L1."""
     cfg = MachineConfig(
         n_processors=8,
         procs_per_node=ppn,
