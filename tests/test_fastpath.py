@@ -25,6 +25,7 @@ from repro.common.config import MachineConfig, TimingConfig
 from repro.common.errors import SimulationError
 from repro.experiments.runner import RunSpec, build_simulation
 from repro.mem.address import AddressSpace
+from repro.obs.sink import CollectorSink
 from repro.sim.simulator import Simulation
 from repro.sync.primitives import SyncSpace
 
@@ -101,15 +102,24 @@ def snapshot(sim: Simulation, result) -> dict:
 
 def run_soup(machine_kw: dict, programs: list, fused: bool,
              check_every: int = 0) -> dict:
+    """Run the soup; with ``observed`` in ``machine_kw``, a span-wanting
+    collector is attached and its event stream joins the snapshot."""
+    machine_kw = dict(machine_kw)
+    observed = machine_kw.pop("observed", False)
     m = make(**machine_kw)
     if not fused:
         unfused(m)
     sync = SyncSpace(m.space, LINE, 2, 1)
     sim = Simulation(m, [iter(p) for p in programs], sync)
     sim.check_every = check_every
+    collector = CollectorSink(wants_spans=True)
+    if observed:
+        sim.attach(collector)
     result = sim.run()
     m.check_consistency()
-    return snapshot(sim, result)
+    snap = snapshot(sim, result)
+    snap["trace"] = collector.events
+    return snap
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +162,7 @@ configs = st.fixed_dictionaries({
     "consistency": st.sampled_from(["rc", "rc", "sc"]),
     "coalescing": st.booleans(),
     "l1_ns": st.sampled_from([0, 0, 3]),
+    "observed": st.booleans(),
 })
 
 
@@ -168,6 +179,24 @@ class TestLockstep:
     def test_with_periodic_consistency_checks(self, cfg, programs):
         assert (run_soup(cfg, programs, fused=True, check_every=3)
                 == run_soup(cfg, programs, fused=False, check_every=3))
+
+    @pytest.mark.parametrize("kind", ["coma", "hcoma"])
+    def test_observed_soup_sees_every_access(self, kind):
+        """The collector's stream has one access and one span tree per
+        memory operation, fused or not, and leaves the state unchanged."""
+        programs = [[("r", 0), ("w", 0), ("r", 8), ("w", 16), ("r", 0)]] * 8
+        kw = dict(kind=kind, ppn=4, inclusive=True, consistency="rc",
+                  coalescing=False, l1_ns=3)
+        bare = run_soup(kw, programs, fused=True)
+        runs = [run_soup({**kw, "observed": True}, programs, fused)
+                for fused in (True, False)]
+        assert runs[0] == runs[1]
+        trace = runs[0].pop("trace")
+        assert bare.pop("trace") == []
+        assert runs[0] == bare
+        accesses = [e for e in trace if e.kind == "access"]
+        roots = [e for e in trace if e.kind == "span" and not e.parent_id]
+        assert len(accesses) == len(roots) == 8 * 5
 
     @pytest.mark.parametrize("kind", ["coma", "hcoma"])
     def test_fused_path_retires_events(self, kind):
@@ -268,43 +297,78 @@ class TestBookkeeping:
     def test_flight_dump_attached_on_error(self):
         from repro.obs.flight import FlightRecorder
 
-        sim = build()
-        sim.attach(FlightRecorder(capacity=16))
-        assert sim.machine.hit_path() is None
-        sim.max_events = 500
-        with pytest.raises(SimulationError) as err:
-            sim.run()
-        assert "flight recorder dump" in err.value.flight_dump
+        dumps = []
+        for fused in (True, False):
+            sim = build(fused=fused)
+            sim.attach(FlightRecorder(capacity=16))
+            assert sim.machine.hit_path() is None
+            sim.max_events = 500
+            with pytest.raises(SimulationError) as err:
+                sim.run()
+            dumps.append(err.value.flight_dump)
+        assert "flight recorder dump" in dumps[0]
+        assert dumps[0] == dumps[1]
+
+    @staticmethod
+    def observe(kind: str, fused: bool) -> tuple:
+        """Run ``SPEC`` with one observer attached; returns whether the
+        fused path was on, the result and the observer's whole output
+        as text."""
+        sim = build(fused=fused)
+        if kind == "metrics":
+            from repro.obs.metrics import MetricsRegistry
+            from repro.obs.openmetrics import to_openmetrics
+
+            registry = MetricsRegistry()
+            sim.attach(registry)
+            output = lambda res: to_openmetrics(registry)  # noqa: E731
+        elif kind == "attribution":
+            from repro.obs.spans import StallAttribution
+
+            att = StallAttribution()
+            sim.attach(att)
+            output = lambda res: json.dumps(att.report(  # noqa: E731
+                stalls=res.stalls, elapsed_ns=res.elapsed_ns), sort_keys=True)
+        elif kind == "sanitizer":
+            from dataclasses import asdict
+
+            from repro.analysis.sanitize import sanitizer_for
+
+            # A low ping-pong threshold makes findings, each carrying its
+            # window of events.
+            san = sanitizer_for(sim, pingpong_threshold=2)
+            sim.attach(san)
+            output = lambda res: json.dumps(  # noqa: E731
+                asdict(san.finish()), sort_keys=True)
+        elif kind == "bounds":
+            from repro.analysis.bounds import BoundsCertifier, envelope_for
+
+            cert = BoundsCertifier(envelope_for("coma",
+                                                sim.machine.config.timing))
+            sim.attach(cert)
+            output = lambda res: json.dumps(cert.report(),  # noqa: E731
+                                            sort_keys=True)
+        else:
+            from repro.obs.timeline import TimelineSampler
+
+            tl = TimelineSampler()
+            sim.attach(tl, every=500)
+            output = lambda res: json.dumps([tl.t, tl.cols])  # noqa: E731
+        on = sim.machine.hit_path() is not None
+        result = sim.run()
+        return on, result.to_dict(), output(result)
 
     @pytest.mark.parametrize("kind", ["metrics", "attribution", "sanitizer",
                                       "bounds", "timeline"])
     def test_observers_leave_result_unchanged(self, kind):
         bare = build().run().to_dict()
-        sim = build()
-        if kind == "metrics":
-            from repro.obs.metrics import MetricsRegistry
-
-            sim.attach(MetricsRegistry())
-        elif kind == "attribution":
-            from repro.obs.spans import StallAttribution
-
-            sim.attach(StallAttribution())
-        elif kind == "sanitizer":
-            from repro.analysis.sanitize import sanitizer_for
-
-            sim.attach(sanitizer_for(sim))
-        elif kind == "bounds":
-            from repro.analysis.bounds import BoundsCertifier, envelope_for
-
-            sim.attach(BoundsCertifier(envelope_for("coma",
-                                                    sim.machine.config.timing)))
-        else:
-            from repro.obs.timeline import TimelineSampler
-
-            sim.attach(TimelineSampler(), every=500)
+        on, result, out = self.observe(kind, fused=True)
+        off, unfused_result, unfused_out = self.observe(kind, fused=False)
         # Only a profiler keeps the fused path; every sink turns it off.
-        assert (sim.machine.hit_path() is not None) == (kind == "timeline")
-        assert sim.run().to_dict() == bare
+        assert on == (kind == "timeline") and not off
+        assert result == unfused_result == bare
+        assert out == unfused_out
+        assert len(out) > 100
 
     #: sha256 prefixes of ``to_dict()`` from the kernel before the fused
     #: path existed: numa/uma never fuse, and SC, coalescing,
