@@ -88,8 +88,9 @@ class HitPath(NamedTuple):
     slc_dirty, slc_lru, slc_port, slc_free, am, am_index, am_state,
     am_lru, shadow)``: the L1 tag vector, the SLC and node-AM line arrays
     with their raw list columns, the SLC's :class:`Resource` and its
-    ``free`` list, and the node's shadow tags.  See
-    :meth:`ComaMachine.hit_path`.
+    ``free`` list, and the node's shadow tags.  Bare and observed runs
+    take the same fused branches: the kernel reports each fused event to
+    an attached observer itself.  See :meth:`ComaMachine.hit_path`.
     """
 
     procs: list
@@ -180,21 +181,18 @@ class ComaMachine(WriteFront):
         #: Every bus this machine meters; each shares the ``obs`` slot.
         self.buses = (self.bus,)
 
-    def hit_path(self) -> Optional[HitPath]:
-        """Bindings for the kernel's fused hit path, or None when it must
-        not run.
+    def hit_path(self) -> HitPath:
+        """Bindings for the kernel's fused hit path.
 
         With them the kernel retires two events without calling
         :meth:`read` or :meth:`write`: a read that hits the L1, and a
         posted write to a line that is EXCLUSIVE in the node's AM and
         present in the writer's SLC.  Both have exactly the effects the
         full methods would have (``tests/test_fastpath.py`` runs them in
-        lockstep).  None when an observer holds the ``obs`` slot — every
-        access must then reach it.  Call it after the last observer is
-        attached.
+        lockstep), and an observer in the ``obs`` slot sees each as one
+        :meth:`~repro.obs.sink.TraceSink.hit` call, the ``begin`` +
+        ``access`` pair these methods emit.
         """
-        if self.obs is not None:
-            return None
         procs = []
         for p in range(self.config.n_processors):
             slc = self.slcs[p].array

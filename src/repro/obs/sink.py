@@ -22,7 +22,10 @@ recorder, line biographies, the coherence sanitizer) derive from
 dataclasses and hands each to :meth:`EventSink.emit`.  A completed span
 tree arrives whole through :meth:`TraceSink.tree`; :func:`expand_tree`
 turns it into one :meth:`TraceSink.span` call per span for sinks that
-draw or keep spans one by one.
+draw or keep spans one by one.  An access the simulation kernel retires
+on its fused hit path arrives as one :meth:`TraceSink.hit` call, which
+by default is the :meth:`~TraceSink.begin` + :meth:`~TraceSink.access`
+pair the machine's own path makes.
 """
 
 from __future__ import annotations
@@ -59,6 +62,16 @@ class TraceSink:
     def access(self, t: int, proc: int, op: str, line: int,
                level: str, latency_ns: int, addr: int = -1) -> None:
         """One processor operation completed (:class:`MemAccess`)."""
+
+    def hit(self, t: int, proc: int, op: str, line: int, level: str,
+            latency_ns: int, addr: int = -1) -> None:
+        """One access the kernel retired on its fused hit path: an L1
+        read hit or a posted write to an owned, SLC-resident line.  It
+        has no phase checkpoints, so it is the :meth:`begin` +
+        :meth:`access` pair the machine's path emits, and that is what
+        it does unless overridden."""
+        self.begin(t, proc, op, line, addr)
+        self.access(t, proc, op, line, level, latency_ns, addr)
 
     def transition(self, t: int, node: int, line: int, cause: str,
                    before: str, after: str) -> None:
@@ -212,65 +225,101 @@ def tree_events(t0: int, t: int, trace_id: int, root_id: int, proc: int,
     return sink.events
 
 
+#: The typed calls a :class:`TeeSink` forwards: each only to the members
+#: whose class overrides it.
+FORWARDED = ("access", "transition", "bus", "replacement", "sync", "syncop",
+             "span", "tree", "bus_phase", "run_end")
+
+
+def overrides(sink, name: str) -> bool:
+    """Whether ``sink``'s class overrides :class:`TraceSink`'s no-op
+    ``name``."""
+    base = getattr(TraceSink, name)
+    return getattr(type(sink), name, base) is not base
+
+
 class TeeSink(TraceSink):
     """Fan every call out to several observers, in attach order.
 
     The one composite of the observation channel: ``Simulation.attach``
     tees trace sinks into the ``obs`` slot and sampling profilers into
     the ``profiler`` slot with it.  Typed calls are forwarded as typed
-    calls, so each member sees exactly what it would see alone.
+    calls, so each member sees exactly what it would see alone, and each
+    goes only to the members that override it: a call no member reads
+    costs one loop over an empty list.  Checkpoints (``begin``, ``phase``)
+    are not forwarded; a fused :meth:`hit` reaches a member as its own
+    ``hit`` if it overrides it, else as ``access``.
     """
 
     def __init__(self, *sinks) -> None:
         self.sinks = list(sinks)
+        self._route()
+
+    def add(self, sink) -> None:
+        """Append ``sink`` after the current members."""
+        self.sinks.append(sink)
+        self._route()
+
+    def _route(self) -> None:
+        """Bind, per forwarded call, the members that read it."""
+        for name in FORWARDED:
+            setattr(self, "_" + name,
+                    [getattr(s, name) for s in self.sinks if overrides(s, name)])
+        self._hit = [s.hit if overrides(s, "hit") else s.access
+                     for s in self.sinks
+                     if overrides(s, "hit") or overrides(s, "access")]
 
     def bind(self, machine) -> None:
         for s in self.sinks:
             s.bind(machine)
 
     def access(self, t, proc, op, line, level, latency_ns, addr=-1):
-        for s in self.sinks:
-            s.access(t, proc, op, line, level, latency_ns, addr)
+        for f in self._access:
+            f(t, proc, op, line, level, latency_ns, addr)
+
+    def hit(self, t, proc, op, line, level, latency_ns, addr=-1):
+        for f in self._hit:
+            f(t, proc, op, line, level, latency_ns, addr)
 
     def transition(self, t, node, line, cause, before, after):
-        for s in self.sinks:
-            s.transition(t, node, line, cause, before, after)
+        for f in self._transition:
+            f(t, node, line, cause, before, after)
 
     def bus(self, t, bus, tx, cls, nbytes, origin, line):
-        for s in self.sinks:
-            s.bus(t, bus, tx, cls, nbytes, origin, line)
+        for f in self._bus:
+            f(t, bus, tx, cls, nbytes, origin, line)
 
     def replacement(self, t, src, dst, line, outcome, hops):
-        for s in self.sinks:
-            s.replacement(t, src, dst, line, outcome, hops)
+        for f in self._replacement:
+            f(t, src, dst, line, outcome, hops)
 
     def sync(self, t, proc, primitive, obj, wait_ns):
-        for s in self.sinks:
-            s.sync(t, proc, primitive, obj, wait_ns)
+        for f in self._sync:
+            f(t, proc, primitive, obj, wait_ns)
 
     def syncop(self, t, proc, op, primitive, obj):
-        for s in self.sinks:
-            s.syncop(t, proc, op, primitive, obj)
+        for f in self._syncop:
+            f(t, proc, op, primitive, obj)
 
     def span(self, t, dur_ns, trace_id, span_id, parent_id, name, proc,
              line, op, level, relocs=0):
-        for s in self.sinks:
-            s.span(t, dur_ns, trace_id, span_id, parent_id, name, proc,
-                   line, op, level, relocs)
+        for f in self._span:
+            f(t, dur_ns, trace_id, span_id, parent_id, name, proc, line, op,
+              level, relocs)
 
     def tree(self, t0, t, trace_id, root_id, proc, line, op, level, relocs,
              names, starts, ends):
-        for s in self.sinks:
-            s.tree(t0, t, trace_id, root_id, proc, line, op, level, relocs,
-                   names, starts, ends)
+        for f in self._tree:
+            f(t0, t, trace_id, root_id, proc, line, op, level, relocs,
+              names, starts, ends)
 
     def bus_phase(self, bus, wait_ns, busy_ns):
-        for s in self.sinks:
-            s.bus_phase(bus, wait_ns, busy_ns)
+        for f in self._bus_phase:
+            f(bus, wait_ns, busy_ns)
 
     def run_end(self, t, events, machine):
-        for s in self.sinks:
-            s.run_end(t, events, machine)
+        for f in self._run_end:
+            f(t, events, machine)
 
     def sample(self, machine) -> None:
         """The profiler hook: every member takes its periodic sample."""
@@ -294,6 +343,6 @@ def tee(current, observer):
     if current is None:
         return observer
     if isinstance(current, TeeSink):
-        current.sinks.append(observer)
+        current.add(observer)
         return current
     return TeeSink(current, observer)

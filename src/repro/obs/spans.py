@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
+from repro.common.hotpath import hotpath
 from repro.obs.events import SpanEvent
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.sink import TeeSink, TraceSink, tree_events
@@ -44,12 +45,14 @@ class SpanBuilder(TeeSink):
     opens the root, :meth:`phase` cuts a phase, :meth:`access` (the
     access's completion event) forwards the flat event and then delivers
     the span tree, and :meth:`replacement` counts the background
-    relocations the open access triggered.  The machine's access entry
+    relocations the open access triggered.  An access the kernel
+    retires on its fused path arrives as one :meth:`hit`, which delivers
+    the same flat event and one-phase tree.  The machine's access entry
     points are strictly sequential (the event loop never interleaves two
     accesses of one machine), so one mutable builder per machine
     suffices.  Lists are reused across accesses — the per-access cost is
     appends plus one :meth:`~repro.obs.sink.TraceSink.tree` call per
-    sink.
+    sink that reads trees.
     """
 
     __slots__ = ("_next_trace", "_next_span", "_open",
@@ -107,16 +110,44 @@ class SpanBuilder(TeeSink):
 
     def access(self, t, proc, op, line, level, latency_ns, addr=-1):
         """Forward the completed access, then emit its span tree."""
-        for s in self.sinks:
-            s.access(t, proc, op, line, level, latency_ns, addr)
+        for f in self._access:
+            f(t, proc, op, line, level, latency_ns, addr)
         self.end(t + latency_ns, level)
+
+    @hotpath
+    def hit(self, t, proc, op, line, level, latency_ns, addr=-1):
+        """A fused access: forward it, then emit the tree :meth:`begin`
+        and :meth:`access` would — the root alone, or with one tail
+        phase named ``level`` when the latency is positive."""
+        for f in self._hit:
+            f(t, proc, op, line, level, latency_ns, addr)
+        names = self._names
+        starts = self._starts
+        ends = self._ends
+        names.clear()
+        starts.clear()
+        ends.clear()
+        done = t + latency_ns
+        root_id = self._next_span + 1
+        if latency_ns > 0:
+            names.append(level)
+            starts.append(t)
+            ends.append(done)
+            self._next_span = root_id + 1
+        else:
+            self._next_span = root_id
+        trace_id = self._next_trace + 1
+        self._next_trace = trace_id
+        for f in self._tree:
+            f(t, done, trace_id, root_id, proc, line, op, level, 0,
+              names, starts, ends)
 
     def replacement(self, t, src, dst, line, outcome, hops):
         """Forward one relocation step and count it on the open access
         (traffic, not latency — annotated on the root).  An abandoned
         optional allocation (``uncached``) relocates nothing."""
-        for s in self.sinks:
-            s.replacement(t, src, dst, line, outcome, hops)
+        for f in self._replacement:
+            f(t, src, dst, line, outcome, hops)
         if self._open and outcome != "uncached":
             self.relocs += 1
 
@@ -145,10 +176,9 @@ class SpanBuilder(TeeSink):
         self._next_trace += 1
         root_id = self._next_span + 1
         self._next_span += 1 + len(names)
-        for s in self.sinks:
-            s.tree(self.t0, t, self._next_trace, root_id, self.proc,
-                   self.line, self.op, level, self.relocs, names, starts,
-                   ends)
+        for f in self._tree:
+            f(self.t0, t, self._next_trace, root_id, self.proc, self.line,
+              self.op, level, self.relocs, names, starts, ends)
 
     # -- failure introspection ------------------------------------------
 

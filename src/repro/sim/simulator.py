@@ -159,10 +159,12 @@ class Simulation:
         the writer's SLC.  Those events batch the ``reads``,
         ``l1_read_hits`` and ``writes`` counters in locals, credited
         before every checkpoint (budget, consistency check, profiler
-        sample) and when the loop exits.  Under release consistency
-        without coalescing, the write buffer is inline too (retire the
-        completed head, wait for a slot when full, push).  Every other
-        event takes the machine's full ``read``/``write``/
+        sample) and when the loop exits.  With an observer in the
+        ``obs`` slot, each reaches it as one ``hit`` call, made after
+        the same state updates the machine's path makes.  Under release
+        consistency without coalescing, the write buffer is inline too
+        (retire the completed head, wait for a slot when full, push).
+        Every other event takes the machine's full ``read``/``write``/
         ``write_stalling`` paths and the synchronization helpers.
         """
         m = self.machine
@@ -174,6 +176,7 @@ class Simulation:
         instr_ns = m.timing.instructions_ns
         shift = self._shift
         wb_inline = not self._sc and not m.config.write_buffer_coalescing
+        obs = self.obs
         fused = hp is not None
         if hp is not None:
             l1_sets = hp.l1_sets
@@ -219,6 +222,9 @@ class Simulation:
                         if fused and l1_tags[line % l1_sets] == line:
                             n_l1 += 1
                             m.now = clock
+                            if obs is not None:
+                                obs.hit(clock, pid, "r", line, LEVEL_L1,
+                                        t_l1, arg)
                             if not t_l1:
                                 continue
                             acct.busy += t_l1
@@ -272,7 +278,11 @@ class Simulation:
                             slc.tick = tick
                             slc_lru[sw] = tick
                             n_w += 1
-                            push(pending, (s + t_slc, line))
+                            s += t_slc
+                            if obs is not None:
+                                obs.hit(now, pid, "w", line, LEVEL_SLC,
+                                        s - now, arg)
+                            push(pending, (s, line))
                         else:
                             push(pending, (m_write(pid, arg, now), line))
                         if now == clock:

@@ -301,7 +301,7 @@ class TestBookkeeping:
         for fused in (True, False):
             sim = build(fused=fused)
             sim.attach(FlightRecorder(capacity=16))
-            assert sim.machine.hit_path() is None
+            assert (sim.machine.hit_path() is not None) == fused
             sim.max_events = 500
             with pytest.raises(SimulationError) as err:
                 sim.run()
@@ -364,8 +364,8 @@ class TestBookkeeping:
         bare = build().run().to_dict()
         on, result, out = self.observe(kind, fused=True)
         off, unfused_result, unfused_out = self.observe(kind, fused=False)
-        # Only a profiler keeps the fused path; every sink turns it off.
-        assert on == (kind == "timeline") and not off
+        # Every observer keeps the fused path on.
+        assert on and not off
         assert result == unfused_result == bare
         assert out == unfused_out
         assert len(out) > 100
