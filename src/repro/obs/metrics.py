@@ -388,7 +388,8 @@ class MetricsSink(TraceSink):
         self._misses: list = []
         self._busy: dict[str, Counter] = {}
         self._wait: dict[str, Histogram] = {}
-        self._latency: dict[tuple[str, str], Histogram] = {}
+        #: op -> level -> its latency child.
+        self._latency: dict[str, dict[str, Histogram]] = {}
         self._bus: dict[tuple[str, str], tuple[Counter, Counter]] = {}
         self._reloc: dict[str, tuple[Counter, Histogram]] = {}
         self._sync: dict[str, Histogram] = {}
@@ -410,14 +411,20 @@ class MetricsSink(TraceSink):
     # -- typed entry points ---------------------------------------------
 
     def access(self, t, proc, op, line, level, latency_ns, addr=-1):
-        hist = self._latency.get((op, level))
+        levels = self._latency.get(op)
+        if levels is None:
+            levels = self._latency[op] = {}
+        hist = levels.get(level)
         if hist is None:
-            hist = self._latency[(op, level)] = self.latency.labels(op, level)
+            hist = levels[level] = self.latency.labels(op, level)
         hist.observe(latency_ns)
         if level == "remote":
             self._misses[self._node_of[proc]].inc()
         elif level == "am" and op == "r":
             self._hits[self._node_of[proc]].inc()
+
+    #: A fused hit needs no ``begin``: it is the access alone.
+    hit = access
 
     def replacement(self, t, src, dst, line, outcome, hops):
         pair = self._reloc.get(outcome)

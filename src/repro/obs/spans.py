@@ -33,7 +33,7 @@ from typing import Optional
 
 from repro.common.hotpath import hotpath
 from repro.obs.events import SpanEvent
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import TeeSink, TraceSink, tree_events
 
 
@@ -74,6 +74,11 @@ class SpanBuilder(TeeSink):
         self._names: list[str] = []
         self._starts: list[int] = []
         self._ends: list[int] = []
+        #: A fused hit's one tail phase, and the empty phase list.
+        self._hit_names = [""]
+        self._hit_starts = [0]
+        self._hit_ends = [0]
+        self._no_phase: list = []
 
     # -- checkpoints ----------------------------------------------------
 
@@ -121,20 +126,18 @@ class SpanBuilder(TeeSink):
         phase named ``level`` when the latency is positive."""
         for f in self._hit:
             f(t, proc, op, line, level, latency_ns, addr)
-        names = self._names
-        starts = self._starts
-        ends = self._ends
-        names.clear()
-        starts.clear()
-        ends.clear()
         done = t + latency_ns
         root_id = self._next_span + 1
         if latency_ns > 0:
-            names.append(level)
-            starts.append(t)
-            ends.append(done)
+            names = self._hit_names
+            starts = self._hit_starts
+            ends = self._hit_ends
+            names[0] = level
+            starts[0] = t
+            ends[0] = done
             self._next_span = root_id + 1
         else:
+            names = starts = ends = self._no_phase
             self._next_span = root_id
         trace_id = self._next_trace + 1
         self._next_trace = trace_id
@@ -248,10 +251,9 @@ class StallAttribution(TraceSink):
             "access latency from span roots by operation and level",
             labels=("op", "level"),
         )
-        #: (op, level) -> its bound histogram child.
-        self._hist: dict[tuple[str, str], Histogram] = {}
-        #: Slowest access per class: (op, level) -> (dur, trace_id).
-        self._class_max: dict[tuple[str, str], tuple[int, int]] = {}
+        #: op -> level -> [bound histogram child, slowest duration,
+        #: its trace id] (duration -1 until the first access).
+        self._cls: dict[str, dict[str, list]] = {}
         #: Min-heap of (dur, trace_id) for the N slowest accesses.
         self._slowest: list[tuple[int, int]] = []
         #: trace_id -> [root, child, ...] for retained exemplar trees.
@@ -274,7 +276,8 @@ class StallAttribution(TraceSink):
         if by_op is None:
             by_op = self.root_ns[proc] = {}
         by_op[op] = by_op.get(op, 0) + dur
-        self.line_ns[line] = self.line_ns.get(line, 0) + dur
+        line_ns = self.line_ns
+        line_ns[line] = line_ns.get(line, 0) + dur
         wp = self._wphase.get(proc, 0)
         by_wp = self.wphase_ns.get(wp)
         if by_wp is None:
@@ -282,25 +285,36 @@ class StallAttribution(TraceSink):
         by_wp[op] = by_wp.get(op, 0) + dur
         if relocs:
             self.reloc_count[proc] = self.reloc_count.get(proc, 0) + relocs
-        cls = (op, level)
-        hist = self._hist.get(cls)
-        if hist is None:
-            hist = self._hist[cls] = self._latency.labels(op, level)
-        hist.observe(dur)
-        best = self._class_max.get(cls)
-        if best is None or dur > best[0]:
-            self._class_max[cls] = (dur, trace_id)
+        levels = self._cls.get(op)
+        if levels is None:
+            levels = self._cls[op] = {}
+        rec = levels.get(level)
+        if rec is None:
+            rec = levels[level] = [self._latency.labels(op, level), -1, 0]
+        rec[0].observe(dur)
+        if dur > rec[1]:
+            rec[1] = dur
+            rec[2] = trace_id
         if names:
-            phases = self.phase_ns.setdefault(proc, {}).setdefault(op, {})
+            by_proc = self.phase_ns.get(proc)
+            if by_proc is None:
+                by_proc = self.phase_ns[proc] = {}
+            phases = by_proc.get(op)
+            if phases is None:
+                phases = by_proc[op] = {}
             for name, start, end in zip(names, starts, ends):
                 phases[name] = phases.get(name, 0) + end - start
-        # Keep the tree if it is among the N slowest so far.
+        # Keep the tree if it is among the N slowest so far: if
+        # (dur, trace_id) ranks above the heap's least.
         slowest = self._slowest
         if len(slowest) < self.top_spans:
             heapq.heappush(slowest, (dur, trace_id))
-        elif slowest and (dur, trace_id) > slowest[0]:
-            _, evicted = heapq.heapreplace(slowest, (dur, trace_id))
-            del self._trees[evicted]
+        elif slowest:
+            low_dur, low_id = slowest[0]
+            if dur < low_dur or (dur == low_dur and trace_id <= low_id):
+                return
+            heapq.heapreplace(slowest, (dur, trace_id))
+            del self._trees[low_id]
         else:
             return
         self._trees[trace_id] = tree_events(
@@ -339,8 +353,9 @@ class StallAttribution(TraceSink):
         """OpenMetrics exemplars: the slowest access per class, labeled
         with its trace id so ``coma-sim explain``/Perfetto can find it."""
         per_class = {}
-        for (op, level), (dur, tid) in sorted(self._class_max.items()):
-            per_class[(op, level)] = ({"trace_id": str(tid)}, dur)
+        for op, levels in sorted(self._cls.items()):
+            for level, (_hist, dur, tid) in sorted(levels.items()):
+                per_class[(op, level)] = ({"trace_id": str(tid)}, dur)
         return {"span_access_latency_ns": per_class}
 
     def report(self, stalls: Optional[list[dict]] = None,

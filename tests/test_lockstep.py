@@ -7,6 +7,12 @@ reference ``_fill_hierarchy`` built from those two methods runs beside
 the shipped one: two machines take the same op soup, and after every op
 every SLC and attraction-memory array must match column for column,
 with the same victim each set would give up next.
+
+The LRU stamps written in line get the same treatment: the SLC and AM
+hit stamps of ``ComaMachine.read`` and the AM stamps of
+``_write_access`` against a reference built from methods, and the AM and
+SLC stamps of the kernel's fused posted write against
+``ComaMachine.write``, compared before every event.
 """
 
 from __future__ import annotations
@@ -20,10 +26,13 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.caches.slc import NO_VICTIM
-from repro.coma.machine import ComaMachine
+from repro.coma.linetable import LOC_AM
+from repro.coma.machine import LEVEL_AM, LEVEL_SLC, ComaMachine
+from repro.coma.states import EXCLUSIVE
 from repro.common.config import MachineConfig
 from repro.mem.address import AddressSpace
 from repro.mem.soa import VICTIM_LRU
+from repro.sim.simulator import Simulation
 
 pytestmark = pytest.mark.lockstep
 
@@ -45,7 +54,75 @@ def _fill_hierarchy(self, proc, node, line, way):
     self.reference_fills += 1
 
 
-def make(ppn: int, inclusive: bool, reference: bool) -> ComaMachine:
+def touch(a, way: int) -> None:
+    """The LRU stamp ``LineArray.fill_way`` and ``SecondLevelCache.lookup``
+    leave: the array's next tick."""
+    a.tick += 1
+    a.lru_a[way] = a.tick
+
+
+class StampReference(ComaMachine):
+    """``read`` and ``_write_access`` with every in-line LRU stamp taken
+    through a method: SLC and AM read hits, writes to an EXCLUSIVE line
+    and upgrades of a line the node's AM holds.  Every other access
+    takes the shipped path.  ``ref_hits`` and ``ref_writes`` count the
+    accesses it served itself."""
+
+    ref_hits = ref_writes = 0
+
+    def read(self, proc, addr, now):
+        line = addr >> self._shift
+        node = self.nodes[self._node_of[proc]]
+        slc = self.slcs[proc]
+        if (self.l1s[proc].lookup(line)
+                or (line not in slc.index and line not in node.am.index)):
+            return super().read(proc, addr, now)
+        self.ref_hits += 1
+        self.now = now
+        c = self.counters
+        c.reads += 1
+        start = self.slc_res[proc].acquire(now, self._t_slc_occ, self._port)
+        if slc.lookup(line):
+            c.slc_read_hits += 1
+            self.l1s[proc].fill(line)
+            return start + self._t_slc, LEVEL_SLC
+        way = node.am.index[line]
+        done = self._node_access(node.nc, node.dram, now)
+        touch(node.am, way)
+        node.shadow.access(line)
+        c.am_read_hits += 1
+        self._fill_hierarchy(proc, node, line, way)
+        return done, LEVEL_AM
+
+    def _write_access(self, proc, addr, now):
+        line = addr >> self._shift
+        node = self.nodes[self._node_of[proc]]
+        am = node.am
+        way = am.index.get(line)
+        if way is None:
+            return super()._write_access(proc, addr, now)
+        self.ref_writes += 1
+        self.now = now
+        slc_hit = line in self.slcs[proc].index
+        t = now
+        if am.state_a[way] != EXCLUSIVE:
+            self.counters.upgrades += 1
+            s = node.nc.acquire(now, self._t_nc_busy, self._port)
+            t = self._upgrade_broadcast(node, line, s + self._t_nc)
+            self._invalidate_others(line, node)
+            am.state_a[way] = EXCLUSIVE
+            info = self.lines.get(line)
+            info.owner_node = node.id
+            info.owner_loc = LOC_AM
+            info.sharers.clear()
+        touch(am, way)
+        node.shadow.access(line)
+        return self._local_write_finish(proc, node, line, way, None, slc_hit,
+                                        t)
+
+
+def make(ppn: int, inclusive: bool, reference: bool,
+         cls: type = ComaMachine) -> ComaMachine:
     """An 8-processor machine whose 2-way AMs hold 64 lines in all for
     the soups' 48, with a one-set 4-way SLC and a 2-line L1."""
     cfg = MachineConfig(
@@ -63,7 +140,7 @@ def make(ppn: int, inclusive: bool, reference: bool) -> ComaMachine:
     )
     space = AddressSpace(page_size=256)
     space.alloc(N_LINES * LINE, "data")
-    m = ComaMachine(cfg, space)
+    m = cls(cfg, space)
     if reference:
         m.reference_fills = 0
         m._fill_hierarchy = types.MethodType(_fill_hierarchy, m)
@@ -106,11 +183,26 @@ def check_same(fast: ComaMachine, ref: ComaMachine, where: tuple) -> None:
                                      f"differs:\n  {g}\n  {w}")
 
 
-def run_lockstep(ops, ppn: int, inclusive: bool) -> tuple[ComaMachine, ComaMachine]:
+def distinct_stamps(m: ComaMachine) -> None:
+    """No two valid ways of one set carry the same LRU stamp."""
+    for a in [s.array for s in m.slcs] + [n.am for n in m.nodes]:
+        for base in range(0, a.num_sets * a.assoc, a.assoc):
+            stamps = [a.lru_a[w] for w in range(base, base + a.assoc)
+                      if a.state_a[w]]
+            assert len(set(stamps)) == len(stamps), (base, stamps)
+            assert all(0 < t <= a.tick for t in stamps), (base, stamps)
+
+
+def run_lockstep(ops, ppn: int, inclusive: bool,
+                 ref_cls: type = None) -> tuple[ComaMachine, ComaMachine]:
     """Run ``ops`` on the shipped and the reference machine, comparing
-    after every op; returns both machines."""
+    after every op; returns both machines.  The reference is the
+    method-based ``_fill_hierarchy``, or a ``ref_cls`` machine."""
     fast = make(ppn, inclusive, reference=False)
-    ref = make(ppn, inclusive, reference=True)
+    if ref_cls is None:
+        ref = make(ppn, inclusive, reference=True)
+    else:
+        ref = make(ppn, inclusive, reference=False, cls=ref_cls)
     now = 0
     for i, (op, proc, line, word, gap) in enumerate(ops):
         now += gap
@@ -123,6 +215,7 @@ def run_lockstep(ops, ppn: int, inclusive: bool) -> tuple[ComaMachine, ComaMachi
         if got != want:
             raise AssertionError(f"after op {where}: {got} != {want}")
         check_same(fast, ref, where)
+        distinct_stamps(fast)
     fast.check_consistency()
     ref.check_consistency()
     return fast, ref
@@ -170,3 +263,107 @@ class TestSlcFillLockstep:
         assert ref.reference_fills > 300
         assert c.slc_writebacks > 0 and c.replacements > 0
         assert (c.slc_owner_reinserts > 0) is not inclusive
+
+
+class TestLruStampLockstep:
+    """The in-line LRU stamps against their method-based references.
+
+    Equal stamps are not reachable: every stamping site, in line or not,
+    takes its array's next tick, so the valid ways of a set always carry
+    distinct stamps (``distinct_stamps`` checks it after every op).  The
+    LRU picks run only over sets with no invalid way, so a ``<`` -> ``<=``
+    tie-break mutant of them picks the same way on every reachable state
+    and no soup can tell it apart.
+    """
+
+    @given(ops=st.lists(soup_op, min_size=20, max_size=150),
+           ppn=st.sampled_from([1, 4]),
+           inclusive=st.booleans())
+    @settings(max_examples=60, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.shrink))
+    def test_machine_stamps(self, ops, ppn, inclusive):
+        run_lockstep(ops, ppn, inclusive, ref_cls=StampReference)
+
+    @pytest.mark.parametrize("inclusive", [True, False],
+                             ids=["inclusive", "noninclusive"])
+    @pytest.mark.parametrize("ppn", [1, 4])
+    def test_seeded_soup_reaches_every_stamp(self, ppn, inclusive):
+        """A long seeded soup hits in the SLC and the AM, writes to
+        EXCLUSIVE lines and upgrades shared ones."""
+        rng = random.Random(4242 + ppn)
+        ops = [_op(rng.choice("rrw"), rng.randrange(8), rng.randrange(24),
+                   rng.randrange(8), rng.randrange(400)) for _ in range(1500)]
+        fast, ref = run_lockstep(ops, ppn, inclusive, ref_cls=StampReference)
+        c = fast.counters
+        assert c.slc_read_hits > 50 and c.am_read_hits > 50
+        assert c.upgrades > 50
+        assert ref.ref_hits > 100 and ref.ref_writes > 100
+
+    @given(ops=st.lists(soup_op, min_size=20, max_size=150),
+           ppn=st.sampled_from([1, 4]),
+           inclusive=st.booleans())
+    @settings(max_examples=40, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.shrink))
+    def test_fused_write_stamps(self, ops, ppn, inclusive):
+        compare_kernel(ops, ppn, inclusive)
+
+    def test_seeded_soup_fuses_writes(self):
+        rng = random.Random(1997)
+        ops = [_op(rng.choice("rww"), rng.randrange(8), rng.randrange(6),
+                   rng.randrange(8), rng.randrange(40)) for _ in range(800)]
+        fused_writes = compare_kernel(ops, 4, True)
+        assert fused_writes > 100
+
+
+def kernel_run(ops, ppn: int, inclusive: bool, fused: bool) -> tuple:
+    """Run ``ops`` as per-processor programs on the simulation kernel;
+    returns the machine's state before every event and how many writes
+    the kernel retired without ``ComaMachine.write``."""
+    m = make(ppn, inclusive, reference=False)
+    if not fused:
+        m.hit_path = lambda: None
+    programs = [[] for _ in range(8)]
+    for op, proc, line, word, gap in ops:
+        if gap % 4 == 0:
+            programs[proc].append(("c", gap))
+        programs[proc].append((op, line * LINE + 8 * word))
+    seen = []
+    check = m.check_consistency
+
+    def record():
+        seen.append((arrays(m), state(m),
+                     [(tuple(r.free), r.busy_ns, r.uses) for r in m.slc_res]))
+        check()
+
+    m.check_consistency = record
+    write_calls = [0]
+    write = m.write
+
+    def counted(*args):
+        write_calls[0] += 1
+        return write(*args)
+
+    m.write = counted
+    sim = Simulation(m, [iter(p) for p in programs])
+    sim.check_every = 1
+    sim.run()
+    record()
+    return seen, m.counters.writes - write_calls[0]
+
+
+def compare_kernel(ops, ppn: int, inclusive: bool) -> int:
+    """The fused kernel against the machine path, before every event;
+    returns how many writes the fused run retired itself."""
+    fused, n_fused = kernel_run(ops, ppn, inclusive, fused=True)
+    full, n_full = kernel_run(ops, ppn, inclusive, fused=False)
+    assert n_full == 0 and len(fused) == len(full)
+    for i, (got, want) in enumerate(zip(fused, full)):
+        if got != want:
+            names = ("arrays", "state", "slc ports")
+            for name, g, w in zip(names, got, want):
+                if g != w:
+                    raise AssertionError(f"before event {i}: {name} differs:"
+                                         f"\n  {g}\n  {w}")
+    return n_fused
