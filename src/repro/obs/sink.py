@@ -44,7 +44,8 @@ from repro.obs.events import (
 
 
 class TraceSink:
-    """The receiver interface: every entry point is a no-op."""
+    """The receiver interface: every entry point is a no-op, and
+    :meth:`hit` is the :meth:`begin` + :meth:`access` pair."""
 
     #: Span emission is opt-in: building a span tree per access costs
     #: allocations the classic flat events avoid, so ``Simulation.attach``
@@ -227,11 +228,11 @@ def tree_events(t0: int, t: int, trace_id: int, root_id: int, proc: int,
 
 #: The typed calls a :class:`TeeSink` forwards: each only to the members
 #: whose class overrides it.
-FORWARDED = ("access", "transition", "bus", "replacement", "sync", "syncop",
-             "span", "tree", "bus_phase", "run_end")
+_FORWARDED = ("access", "transition", "bus", "replacement", "sync",
+              "syncop", "span", "tree", "bus_phase", "run_end")
 
 
-def overrides(sink, name: str) -> bool:
+def _overrides(sink, name: str) -> bool:
     """Whether ``sink``'s class overrides :class:`TraceSink`'s no-op
     ``name``."""
     base = getattr(TraceSink, name)
@@ -262,12 +263,12 @@ class TeeSink(TraceSink):
 
     def _route(self) -> None:
         """Bind, per forwarded call, the members that read it."""
-        for name in FORWARDED:
-            setattr(self, "_" + name,
-                    [getattr(s, name) for s in self.sinks if overrides(s, name)])
-        self._hit = [s.hit if overrides(s, "hit") else s.access
+        for name in _FORWARDED:
+            setattr(self, "_" + name, [getattr(s, name) for s in self.sinks
+                                       if _overrides(s, name)])
+        self._hit = [s.hit if _overrides(s, "hit") else s.access
                      for s in self.sinks
-                     if overrides(s, "hit") or overrides(s, "access")]
+                     if _overrides(s, "hit") or _overrides(s, "access")]
 
     def bind(self, machine) -> None:
         for s in self.sinks:

@@ -24,7 +24,7 @@ from repro.obs.openmetrics import (
     render_openmetrics,
     to_openmetrics,
 )
-from repro.obs.sink import CollectorSink, TeeSink, tree_events
+from repro.obs.sink import CollectorSink, TeeSink, TraceSink, tree_events
 from repro.obs.spans import (
     SpanBuilder,
     StallAttribution,
@@ -162,6 +162,29 @@ class TestZeroOverheadOff:
         result = sim.run()
         assert result.elapsed_ns > 0
         assert sim.obs is sink and sim.machine.obs is sink
+
+    def test_tee_skips_calls_a_member_does_not_read(self, monkeypatch):
+        """Poisoned no-ops: the span builder forwards each typed call only
+        to the members that override it, so ``MetricsSink``'s inherited
+        ``tree`` and ``StallAttribution``'s inherited ``access`` never
+        run."""
+
+        def boom(*a, **k):  # pragma: no cover - must never run
+            raise AssertionError("a tee forwarded a call no member reads")
+
+        for name in ("access", "transition", "bus", "replacement", "sync",
+                     "syncop", "span", "tree", "bus_phase", "run_end"):
+            monkeypatch.setattr(TraceSink, name, boom)
+        sim = build_simulation(SPEC)
+        att = StallAttribution()
+        registry = MetricsRegistry()
+        sim.attach(registry)
+        sim.attach(att)
+        assert sim.machine.hit_path() is not None
+        result = sim.run()
+        assert att.accesses == result.counters["reads"] + result.counters[
+            "writes"] + result.counters["atomics"]
+        assert "coma_access_latency_ns" in to_openmetrics(registry)
 
     def test_detaching_span_sink_restores_byte_identical_traces(self):
         def jsonl(extra_sink) -> str:
