@@ -423,9 +423,6 @@ class MetricsSink(TraceSink):
         elif level == "am" and op == "r":
             self._hits[self._node_of[proc]].inc()
 
-    #: A fused hit needs no ``begin``: it is the access alone.
-    hit = access
-
     def replacement(self, t, src, dst, line, outcome, hops):
         pair = self._reloc.get(outcome)
         if pair is None:

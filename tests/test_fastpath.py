@@ -321,14 +321,19 @@ class TestBookkeeping:
 
             registry = MetricsRegistry()
             sim.attach(registry)
-            output = lambda res: to_openmetrics(registry)  # noqa: E731
+
+            def output(res):
+                return to_openmetrics(registry)
         elif kind == "attribution":
             from repro.obs.spans import StallAttribution
 
             att = StallAttribution()
             sim.attach(att)
-            output = lambda res: json.dumps(att.report(  # noqa: E731
-                stalls=res.stalls, elapsed_ns=res.elapsed_ns), sort_keys=True)
+
+            def output(res):
+                return json.dumps(att.report(stalls=res.stalls,
+                                             elapsed_ns=res.elapsed_ns),
+                                  sort_keys=True)
         elif kind == "sanitizer":
             from dataclasses import asdict
 
@@ -338,22 +343,26 @@ class TestBookkeeping:
             # window of events.
             san = sanitizer_for(sim, pingpong_threshold=2)
             sim.attach(san)
-            output = lambda res: json.dumps(  # noqa: E731
-                asdict(san.finish()), sort_keys=True)
+
+            def output(res):
+                return json.dumps(asdict(san.finish()), sort_keys=True)
         elif kind == "bounds":
             from repro.analysis.bounds import BoundsCertifier, envelope_for
 
             cert = BoundsCertifier(envelope_for("coma",
                                                 sim.machine.config.timing))
             sim.attach(cert)
-            output = lambda res: json.dumps(cert.report(),  # noqa: E731
-                                            sort_keys=True)
+
+            def output(res):
+                return json.dumps(cert.report(), sort_keys=True)
         else:
             from repro.obs.timeline import TimelineSampler
 
             tl = TimelineSampler()
             sim.attach(tl, every=500)
-            output = lambda res: json.dumps([tl.t, tl.cols])  # noqa: E731
+
+            def output(res):
+                return json.dumps([tl.t, tl.cols])
         on = sim.machine.hit_path() is not None
         result = sim.run()
         return on, result.to_dict(), output(result)
