@@ -265,58 +265,6 @@ class TestSlcFillLockstep:
         assert (c.slc_owner_reinserts > 0) is not inclusive
 
 
-class TestLruStampLockstep:
-    """The in-line LRU stamps against their method-based references.
-
-    Equal stamps are not reachable: every stamping site, in line or not,
-    takes its array's next tick, so the valid ways of a set always carry
-    distinct stamps (``distinct_stamps`` checks it after every op).  The
-    LRU picks run only over sets with no invalid way, so a ``<`` -> ``<=``
-    tie-break mutant of them picks the same way on every reachable state
-    and no soup can tell it apart.
-    """
-
-    @given(ops=st.lists(soup_op, min_size=20, max_size=150),
-           ppn=st.sampled_from([1, 4]),
-           inclusive=st.booleans())
-    @settings(max_examples=60, deadline=None,
-              phases=(Phase.explicit, Phase.reuse, Phase.generate,
-                      Phase.shrink))
-    def test_machine_stamps(self, ops, ppn, inclusive):
-        run_lockstep(ops, ppn, inclusive, ref_cls=StampReference)
-
-    @pytest.mark.parametrize("inclusive", [True, False],
-                             ids=["inclusive", "noninclusive"])
-    @pytest.mark.parametrize("ppn", [1, 4])
-    def test_seeded_soup_reaches_every_stamp(self, ppn, inclusive):
-        """A long seeded soup hits in the SLC and the AM, writes to
-        EXCLUSIVE lines and upgrades shared ones."""
-        rng = random.Random(4242 + ppn)
-        ops = [_op(rng.choice("rrw"), rng.randrange(8), rng.randrange(24),
-                   rng.randrange(8), rng.randrange(400)) for _ in range(1500)]
-        fast, ref = run_lockstep(ops, ppn, inclusive, ref_cls=StampReference)
-        c = fast.counters
-        assert c.slc_read_hits > 50 and c.am_read_hits > 50
-        assert c.upgrades > 50
-        assert ref.ref_hits > 100 and ref.ref_writes > 100
-
-    @given(ops=st.lists(soup_op, min_size=20, max_size=150),
-           ppn=st.sampled_from([1, 4]),
-           inclusive=st.booleans())
-    @settings(max_examples=40, deadline=None,
-              phases=(Phase.explicit, Phase.reuse, Phase.generate,
-                      Phase.shrink))
-    def test_fused_write_stamps(self, ops, ppn, inclusive):
-        compare_kernel(ops, ppn, inclusive)
-
-    def test_seeded_soup_fuses_writes(self):
-        rng = random.Random(1997)
-        ops = [_op(rng.choice("rww"), rng.randrange(8), rng.randrange(6),
-                   rng.randrange(8), rng.randrange(40)) for _ in range(800)]
-        fused_writes = compare_kernel(ops, 4, True)
-        assert fused_writes > 100
-
-
 def kernel_run(ops, ppn: int, inclusive: bool, fused: bool) -> tuple:
     """Run ``ops`` as per-processor programs on the simulation kernel;
     returns the machine's state before every event and how many writes
@@ -367,3 +315,55 @@ def compare_kernel(ops, ppn: int, inclusive: bool) -> int:
                     raise AssertionError(f"before event {i}: {name} differs:"
                                          f"\n  {g}\n  {w}")
     return n_fused
+
+
+class TestLruStampLockstep:
+    """The in-line LRU stamps against their method-based references.
+
+    Equal stamps are not reachable: every stamping site, in line or not,
+    takes its array's next tick, so the valid ways of a set always carry
+    distinct stamps (``distinct_stamps`` checks it after every op).  The
+    LRU picks run only over sets with no invalid way, so a ``<`` -> ``<=``
+    tie-break mutant of them picks the same way on every reachable state
+    and no soup can tell it apart.
+    """
+
+    @given(ops=st.lists(soup_op, min_size=20, max_size=150),
+           ppn=st.sampled_from([1, 4]),
+           inclusive=st.booleans())
+    @settings(max_examples=60, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.shrink))
+    def test_machine_stamps(self, ops, ppn, inclusive):
+        run_lockstep(ops, ppn, inclusive, ref_cls=StampReference)
+
+    @pytest.mark.parametrize("inclusive", [True, False],
+                             ids=["inclusive", "noninclusive"])
+    @pytest.mark.parametrize("ppn", [1, 4])
+    def test_seeded_soup_reaches_every_stamp(self, ppn, inclusive):
+        """A long seeded soup hits in the SLC and the AM, writes to
+        EXCLUSIVE lines and upgrades shared ones."""
+        rng = random.Random(4242 + ppn)
+        ops = [_op(rng.choice("rrw"), rng.randrange(8), rng.randrange(24),
+                   rng.randrange(8), rng.randrange(400)) for _ in range(1500)]
+        fast, ref = run_lockstep(ops, ppn, inclusive, ref_cls=StampReference)
+        c = fast.counters
+        assert c.slc_read_hits > 50 and c.am_read_hits > 50
+        assert c.upgrades > 50
+        assert ref.ref_hits > 100 and ref.ref_writes > 100
+
+    @given(ops=st.lists(soup_op, min_size=20, max_size=150),
+           ppn=st.sampled_from([1, 4]),
+           inclusive=st.booleans())
+    @settings(max_examples=40, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.shrink))
+    def test_fused_write_stamps(self, ops, ppn, inclusive):
+        compare_kernel(ops, ppn, inclusive)
+
+    def test_seeded_soup_fuses_writes(self):
+        rng = random.Random(1997)
+        ops = [_op(rng.choice("rww"), rng.randrange(8), rng.randrange(6),
+                   rng.randrange(8), rng.randrange(40)) for _ in range(800)]
+        fused_writes = compare_kernel(ops, 4, True)
+        assert fused_writes > 100
