@@ -75,24 +75,19 @@ class HierarchicalComaMachine(ComaMachine):
     # interconnect overrides
     # ------------------------------------------------------------------
 
-    def _record_remote(
-        self, kind: TxKind, local: ComaNode, owner: ComaNode, line: int = -1
-    ) -> None:
-        gb = self.group_buses[self.group_of(local.id)]
-        gb.record(kind, self.now, local.id, line)
-        if not self.same_group(local, owner):
-            # The request also crosses the top bus and the owner's group bus.
-            self.bus.record(kind, self.now, local.id, line)
-            self.group_buses[self.group_of(owner.id)].record(
-                kind, self.now, local.id, line
-            )
-
-    def _remote_path(self, local: ComaNode, owner: ComaNode, now: int) -> int:
+    def _fetch_remote(self, kind: TxKind, local: ComaNode, owner: ComaNode,
+                      line: int, now: int) -> int:
         lg = self.group_buses[self.group_of(local.id)]
+        lg.record(kind, now, local.id, line)
         if self.same_group(local, owner):
             # Snooped within the group: owner answers over the group bus.
             return self._remote_fetch(local.nc, owner.nc, owner.dram, now,
                                       lg, "gbus_req", "gbus_reply")
+        # The request also crosses the top bus and the owner's group bus.
+        top = self.bus
+        og = self.group_buses[self.group_of(owner.id)]
+        top.record(kind, now, local.id, line)
+        og.record(kind, now, local.id, line)
         # Group directory forwards over the top bus to the owner group.
         nc_busy = self._t_nc_busy
         nc_ns = self._t_nc
@@ -100,8 +95,6 @@ class HierarchicalComaMachine(ComaMachine):
         s = local.nc.acquire(now, nc_busy, port)
         t_out = s + nc_ns
         t_req = lg.phase(t_out, port)          # group bus request
-        top = self.bus
-        og = self.group_buses[self.group_of(owner.id)]
         t_dir = t_req + nc_ns                  # local group directory lookup
         t_top = top.phase(t_dir, port)         # top bus request
         t_dir2 = t_top + nc_ns                 # remote group directory

@@ -116,6 +116,8 @@ class ComaMachine(WriteFront):
         self.space = space
         self.counters = Counters()
         self.lines = LineTable()
+        #: The line table's dict, for the read miss's in-line lookup.
+        self._infos = self.lines._lines
         self.bus = SharedBus(config.timing, config.line_size)
         am_geom = config.am_geometry
         self.nodes: list[ComaNode] = [
@@ -294,32 +296,103 @@ class ComaMachine(WriteFront):
                                addr)
                 return done, LEVEL_AM
 
-        # Read node miss.
+        # Read node miss, in line (tests/test_lockstep.py runs it beside
+        # the methods): classify it, update the shadow tags, fetch, degrade
+        # an AM supplier E -> O, take a free way or drop a Shared victim
+        # under inclusion, fill the way and hold the local DRAM.
         c.node_read_misses += 1
-        self._classify_read_miss(node, line)
-        shadow.access(line)
-        info = self.lines.get(line)
+        removal = node.removal_reason
+        tags = shadow._lines
+        seen = line in tags
+        if line not in node.ever:
+            c.read_miss_cold += 1
+        elif removal.get(line) == REMOVED_INVALIDATED:
+            c.read_miss_coherence += 1
+        elif seen:
+            c.read_miss_conflict += 1
+        else:
+            c.read_miss_capacity += 1
+        if seen:
+            tags.move_to_end(line)
+        else:
+            tags[line] = None
+            if len(tags) > shadow.capacity:
+                tags.popitem(last=False)
+        infos = self._infos
+        info = infos.get(line)
+        if info is None:
+            raise ProtocolError(f"line {line:#x} accessed before materialization")
         owner = self.nodes[info.owner_node]
-        self._record_remote(TxKind.READ_DATA, node, owner, line)
-        t = self._remote_path(node, owner, now)
+        t = self._fetch_remote(TxKind.READ_DATA, node, owner, line, now)
 
         # Supplier side: E degrades to O (a shared copy now exists).
-        self._owner_to_shared_state(owner, line, info)
-
-        way = self.repl.make_room(node, line, t, mandatory=False)
-        if way is None:
-            # Uncached read: data delivered, no local copy retained.
-            done = t + self._t_remote
+        oam = owner.am
+        ow = oam.index.get(line)
+        if ow is None:
+            self._owner_to_shared_state(owner, line, info)
+        elif oam.state_a[ow] == EXCLUSIVE:
+            oam.state_a[ow] = self._st_degrade
             if obs is not None:
-                obs.access(now, proc, "r", line, LEVEL_REMOTE, done - now,
-                           addr)
-            return done, LEVEL_REMOTE
-        am.fill_way(way, line, SHARED)
-        node.note_present(line)
+                obs.transition(now, owner.id, line, "remote_read", "E",
+                               state_name(self._st_degrade))
+
+        index = am.index
+        line_a = am.line_a
+        state_a = am.state_a
+        aux_a = am.aux_a
+        set_idx = line % am.num_sets
+        way = set_idx * am.assoc
+        end = way + am.assoc
+        while way < end:
+            if not state_a[way]:
+                break
+            way += 1
+        else:
+            way = am.victim_way(set_idx, self._victim_mode)
+            if state_a[way] == SHARED and self._inclusive:
+                # drop_shared_copy and strip_node_copy; the fill below
+                # overwrites the way's columns.
+                victim = line_a[way]
+                infos[victim].sharers.discard(node.id)
+                c.shared_drops += 1
+                if obs is not None:
+                    obs.transition(now, node.id, victim, "drop", "S", "I")
+                if aux_a[way]:
+                    self._invalidate_mask(node, victim, aux_a[way])
+                removal[victim] = REMOVED_EVICTED
+                del index[victim]
+            else:
+                way = self.repl.make_room(node, line, t, mandatory=False)
+                if way is None:
+                    # Uncached read: data delivered, no local copy retained.
+                    done = t + self._t_remote
+                    if obs is not None:
+                        obs.access(now, proc, "r", line, LEVEL_REMOTE,
+                                   done - now, addr)
+                    return done, LEVEL_REMOTE
+        # fill_way (the way is invalid), note_present, the DRAM hold.
+        line_a[way] = line
+        state_a[way] = SHARED
+        am.dirty_a[way] = 0
+        aux_a[way] = 0
+        index[line] = way
+        tick = am.tick + 1
+        am.tick = tick
+        am.lru_a[way] = tick
+        node.ever.add(line)
+        removal.pop(line, None)
         info.sharers.add(node.id)
         if obs is not None:
             obs.transition(t, node.id, line, "fill", "I", "S")
-        s = node.dram.acquire(t, self._t_dram_busy, self._port)
+        dram = node.dram
+        busy = self._t_dram_busy
+        df = dram.free
+        s = df[port]
+        if s < t:
+            s = t
+        df[port] = s + busy
+        dram.busy_ns += busy
+        dram.uses += 1
         done = s + self._t_dram_lat + self._t_remote
         self._fill_hierarchy(proc, node, line, way)
         if obs is not None:
@@ -402,8 +475,7 @@ class ComaMachine(WriteFront):
         c.node_write_misses += 1
         c.read_exclusive += 1
         owner = self.nodes[info.owner_node]
-        self._record_remote(TxKind.READ_EXCL, node, owner, line)
-        t = self._remote_path(node, owner, now)
+        t = self._fetch_remote(TxKind.READ_EXCL, node, owner, line, now)
         self._invalidate_others(line, node)
         way = self.repl.make_room(node, line, t, mandatory=True)
         assert way is not None, "mandatory make_room returned None"
@@ -755,11 +827,28 @@ class ComaMachine(WriteFront):
 
     # -- interconnect hooks (overridden by the hierarchical machine) -----
 
-    def _record_remote(
-        self, kind: TxKind, local: ComaNode, owner: ComaNode, line: int = -1
-    ) -> None:
-        """Meter one remote data transaction on the interconnect."""
-        self.bus.record(kind, self.now, local.id, line)
+    @hotpath
+    def _fetch_remote(self, kind: TxKind, local: ComaNode, owner: ComaNode,
+                      line: int, now: int) -> int:
+        """Meter one remote data transaction of ``kind`` on the
+        interconnect and charge the fetch up to data arrival at the local
+        controller (:meth:`_remote_fetch` over the one bus).  The local
+        allocate/fill and fixed overhead are added by the caller (they
+        differ between cached and uncached reads)."""
+        # The owner holds the line and the local node does not.
+        assert local is not owner
+        bus = self.bus
+        # SharedBus.record, in line.
+        k = kind.slot
+        cls = bus._kind_class[k]
+        nbytes = bus._kind_bytes[k]
+        bus._counts[cls] += 1
+        bus._bytes[cls] += nbytes
+        if bus.obs is not None:
+            bus.obs.bus(now, bus.name, kind.name, kind.tx_class.value,
+                        nbytes, local.id, line)
+        return self._remote_fetch(local.nc, owner.nc, owner.dram, now,
+                                  bus, "bus_req", "bus_reply")
 
     def _upgrade_broadcast(self, node: ComaNode, line: int, t: int) -> int:
         """Broadcast an upgrade/erase; returns its completion time."""
@@ -836,27 +925,6 @@ class ComaMachine(WriteFront):
             for k in range(n)
             if (rotor + k) % n != exclude_id
         ]
-
-    def _remote_path(self, local: ComaNode, owner: ComaNode, now: int) -> int:
-        """Charge the remote fetch up to data arrival at the local
-        controller (:meth:`_remote_fetch` over the one bus).  The local
-        allocate/fill and fixed overhead are added by the caller (they
-        differ between cached and uncached reads)."""
-        # The owner holds the line and the local node does not.
-        assert local is not owner
-        return self._remote_fetch(local.nc, owner.nc, owner.dram, now,
-                                  self.bus, "bus_req", "bus_reply")
-
-    def _classify_read_miss(self, node: ComaNode, line: int) -> None:
-        c = self.counters
-        if line not in node.ever:
-            c.read_miss_cold += 1
-        elif node.removal_reason.get(line) == REMOVED_INVALIDATED:
-            c.read_miss_coherence += 1
-        elif line in node.shadow:
-            c.read_miss_conflict += 1
-        else:
-            c.read_miss_capacity += 1
 
     # ------------------------------------------------------------------
     # invariants

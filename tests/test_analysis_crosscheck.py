@@ -12,7 +12,7 @@ from repro.analysis.crosscheck import (
 )
 from repro.coma.machine import ComaMachine
 from repro.coma.replacement import ReplacementEngine
-from repro.coma.states import OWNER
+from repro.coma.states import EXCLUSIVE, OWNER
 
 
 class TestShippedMachine:
@@ -38,16 +38,26 @@ class TestShippedMachine:
         assert report.stats["scenarios"] == 4
 
 
+def drop_owner_degrade(monkeypatch) -> None:
+    """Every built machine resolves the supplier's remote_read snoop to
+    E (no degrade).  ``read`` degrades an AM owner in line and calls
+    ``_owner_to_shared_state`` for the others; both read ``_st_degrade``."""
+    real_init = ComaMachine.__init__
+
+    def mutated_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self._st_degrade = EXCLUSIVE
+
+    monkeypatch.setattr(ComaMachine, "__init__", mutated_init)
+
+
 class TestMachineMutationsAreCaught:
     """Monkeypatch a coherence action out of the machine and assert the
     cross-check localizes the divergence with the right rule ID."""
 
     def test_missing_owner_degrade_is_c001(self, monkeypatch):
         # Supplier no longer snoops remote_read: stays E instead of E->O.
-        monkeypatch.setattr(
-            ComaMachine, "_owner_to_shared_state",
-            lambda self, owner, line, info: None,
-        )
+        drop_owner_degrade(monkeypatch)
         report = crosscheck_sequences(nodes=2, depth=2)
         assert not report.ok
         f = report.findings[0]
@@ -55,10 +65,7 @@ class TestMachineMutationsAreCaught:
         assert "table predicts" in f.detail and "machine holds" in f.detail
 
     def test_divergence_carries_minimal_sequence(self, monkeypatch):
-        monkeypatch.setattr(
-            ComaMachine, "_owner_to_shared_state",
-            lambda self, owner, line, info: None,
-        )
+        drop_owner_degrade(monkeypatch)
         report = crosscheck_sequences(nodes=2, depth=3)
         # A shortest exposing sequence: materialize at one node, read at
         # the other (two ops — depth-1 sequences cannot expose it).

@@ -13,6 +13,10 @@ hit stamps of ``ComaMachine.read`` and the AM stamps of
 ``_write_access`` against a reference built from methods, and the AM and
 SLC stamps of the kernel's fused posted write against
 ``ComaMachine.write``, compared before every event.
+
+So does ``read``'s node miss, whose classification, shadow-tag update,
+supplier degrade, free-way and Shared-victim allocation and fill are
+written in line: against the methods, on coma and hcoma.
 """
 
 from __future__ import annotations
@@ -26,12 +30,16 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.caches.slc import NO_VICTIM
-from repro.coma.linetable import LOC_AM
-from repro.coma.machine import LEVEL_AM, LEVEL_SLC, ComaMachine
-from repro.coma.states import EXCLUSIVE
+from repro.bus.transaction import TxKind
+from repro.coma.hierarchy import HierarchicalComaMachine
+from repro.coma.linetable import LOC_AM, LOC_OVERFLOW
+from repro.coma.machine import LEVEL_AM, LEVEL_REMOTE, LEVEL_SLC, ComaMachine
+from repro.coma.node import REMOVED_INVALIDATED
+from repro.coma.states import EXCLUSIVE, SHARED
 from repro.common.config import MachineConfig
 from repro.mem.address import AddressSpace
 from repro.mem.soa import VICTIM_LRU
+from repro.obs.sink import TraceSink
 from repro.sim.simulator import Simulation
 
 pytestmark = pytest.mark.lockstep
@@ -122,9 +130,11 @@ class StampReference(ComaMachine):
 
 
 def make(ppn: int, inclusive: bool, reference: bool,
-         cls: type = ComaMachine) -> ComaMachine:
+         cls: type = ComaMachine, n_lines: int = N_LINES,
+         **kw) -> ComaMachine:
     """An 8-processor machine whose 2-way AMs hold 64 lines in all for
-    the soups' 48, with a one-set 4-way SLC and a 2-line L1."""
+    the soups' ``n_lines`` (48 by default), with a one-set 4-way SLC and
+    a 2-line L1; ``kw`` goes to ``cls``."""
     cfg = MachineConfig(
         n_processors=8,
         procs_per_node=ppn,
@@ -139,8 +149,8 @@ def make(ppn: int, inclusive: bool, reference: bool,
         inclusive=inclusive,
     )
     space = AddressSpace(page_size=256)
-    space.alloc(N_LINES * LINE, "data")
-    m = cls(cfg, space)
+    space.alloc(n_lines * LINE, "data")
+    m = cls(cfg, space, **kw)
     if reference:
         m.reference_fills = 0
         m._fill_hierarchy = types.MethodType(_fill_hierarchy, m)
@@ -367,3 +377,258 @@ class TestLruStampLockstep:
                    rng.randrange(8), rng.randrange(40)) for _ in range(800)]
         fused_writes = compare_kernel(ops, 4, True)
         assert fused_writes > 100
+
+
+# ----------------------------------------------------------------------
+# the read node miss
+# ----------------------------------------------------------------------
+
+def classify_read_miss(m: ComaMachine, node, line: int) -> None:
+    """The miss classification ``ComaMachine.read`` opens in line."""
+    c = m.counters
+    if line not in node.ever:
+        c.read_miss_cold += 1
+    elif node.removal_reason.get(line) == REMOVED_INVALIDATED:
+        c.read_miss_coherence += 1
+    elif line in node.shadow:
+        c.read_miss_conflict += 1
+    else:
+        c.read_miss_capacity += 1
+
+
+class ReadMissMethods:
+    """``read``'s node-miss tail built from methods: the classification
+    above, ``ShadowTags.access``, ``LineTable.get``,
+    ``_owner_to_shared_state``, ``ReplacementEngine.make_room`` (with
+    ``drop_shared_copy``), ``LineArray.fill_way``, ``ComaNode.note_present``
+    and ``Resource.acquire``.  Every other read takes the shipped path.
+    ``cases`` tallies which allocation and supplier cases it served."""
+
+    def read(self, proc, addr, now):
+        line = addr >> self._shift
+        node = self.nodes[self._node_of[proc]]
+        am = node.am
+        if ((addr // self._page_size) not in self._page_home
+                or self._l1_tags[proc][line % self._l1_nsets] == line
+                or line in self.slcs[proc].index or line in am.index
+                or line in node.overflow
+                or (not self._inclusive and line in node.slc_resident)):
+            return super().read(proc, addr, now)
+        self.now = now
+        c = self.counters
+        c.reads += 1
+        obs = self.obs
+        if obs is not None:
+            obs.begin(now, proc, "r", line, addr)
+        self.slc_res[proc].acquire(now, self._t_slc_occ, self._port)
+        c.node_read_misses += 1
+        classify_read_miss(self, node, line)
+        node.shadow.access(line)
+        info = self.lines.get(line)
+        owner = self.nodes[info.owner_node]
+        t = self._fetch_remote(TxKind.READ_DATA, node, owner, line, now)
+        self._tally(self._owner_case(owner, line, info))
+        self._owner_to_shared_state(owner, line, info)
+        self._tally(self._room_case(am, line))
+        way = self.repl.make_room(node, line, t, mandatory=False)
+        if way is None:
+            done = t + self._t_remote
+            if obs is not None:
+                obs.access(now, proc, "r", line, LEVEL_REMOTE, done - now,
+                           addr)
+            return done, LEVEL_REMOTE
+        am.fill_way(way, line, SHARED)
+        node.note_present(line)
+        info.sharers.add(node.id)
+        if obs is not None:
+            obs.transition(t, node.id, line, "fill", "I", "S")
+        s = node.dram.acquire(t, self._t_dram_busy, self._port)
+        done = s + self._t_dram_lat + self._t_remote
+        self._fill_hierarchy(proc, node, line, way)
+        if obs is not None:
+            obs.phase("fill_dram", s + self._t_dram_lat)
+            obs.access(now, proc, "r", line, LEVEL_REMOTE, done - now, addr)
+        return done, LEVEL_REMOTE
+
+    def _tally(self, case: str) -> None:
+        self.cases[case] = self.cases.get(case, 0) + 1
+
+    @staticmethod
+    def _owner_case(owner, line: int, info) -> str:
+        if line in owner.am.index:
+            return "owner in am"
+        return "owner in overflow" if info.owner_loc == LOC_OVERFLOW \
+            else "owner in slc"
+
+    def _room_case(self, am, line: int) -> str:
+        set_idx = line % am.num_sets
+        if am.free_way_idx(set_idx) >= 0:
+            return "free way"
+        victim = am.victim_way(set_idx, self._victim_mode)
+        if am.state_a[victim] != SHARED:
+            return "owner victim"
+        return "shared victim" + (" in slc" if am.aux_a[victim] else "")
+
+
+class ReadMissReference(ReadMissMethods, ComaMachine):
+    pass
+
+
+class HierReadMissReference(ReadMissMethods, HierarchicalComaMachine):
+    pass
+
+
+class Recorder(TraceSink):
+    """Every call the read miss and its callees make on the ``obs``
+    slot, in order."""
+
+    def __init__(self) -> None:
+        self.calls: list = []
+
+    def begin(self, *args):
+        self.calls.append(("begin", args))
+
+    def phase(self, *args):
+        self.calls.append(("phase", args))
+
+    def bus_phase(self, *args):
+        self.calls.append(("bus_phase", args))
+
+    def access(self, *args):
+        self.calls.append(("access", args))
+
+    def transition(self, *args):
+        self.calls.append(("transition", args))
+
+    def bus(self, *args):
+        self.calls.append(("bus", args))
+
+    def replacement(self, *args):
+        self.calls.append(("replacement", args))
+
+
+#: Data lines of the dense soup: past the 64 AM ways, so some sets are
+#: over capacity (owners parked in overflow) and full of owners
+#: (uncached reads).
+DENSE_LINES = 68
+
+
+def make_miss(ppn: int, inclusive: bool, hier: bool, reference: bool,
+              observed: bool) -> ComaMachine:
+    cls = ((HierReadMissReference if reference else HierarchicalComaMachine)
+           if hier else (ReadMissReference if reference else ComaMachine))
+    kw = {"n_groups": 2} if hier else {}
+    m = make(ppn, inclusive, reference=False, cls=cls, n_lines=DENSE_LINES,
+             **kw)
+    m.cases = {}
+    if observed:
+        m.obs = Recorder()
+        for bus in m.buses:
+            bus.obs = m.obs
+    return m
+
+
+def resource_state(r) -> tuple:
+    return tuple(r.free), r.busy_ns, r.uses
+
+
+def miss_state(m: ComaMachine) -> tuple:
+    """What a read miss touches beyond the arrays: the node-level
+    tracking, the line table, counters, every resource and bus."""
+    nodes = [(list(n.shadow._lines), sorted(n.ever), dict(n.removal_reason),
+              resource_state(n.nc), resource_state(n.dram))
+             for n in m.nodes]
+    table = sorted((line, i.owner_node, i.owner_loc, sorted(i.sharers))
+                   for line, i in m.lines.items())
+    buses = [(b.name, list(b._counts), list(b._bytes),
+              resource_state(b.resource)) for b in m.buses]
+    return nodes, table, buses, [resource_state(r) for r in m.slc_res]
+
+
+def run_miss_lockstep(ops, ppn: int, inclusive: bool, hier: bool,
+                      observed: bool) -> tuple[ComaMachine, ComaMachine]:
+    fast = make_miss(ppn, inclusive, hier, False, observed)
+    ref = make_miss(ppn, inclusive, hier, True, observed)
+    now = 0
+    for i, (op, proc, line, word, gap) in enumerate(ops):
+        now += gap
+        addr = line * LINE + 8 * word
+        if op == "r":
+            got, want = fast.read(proc, addr, now), ref.read(proc, addr, now)
+        else:
+            got, want = fast.write(proc, addr, now), ref.write(proc, addr, now)
+        where = (i, op, proc, line)
+        if got != want:
+            raise AssertionError(f"after op {where}: {got} != {want}")
+        check_same(fast, ref, where)
+        for j, (g, w) in enumerate(zip(miss_state(fast), miss_state(ref))):
+            if g != w:
+                raise AssertionError(f"after op {where}: miss_state[{j}] "
+                                     f"differs:\n  {g}\n  {w}")
+        if observed:
+            if fast.obs.calls != ref.obs.calls:
+                raise AssertionError(f"after op {where}: obs calls differ:"
+                                     f"\n  {fast.obs.calls}"
+                                     f"\n  {ref.obs.calls}")
+            fast.obs.calls.clear()
+            ref.obs.calls.clear()
+    fast.check_consistency()
+    ref.check_consistency()
+    return fast, ref
+
+
+def _miss_op(kind: str, proc: int, k: int, word: int, gap: int) -> tuple:
+    """Like ``_op`` over the dense soup's lines."""
+    return kind, proc, (8 * proc + k) % DENSE_LINES, word, gap
+
+
+miss_op = st.builds(
+    _miss_op,
+    st.sampled_from(["r", "r", "r", "w"]),
+    st.integers(0, 7),
+    st.integers(0, 23),
+    st.integers(0, 7),
+    st.integers(0, 400),
+)
+
+
+class TestReadMissLockstep:
+    """``ComaMachine.read``'s in-line node miss against
+    :class:`ReadMissMethods`, on coma and 2-group hcoma, after every op:
+    every AM and SLC array, the shadow order, ``ever``,
+    ``removal_reason``, the line table, the counters, every resource,
+    the bus counts and (observed) every call on the ``obs`` slot."""
+
+    @given(ops=st.lists(miss_op, min_size=20, max_size=150),
+           ppn=st.sampled_from([1, 4]),
+           inclusive=st.booleans(),
+           hier=st.booleans(),
+           observed=st.booleans())
+    @settings(max_examples=60, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.shrink))
+    def test_op_soup(self, ops, ppn, inclusive, hier, observed):
+        run_miss_lockstep(ops, ppn, inclusive, hier, observed)
+
+    @pytest.mark.parametrize("hier", [False, True], ids=["coma", "hcoma"])
+    @pytest.mark.parametrize("inclusive", [True, False],
+                             ids=["inclusive", "noninclusive"])
+    @pytest.mark.parametrize("ppn", [1, 4])
+    def test_seeded_soup_reaches_every_case(self, ppn, inclusive, hier):
+        """The soup first stays within 48 lines (free ways, Shared and
+        owner victims), then spreads over all 68 (uncached reads, owners
+        parked in overflow)."""
+        rng = random.Random(28 + ppn)
+        ops = [_miss_op(rng.choice("rrrw"), rng.randrange(8),
+                        rng.randrange(24), rng.randrange(8),
+                        rng.randrange(400)) for _ in range(1200)]
+        ops = [op for op in ops if op[2] < N_LINES] + ops
+        fast, ref = run_miss_lockstep(ops, ppn, inclusive, hier,
+                                      observed=ppn == 4)
+        cases = ref.cases
+        assert {"free way", "owner victim", "shared victim",
+                "shared victim in slc", "owner in am",
+                "owner in overflow"} <= set(cases), cases
+        assert ("owner in slc" in cases) is not inclusive, cases
+        assert fast.counters.uncached_reads > 0
+        assert fast.counters.overflow_parks > 0
