@@ -6,6 +6,8 @@ from fractions import Fraction
 
 from repro.common.config import MachineConfig
 from repro.mem.address import AddressSpace
+from repro.obs.sink import TraceSink
+from repro.obs.spans import SpanBuilder
 from repro.uma.machine import UmaMachine
 
 LINE = 64
@@ -80,6 +82,63 @@ class TestUmaCoherence:
         m = make_uma()
         m.rmw(0, 0, 0)
         assert m.counters.atomics == 1
+
+
+class Trees(TraceSink):
+    """Each access's span-tree phases as ``(op, level, names, durations)``."""
+
+    wants_spans = True
+
+    def __init__(self) -> None:
+        self.trees = []
+
+    def tree(self, t0, t, trace_id, root_id, proc, line, op, level, relocs,
+             names, starts, ends):
+        self.trees.append((op, level, list(names),
+                           [e - s for s, e in zip(starts, ends)]))
+
+
+def traced_uma():
+    m = make_uma()
+    sink = Trees()
+    m.obs = SpanBuilder(sink)
+    for bus in m.buses:
+        bus.obs = m.obs
+    return m, sink
+
+
+class TestUmaPhases:
+    """UMA's accesses are cut into phases named as NUMA's are, so
+    attribution splits a miss and an upgrade the same way."""
+
+    def test_miss_phases(self):
+        m, sink = traced_uma()
+        done, level = m.read(0, 0, 0)
+        t = m.timing
+        assert sink.trees == [(
+            "r", "remote",
+            ["bus_req", "remote_am", "bus_reply", "nc_ret", "remote"],
+            [t.bus_phase_ns, t.dram_latency_ns, t.bus_phase_ns, t.nc_ns,
+             t.remote_overhead_ns],
+        )]
+        assert sum(sink.trees[0][3]) == done
+
+    def test_queued_miss_splits_bus_arbitration(self):
+        m, sink = traced_uma()
+        m.read(0, 0, 0)
+        m.read(1, 8 * LINE, 0)     # waits for the first request's phase
+        names = sink.trees[1][2]
+        assert names[:2] == ["bus_arb", "bus_req"]
+
+    def test_upgrade_phases(self):
+        m, sink = traced_uma()
+        m.read(0, 0, 0)
+        m.read(1, 0, 1000)
+        sink.trees.clear()
+        m.write(0, 0, 2000)
+        op, level, names, _ = sink.trees[0]
+        assert (op, level) == ("w", "slc")
+        assert names == ["upgrade_bus", "slc"]
 
 
 class TestUmaViaRunner:
