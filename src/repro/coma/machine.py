@@ -336,22 +336,28 @@ class ComaMachine(WriteFront):
                 obs.transition(now, owner.id, line, "remote_read", "E",
                                state_name(self._st_degrade))
 
+        # make_room: the first free way, else under the default victim
+        # policy (inclusive) the least recently used Shared way.
         index = am.index
         line_a = am.line_a
         state_a = am.state_a
+        lru_a = am.lru_a
         aux_a = am.aux_a
-        set_idx = line % am.num_sets
-        way = set_idx * am.assoc
+        way = (line % am.num_sets) * am.assoc
         end = way + am.assoc
+        shared = -1
         while way < end:
-            if not state_a[way]:
+            st = state_a[way]
+            if not st:
                 break
+            if st == SHARED and (shared < 0 or lru_a[way] < lru_a[shared]):
+                shared = way
             way += 1
         else:
-            way = am.victim_way(set_idx, self._victim_mode)
-            if state_a[way] == SHARED and self._inclusive:
+            if shared >= 0 and self._victim_mode == soa.VICTIM_SHARED_FIRST:
                 # drop_shared_copy and strip_node_copy; the fill below
                 # overwrites the way's columns.
+                way = shared
                 victim = line_a[way]
                 infos[victim].sharers.discard(node.id)
                 c.shared_drops += 1
@@ -378,7 +384,7 @@ class ComaMachine(WriteFront):
         index[line] = way
         tick = am.tick + 1
         am.tick = tick
-        am.lru_a[way] = tick
+        lru_a[way] = tick
         node.ever.add(line)
         removal.pop(line, None)
         info.sharers.add(node.id)

@@ -40,15 +40,30 @@ class UmaMachine(NumaMachine):
         """Bus request, interleaved central bank, bus reply.  A dirty copy
         in another cache is flushed by the snoop, so ``owner`` costs
         nothing extra."""
-        self.bus.record(kind, self.now, node, line)
-        t = self.bus.phase(now, self._port)
-        s = self.banks[line % N_BANKS].acquire(t, self._t_dram_busy, self._port)
-        t = self.bus.phase(s + self._t_dram_lat, self._port)
+        bus = self.bus
+        bus.record(kind, self.now, node, line)
+        t_req = bus.phase(now, self._port)
+        s = self.banks[line % N_BANKS].acquire(t_req, self._t_dram_busy,
+                                               self._port)
+        t_am = s + self._t_dram_lat
+        t = bus.phase(t_am, self._port)
+        obs = self.obs
+        if obs is not None:
+            obs.phase("bus_arb", bus.arb_start(t_req))
+            obs.phase("bus_req", t_req)
+            obs.phase("remote_am", t_am)
+            obs.phase("bus_arb", bus.arb_start(t))
+            obs.phase("bus_reply", t)
+            obs.phase("nc_ret", t + self._t_nc)
         return t + self._t_nc + self._t_remote, LEVEL_REMOTE
 
     def _upgrade_hop(self, node: int, now: int) -> int:
         """The invalidation round takes the bus phase alone."""
-        return self.bus.phase(now, self._port)
+        t = self.bus.phase(now, self._port)
+        if self.obs is not None:
+            self.obs.phase("bus_arb", self.bus.arb_start(t))
+            self.obs.phase("upgrade_bus", t)
+        return t
 
     def _write_back(self, proc: int, vline: int) -> None:
         """A dirty SLC victim crosses the bus to its central bank."""

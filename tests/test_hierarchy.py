@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bus.transaction import TxKind
 from repro.coma.hierarchy import HierarchicalComaMachine
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigError
 from repro.mem.address import AddressSpace
+from repro.timing.resource import DEMAND, POSTED
 
 LINE = 64
 
@@ -164,3 +166,65 @@ class TestHierarchicalLocality:
                 m.write(proc, line * LINE, t)
         m.check_consistency()
         assert m.owned_line_count() == len(m.lines)
+
+
+def reference_fetch(m, kind, local, owner, line, now):
+    """hcoma's fetch from ``SharedBus.record``, ``SharedBus.phase`` and
+    ``Resource.acquire``: the group bus, and across groups the top bus
+    and the owner's group bus with a directory lookup each way."""
+    lg = m.group_buses[m.group_of(local.id)]
+    og = m.group_buses[m.group_of(owner.id)]
+    port = m._port
+    nc_busy, nc_ns = m._t_nc_busy, m._t_nc
+    lg.record(kind, now, local.id, line)
+    if lg is not og:
+        m.bus.record(kind, now, local.id, line)
+        og.record(kind, now, local.id, line)
+    s = local.nc.acquire(now, nc_busy, port)
+    t = lg.phase(s + nc_ns, port)
+    if lg is not og:
+        t = m.bus.phase(t + nc_ns, port)
+        t = og.phase(t + nc_ns, port)
+    s = owner.nc.acquire(t, nc_busy, port)
+    s = owner.dram.acquire(s + nc_ns, m._t_dram_busy, port)
+    t = og.phase(s + m._t_dram_lat, port)
+    if lg is not og:
+        t = lg.phase(m.bus.phase(t, port) + nc_ns, port)
+    s = local.nc.acquire(t, nc_busy, port)
+    return s + nc_ns
+
+
+def interconnect_state(m) -> list:
+    out = [(b.name, list(b._counts), list(b._bytes), tuple(b.resource.free),
+            b.resource.busy_ns, b.resource.uses) for b in m.buses]
+    for n in m.nodes:
+        for r in (n.nc, n.dram):
+            out.append((r.name, tuple(r.free), r.busy_ns, r.uses))
+    return out
+
+
+class TestFetchRemote:
+    """``HierarchicalComaMachine._fetch_remote`` against
+    :func:`reference_fetch`: returned time, every resource's timelines
+    and totals, and the per-bus counts and bytes."""
+
+    @pytest.mark.parametrize("port", [DEMAND, POSTED], ids=["demand", "posted"])
+    @pytest.mark.parametrize("owner", [1, 5], ids=["same_group", "cross_group"])
+    def test_matches_reference(self, owner, port):
+        fast, ref = make_hier(), make_hier()
+        for m in (fast, ref):
+            m._port = port
+        # Overlapping fetches from several nodes contend for every
+        # resource on the route, on the chosen port only.
+        fetches = [(0, owner, TxKind.READ_DATA, 0), (2, owner, TxKind.READ_EXCL, 5),
+                   (6, 0, TxKind.READ_DATA, 10), (0, owner, TxKind.READ_DATA, 12),
+                   (4, 1, TxKind.READ_EXCL, 30)]
+        for i, (local, own, kind, now) in enumerate(fetches):
+            got = fast._fetch_remote(kind, fast.nodes[local], fast.nodes[own],
+                                     i, now)
+            want = reference_fetch(ref, kind, ref.nodes[local],
+                                   ref.nodes[own], i, now)
+            assert got == want
+            assert interconnect_state(fast) == interconnect_state(ref)
+        # Fetches between the two groups cross the top bus.
+        assert fast.bus.total_transactions == (2 if owner == 1 else 5)

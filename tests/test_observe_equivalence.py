@@ -139,8 +139,10 @@ def _chrome(machine: str) -> str:
 #: delivered whole; the uma digests and the numa/uma metrics digests:
 #: before UMA became a NUMA subclass, except that the numa/uma jsonl,
 #: jsonl+attribution and chrome digests were re-recorded when their bus
-#: events gained the access's time, origin node and line); any change
-#: here is a change in what an observer sees.
+#: events gained the access's time, origin node and line, and the uma
+#: jsonl+attribution, attribution, observed and chrome digests when UMA's
+#: miss and upgrade gained NUMA's span phases); any change here is a
+#: change in what an observer sees.
 PINNED = {
     "coma": {
         "jsonl": "d8f17754dd82159881a1037b6a712fffae4626a742a0e99626c3f95e36735ae2",
@@ -174,12 +176,12 @@ PINNED = {
     },
     "uma": {
         "jsonl": "1368dd54a5c4ffbf97a916c147612ae4c044e35c8d23d86f016b01cbf64473eb",
-        "jsonl+attribution": "9f49655d489b2558906e7a53b4be94d1bd9f662578545ab9c12f89730aeea1e0",
-        "attribution": "21037e6ff06ba53c5ba4ab2560649cb3fe16a6138778ac689c5aeac42ea38d88",
+        "jsonl+attribution": "0008d95509189ac1bcd85a73f92856bbab5633fa3c2d851deaefb50a0b888490",
+        "attribution": "dc6a60631c04e2e58e5c51527c1b061faa4f3be5fc376df92184e7da9cb50533",
         "metrics": "a578cf45ec04a0135b40c3b19002fc67312b2ebedddee4ed348077a7b4aad0dd",
         "exemplars": "0b96506178305de4476c39771019476db62a98d58b5ea9204e15050d6ab99837",
-        "observed": "76ee33d521cc6ead8719a2db568c07f527f6da5cec5e4324eaf86cb58151e052",
-        "chrome": "a0973812a69e854d309e19b4a533c399dddbfc928a723f30c7e2fab36d9098b4",
+        "observed": "92f9033a4fc2a4735af26976fa85c4acf007fdd2dc971b2c596bb345d6668165",
+        "chrome": "5decbcafd786aa454816069fd4dd4652c70f202fe7a0b06da93c8645c2a960e1",
     },
 }
 
